@@ -1207,6 +1207,93 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
         });
     }
 
+    // -- random-forest fits -------------------------------------------------
+    // The two forests a TUNA run refits on every new observation, at the
+    // sizes a paper-default mssales run reaches, each grown on the calling
+    // thread. The inputs are built once, outside the timed closure; the
+    // checksums pin prediction bits.
+    //
+    // SMAC's surrogate: a ~300-config history over the mssales knobs, 48
+    // trees, then an EI-sized candidate pool predicted.
+    {
+        use tuna_ml::forest::{ForestParams, RandomForest};
+        use tuna_ml::Regressor;
+
+        let rows = if quick { 60 } else { 300 };
+        let space = sut_for(tuna_workloads::mssales().target).space().clone();
+        let mut rng = Rng::seed_from(0xF0_4E57);
+        let encode = |rng: &mut Rng| space.encode(&space.sample(rng));
+        let x: Vec<Vec<f64>> = (0..rows).map(|_| encode(&mut rng)).collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|row| {
+                let shape: f64 = row
+                    .iter()
+                    .enumerate()
+                    .map(|(i, v)| (v - 0.1 * (i % 7) as f64).powi(2))
+                    .sum();
+                100.0 + 10.0 * shape + rng.next_gaussian()
+            })
+            .collect();
+        let candidates: Vec<Vec<f64>> = (0..140).map(|_| encode(&mut rng)).collect();
+        v.push(ScenarioSpec {
+            name: "ml/forest_fit_smac",
+            items: rows as u64,
+            run: Box::new(move |c| {
+                let mut forest = RandomForest::new(ForestParams::default());
+                forest
+                    .fit(&x, &y, &mut Rng::seed_from(0xF0_4E58))
+                    .expect("well-formed history");
+                for row in &candidates {
+                    let (mean, var) = forest.predict_stats(row);
+                    c.push_f64(mean);
+                    c.push_f64(var);
+                }
+            }),
+        });
+    }
+    // The noise adjuster's `Standardize ∘ forest`: ~600 samples of 30
+    // guest metrics plus a 10-wide one-hot machine id, 32 trees, then
+    // every training row predicted back (the adjust pass).
+    {
+        use tuna_core::adjuster::AdjusterConfig;
+        use tuna_ml::forest::RandomForest;
+        use tuna_ml::pipeline::StandardizedRegressor;
+        use tuna_ml::Regressor;
+
+        let (machines, epochs) = (10usize, if quick { 12 } else { 60 });
+        let root = Rng::seed_from(0xAD_F17);
+        let mut rng = Rng::seed_from(0xAD_F18);
+        let demand = tuna_cloudsim::components::ComponentVec::new(0.6, 0.7, 0.4, 0.3, 0.2);
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        for machine in 0..machines {
+            let mut m =
+                Machine::provision(machine as u64, &VmSku::d8s_v5(), &Region::westus2(), &root);
+            for _ in 0..epochs {
+                let snap = m.observe(&demand);
+                let metrics = tuna_metrics::generate(&snap, &demand, 1.0, &mut rng);
+                let mut row = metrics.values().to_vec();
+                row.extend((0..machines).map(|i| if i == machine { 1.0 } else { 0.0 }));
+                x.push(row);
+                y.push(snap.speeds.cpu - 1.0 + 0.01 * rng.next_gaussian());
+            }
+        }
+        v.push(ScenarioSpec {
+            name: "ml/forest_fit_adjuster",
+            items: x.len() as u64,
+            run: Box::new(move |c| {
+                let params = AdjusterConfig::paper_default(machines).forest;
+                let mut model = StandardizedRegressor::new(RandomForest::new(params));
+                model
+                    .fit(&x, &y, &mut Rng::seed_from(0xAD_F19))
+                    .expect("well-formed samples");
+                for row in &x {
+                    c.push_f64(model.predict(row));
+                }
+            }),
+        });
+    }
+
     v
 }
 

@@ -12,7 +12,7 @@
 use crate::sample::Sample;
 use tuna_ml::forest::{ForestParams, RandomForest};
 use tuna_ml::pipeline::StandardizedRegressor;
-use tuna_ml::Regressor;
+use tuna_ml::{with_scratch, Regressor};
 use tuna_stats::rng::Rng;
 use tuna_stats::summary;
 
@@ -79,12 +79,18 @@ impl NoiseAdjuster {
         self.train_x.len()
     }
 
-    fn features(&self, sample: &Sample) -> Vec<f64> {
-        let mut row = sample.metrics.values().to_vec();
-        for i in 0..self.config.cluster_size {
-            row.push(if i == sample.machine_idx { 1.0 } else { 0.0 });
+    /// Feature-row width: the guest metrics plus the one-hot machine id.
+    fn width(&self, sample: &Sample) -> usize {
+        sample.metrics.values().len() + self.config.cluster_size
+    }
+
+    /// Writes `sample`'s feature row into `row` (of [`Self::width`]).
+    fn write_features(&self, sample: &Sample, row: &mut [f64]) {
+        let (metrics, one_hot) = row.split_at_mut(sample.metrics.values().len());
+        metrics.copy_from_slice(sample.metrics.values());
+        for (i, v) in one_hot.iter_mut().enumerate() {
+            *v = if i == sample.machine_idx { 1.0 } else { 0.0 };
         }
-        row
     }
 
     /// Algorithm 1: ingest a config's max-budget samples as training data
@@ -104,7 +110,9 @@ impl NoiseAdjuster {
             return;
         }
         for s in samples.iter().filter(|s| !s.crashed) {
-            self.train_x.push(self.features(s));
+            let mut row = vec![0.0; self.width(s)];
+            self.write_features(s, &mut row);
+            self.train_x.push(row);
             self.train_y.push(s.raw / mean - 1.0);
         }
         // Retraining a forest is cheap: rebuild on every new data point
@@ -133,7 +141,10 @@ impl NoiseAdjuster {
         let Some(model) = &self.model else {
             return sample.raw;
         };
-        let mut s = model.predict(&self.features(sample));
+        let mut s = with_scratch(self.width(sample), |row| {
+            self.write_features(sample, row);
+            model.predict(row)
+        });
         if let Some(cap) = self.config.max_adjustment {
             s = s.clamp(-cap, cap);
         }

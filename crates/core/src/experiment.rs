@@ -169,15 +169,19 @@ impl Experiment {
     }
 
     /// The [`SolverParams`] this experiment hands to registry builders.
+    /// The SMAC surrogate grows its trees on [`Experiment::exec`]'s
+    /// threads, which leaves every result bit unchanged.
     pub fn solver_params(&self, multi_fidelity: bool) -> SolverParams {
         let ladder = if multi_fidelity {
             LadderParams::paper_default()
         } else {
             LadderParams::single()
         };
+        let mut smac = self.smac.clone();
+        smac.forest.threads = self.exec.workers();
         SolverParams {
             ladder,
-            smac: self.smac.clone(),
+            smac,
             gp: self.gp.clone(),
             ..SolverParams::default()
         }

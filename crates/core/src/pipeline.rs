@@ -197,7 +197,9 @@ impl<'a> TunaPipeline<'a> {
         assert_eq!(cluster.size(), config.cluster_size, "cluster size mismatch");
         let scheduler = TaskScheduler::new(config.cluster_size);
         let detector = OutlierDetector::new(config.outlier_threshold);
-        let adjuster = NoiseAdjuster::new(AdjusterConfig::paper_default(config.cluster_size));
+        let mut adjuster_config = AdjusterConfig::paper_default(config.cluster_size);
+        adjuster_config.forest.threads = config.mode.workers();
+        let adjuster = NoiseAdjuster::new(adjuster_config);
         TunaPipeline {
             config,
             sut,

@@ -5,10 +5,18 @@
 //! improvement) and the paper's noise-adjuster model (Algorithm 1), chosen
 //! there because forests generalize from little data, select informative
 //! features implicitly, and are cheap to refit on every new observation.
+//!
+//! A fit builds the training matrix once (column-major, ranked; see
+//! [`crate::tree`]) and grows every tree on `u32` row indices into it: a
+//! bootstrap resample draws indices, not rows. Tree `t` draws only from
+//! `rng.fork(t)`, so trees can grow on [`ForestParams::threads`] threads
+//! and the forest is bit-identical at any thread count.
 
-use crate::tree::{RegressionTree, TreeParams};
-use crate::{check_xy, MlError, Regressor};
+use crate::tree::{RankedColumns, RegressionTree, SplitScratch, TreeParams};
+use crate::{check_xy, with_scratch, MlError, Regressor};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use tuna_stats::rng::Rng;
+use tuna_stats::scaler::StandardScaler;
 
 /// How many candidate features each split considers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,6 +54,11 @@ pub struct ForestParams {
     pub feature_subsample: FeatureSubsample,
     /// Per-tree parameters.
     pub tree: TreeParams,
+    /// Threads that grow trees concurrently (`0` and `1` both mean the
+    /// calling thread alone). Every tree draws from its own fork of the
+    /// fit's generator, so the fitted forest does not depend on this
+    /// value — it only trades wall-clock for threads.
+    pub threads: usize,
 }
 
 impl Default for ForestParams {
@@ -58,6 +71,7 @@ impl Default for ForestParams {
                 min_samples_leaf: 2,
                 ..TreeParams::default()
             },
+            threads: 1,
         }
     }
 }
@@ -117,49 +131,100 @@ impl RandomForest {
     /// Panics if called before fitting.
     pub fn predict_stats(&self, row: &[f64]) -> (f64, f64) {
         assert!(self.is_fitted(), "predict on unfitted forest");
-        let preds: Vec<f64> = self.trees.iter().map(|t| t.predict(row)).collect();
-        let n = preds.len() as f64;
-        let mean = preds.iter().sum::<f64>() / n;
-        let var = if preds.len() < 2 {
-            0.0
-        } else {
-            preds.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / (n - 1.0)
+        with_scratch(self.trees.len(), |preds| {
+            for (p, t) in preds.iter_mut().zip(&self.trees) {
+                *p = t.predict(row);
+            }
+            let n = preds.len() as f64;
+            let mean = preds.iter().sum::<f64>() / n;
+            let var = if preds.len() < 2 {
+                0.0
+            } else {
+                preds.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / (n - 1.0)
+            };
+            (mean, var)
+        })
+    }
+
+    /// Grows the trees on `data`, tree `t` from `rng.fork(t)`, on up to
+    /// `params.threads` threads.
+    fn fit_ranked(&mut self, data: &RankedColumns, y: &[f64], rng: &Rng) -> Result<(), MlError> {
+        if self.params.n_trees == 0 {
+            return Err(MlError::InvalidHyperparameter("n_trees = 0".into()));
+        }
+        let rows = data.n_rows();
+        let tree_params = TreeParams {
+            max_features: self.params.feature_subsample.resolve(data.n_features()),
+            ..self.params.tree
         };
-        (mean, var)
+        let bootstrap = self.params.bootstrap;
+        let grow = |t: usize, sample: &mut Vec<u32>, scratch: &mut SplitScratch| {
+            let mut tree_rng = rng.fork(t as u64);
+            sample.clear();
+            if bootstrap {
+                sample.extend((0..rows).map(|_| tree_rng.below(rows) as u32));
+            } else {
+                sample.extend(0..rows as u32);
+            }
+            RegressionTree::grow(data, y, sample, tree_params, &mut tree_rng, scratch)
+        };
+
+        let n_trees = self.params.n_trees;
+        let workers = self.params.threads.clamp(1, n_trees);
+        self.n_features = data.n_features();
+        self.trees = if workers == 1 {
+            let (mut sample, mut scratch) = (Vec::new(), SplitScratch::default());
+            (0..n_trees)
+                .map(|t| grow(t, &mut sample, &mut scratch))
+                .collect()
+        } else {
+            // Workers claim tree indices from a shared cursor; the trees
+            // are put back in index order afterwards. The cursor publishes
+            // no data (trees come back through `join`), so `Relaxed`.
+            let next = AtomicUsize::new(0);
+            let mut grown: Vec<(usize, RegressionTree)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let (mut sample, mut scratch) = (Vec::new(), SplitScratch::default());
+                            let mut grown = Vec::new();
+                            loop {
+                                let t = next.fetch_add(1, Ordering::Relaxed);
+                                if t >= n_trees {
+                                    return grown;
+                                }
+                                grown.push((t, grow(t, &mut sample, &mut scratch)));
+                            }
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            });
+            grown.sort_unstable_by_key(|&(t, _)| t);
+            grown.into_iter().map(|(_, tree)| tree).collect()
+        };
+        Ok(())
     }
 }
 
 impl Regressor for RandomForest {
     fn fit(&mut self, x: &[Vec<f64>], y: &[f64], rng: &mut Rng) -> Result<(), MlError> {
-        let (rows, cols) = check_xy(x, y)?;
-        if self.params.n_trees == 0 {
-            return Err(MlError::InvalidHyperparameter("n_trees = 0".into()));
-        }
-        self.n_features = cols;
-        let tree_params = TreeParams {
-            max_features: self.params.feature_subsample.resolve(cols),
-            ..self.params.tree
-        };
-        self.trees.clear();
-        let mut boot_x: Vec<Vec<f64>> = Vec::with_capacity(rows);
-        let mut boot_y: Vec<f64> = Vec::with_capacity(rows);
-        for t in 0..self.params.n_trees {
-            let mut tree_rng = rng.fork(t as u64);
-            let tree = if self.params.bootstrap {
-                boot_x.clear();
-                boot_y.clear();
-                for _ in 0..rows {
-                    let i = tree_rng.below(rows);
-                    boot_x.push(x[i].clone());
-                    boot_y.push(y[i]);
-                }
-                RegressionTree::fit(&boot_x, &boot_y, tree_params, &mut tree_rng)?
-            } else {
-                RegressionTree::fit(x, y, tree_params, &mut tree_rng)?
-            };
-            self.trees.push(tree);
-        }
-        Ok(())
+        check_xy(x, y)?;
+        self.fit_ranked(&RankedColumns::new(x, None)?, y, rng)
+    }
+
+    fn fit_standardized(
+        &mut self,
+        x: &[Vec<f64>],
+        scaler: &StandardScaler,
+        y: &[f64],
+        rng: &mut Rng,
+    ) -> Result<(), MlError> {
+        check_xy(x, y)?;
+        self.fit_ranked(&RankedColumns::new(x, Some(scaler))?, y, rng)
     }
 
     fn predict(&self, row: &[f64]) -> f64 {
@@ -168,6 +233,64 @@ impl Regressor for RandomForest {
 
     fn predict_with_uncertainty(&self, row: &[f64]) -> (f64, f64) {
         self.predict_stats(row)
+    }
+}
+
+/// The original serial fit, retained as an oracle: bootstrap resamples
+/// clone rows and every tree grows with [`crate::tree::naive::fit`]. Kept
+/// public for the crate's differential property tests; do not call it
+/// from production code.
+pub mod naive {
+    use super::{ForestParams, RandomForest};
+    use crate::tree::{naive as tree, TreeParams};
+    use crate::{check_xy, MlError};
+    use tuna_stats::rng::Rng;
+
+    /// Fits a forest to `(x, y)` the original way (`params.threads` is
+    /// ignored).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the training set is empty or ragged, or
+    /// `params.n_trees` is zero.
+    pub fn fit(
+        params: ForestParams,
+        x: &[Vec<f64>],
+        y: &[f64],
+        rng: &mut Rng,
+    ) -> Result<RandomForest, MlError> {
+        let (rows, cols) = check_xy(x, y)?;
+        if params.n_trees == 0 {
+            return Err(MlError::InvalidHyperparameter("n_trees = 0".into()));
+        }
+        let tree_params = TreeParams {
+            max_features: params.feature_subsample.resolve(cols),
+            ..params.tree
+        };
+        let mut trees = Vec::with_capacity(params.n_trees);
+        let mut boot_x: Vec<Vec<f64>> = Vec::with_capacity(rows);
+        let mut boot_y: Vec<f64> = Vec::with_capacity(rows);
+        for t in 0..params.n_trees {
+            let mut tree_rng = rng.fork(t as u64);
+            let fitted = if params.bootstrap {
+                boot_x.clear();
+                boot_y.clear();
+                for _ in 0..rows {
+                    let i = tree_rng.below(rows);
+                    boot_x.push(x[i].clone());
+                    boot_y.push(y[i]);
+                }
+                tree::fit(&boot_x, &boot_y, tree_params, &mut tree_rng)?
+            } else {
+                tree::fit(x, y, tree_params, &mut tree_rng)?
+            };
+            trees.push(fitted);
+        }
+        Ok(RandomForest {
+            params,
+            trees,
+            n_features: cols,
+        })
     }
 }
 

@@ -42,6 +42,8 @@ pub mod linalg;
 pub mod pipeline;
 pub mod tree;
 
+use tuna_stats::scaler::StandardScaler;
+
 /// Error type shared by the ML fitters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MlError {
@@ -79,6 +81,21 @@ pub trait Regressor {
         rng: &mut tuna_stats::rng::Rng,
     ) -> Result<(), MlError>;
 
+    /// Fits the model on `x` with every row standardized by `scaler`.
+    ///
+    /// The default materializes the standardized copy and calls
+    /// [`Regressor::fit`]; models with their own training layout (the
+    /// random forest) standardize straight into it instead.
+    fn fit_standardized(
+        &mut self,
+        x: &[Vec<f64>],
+        scaler: &StandardScaler,
+        y: &[f64],
+        rng: &mut tuna_stats::rng::Rng,
+    ) -> Result<(), MlError> {
+        self.fit(&scaler.transform(x), y, rng)
+    }
+
     /// Predicts the target for one feature row.
     fn predict(&self, x: &[f64]) -> f64;
 
@@ -88,6 +105,21 @@ pub trait Regressor {
     /// models (forests, GPs) override it.
     fn predict_with_uncertainty(&self, x: &[f64]) -> (f64, f64) {
         (self.predict(x), 0.0)
+    }
+}
+
+/// Scratch rows up to this length live on the stack in [`with_scratch`].
+const STACK_SCRATCH: usize = 64;
+
+/// Calls `f` with a zeroed scratch slice of `len` values, on the stack
+/// when `len` is at most 64, so per-row prediction paths (a forest's
+/// per-tree predictions, a standardized row, a feature row) do not
+/// allocate on every call.
+pub fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
+    if len <= STACK_SCRATCH {
+        f(&mut [0.0; STACK_SCRATCH][..len])
+    } else {
+        f(&mut vec![0.0; len])
     }
 }
 

@@ -4,7 +4,7 @@
 //! `RandomForestRegressor ∘ Standardize`; [`StandardizedRegressor`] is that
 //! composition for any [`Regressor`].
 
-use crate::{MlError, Regressor};
+use crate::{with_scratch, MlError, Regressor};
 use tuna_stats::rng::Rng;
 use tuna_stats::scaler::StandardScaler;
 
@@ -34,11 +34,14 @@ impl<M: Regressor> StandardizedRegressor<M> {
         &self.inner
     }
 
-    fn scale_row(&self, x: &[f64]) -> Vec<f64> {
+    /// Calls `f` with `x` standardized into a scratch row.
+    fn with_scaled_row<R>(&self, x: &[f64], f: impl FnOnce(&[f64]) -> R) -> R {
         let scaler = self.scaler.as_ref().expect("predict on unfitted pipeline");
-        let mut row = x.to_vec();
-        scaler.transform_row(&mut row);
-        row
+        with_scratch(x.len(), |row| {
+            row.copy_from_slice(x);
+            scaler.transform_row(row);
+            f(row)
+        })
     }
 }
 
@@ -48,18 +51,17 @@ impl<M: Regressor> Regressor for StandardizedRegressor<M> {
             return Err(MlError::EmptyTrainingSet);
         }
         let scaler = StandardScaler::fit(x);
-        let xt = scaler.transform(x);
-        self.inner.fit(&xt, y, rng)?;
+        self.inner.fit_standardized(x, &scaler, y, rng)?;
         self.scaler = Some(scaler);
         Ok(())
     }
 
     fn predict(&self, x: &[f64]) -> f64 {
-        self.inner.predict(&self.scale_row(x))
+        self.with_scaled_row(x, |row| self.inner.predict(row))
     }
 
     fn predict_with_uncertainty(&self, x: &[f64]) -> (f64, f64) {
-        self.inner.predict_with_uncertainty(&self.scale_row(x))
+        self.with_scaled_row(x, |row| self.inner.predict_with_uncertainty(row))
     }
 }
 

@@ -4,9 +4,34 @@
 //! sum of squared errors of the two children; candidate features can be
 //! subsampled per split (the `max_features` knob that decorrelates forest
 //! members).
+//!
+//! # Tie order
+//!
+//! A fitted tree is a function of the order in which each node visits its
+//! rows, not only of the row set: node means and split gains are
+//! floating-point sums in that order. The order is defined by the
+//! original builder (kept as [`naive::fit`]), which stable-sorts a node's
+//! rows by the split feature before partitioning, and stable-sorts a
+//! working copy by every candidate feature in turn while scanning, so
+//! rows with equal values keep the order the previous sort left them in.
+//!
+//! The fast builder reproduces that permutation exactly without comparing
+//! floats. `RankedColumns` ranks each column once per fit in `total_cmp`
+//! order, with two values sharing a rank only when their bits are equal.
+//! A stable sort by value is then a stable sort by rank, which has one
+//! result: the order of the keys `(rank, position)`, where `position` is
+//! the row's place in the sequence being sorted. Equal ranks are exactly
+//! the `total_cmp` ties, and the position breaks them as stability does.
+//! Wide nodes get that order from a counting sort over the ranks, narrow
+//! ones from an unstable sort of the distinct `u64` keys
+//! `(rank << 32) | position`. The split scan still compares the real
+//! values (`xn <= xv`, threshold `0.5 * (xv + xn)`), so `-0.0` and
+//! `+0.0`, which rank apart but compare equal, stay unsplittable as
+//! before.
 
 use crate::{check_xy, MlError};
 use tuna_stats::rng::Rng;
+use tuna_stats::scaler::StandardScaler;
 
 /// Hyperparameters for a single regression tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,6 +81,137 @@ pub struct RegressionTree {
     feature_gains: Vec<f64>,
 }
 
+/// One fit's training matrix: column-major values plus, per column, each
+/// row's rank in `total_cmp` order (equal ranks iff equal bits).
+pub(crate) struct RankedColumns {
+    rows: usize,
+    values: Vec<f64>,
+    ranks: Vec<u32>,
+    /// Distinct values per column (one more than its highest rank).
+    distinct: Vec<usize>,
+}
+
+impl RankedColumns {
+    /// Copies `x` column-major, passing each value through `scaler` when
+    /// given (the same `(x - mean) / std` as
+    /// [`StandardScaler::transform_row`]), and ranks every column.
+    ///
+    /// `x` must be a non-empty, rectangular matrix (see `check_xy`).
+    pub(crate) fn new(x: &[Vec<f64>], scaler: Option<&StandardScaler>) -> Result<Self, MlError> {
+        let rows = x.len();
+        let cols = x[0].len();
+        if u32::try_from(rows).is_err() {
+            return Err(MlError::ShapeMismatch {
+                detail: format!("{rows} rows exceed the u32 row-index range"),
+            });
+        }
+        let mut values = vec![0.0; rows * cols];
+        for (r, row) in x.iter().enumerate() {
+            for (f, &v) in row.iter().enumerate() {
+                values[f * rows + r] = match scaler {
+                    Some(s) => (v - s.means()[f]) / s.stds()[f],
+                    None => v,
+                };
+            }
+        }
+        let mut ranks = vec![0u32; rows * cols];
+        let mut distinct = Vec::with_capacity(cols);
+        let mut order: Vec<u32> = Vec::with_capacity(rows);
+        for (col, rank) in values.chunks_exact(rows).zip(ranks.chunks_exact_mut(rows)) {
+            order.clear();
+            order.extend(0..rows as u32);
+            order.sort_unstable_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]));
+            let mut next = 0u32;
+            for (i, &r) in order.iter().enumerate() {
+                if i > 0 && col[r as usize].to_bits() != col[order[i - 1] as usize].to_bits() {
+                    next += 1;
+                }
+                rank[r as usize] = next;
+            }
+            distinct.push(next as usize + 1);
+        }
+        Ok(RankedColumns {
+            rows,
+            values,
+            ranks,
+            distinct,
+        })
+    }
+
+    pub(crate) fn n_rows(&self) -> usize {
+        self.rows
+    }
+
+    pub(crate) fn n_features(&self) -> usize {
+        self.values.len() / self.rows
+    }
+
+    fn column(&self, f: usize) -> &[f64] {
+        &self.values[f * self.rows..(f + 1) * self.rows]
+    }
+
+    /// Column `f`'s ranks and its number of distinct values.
+    fn rank(&self, f: usize) -> (&[u32], usize) {
+        (
+            &self.ranks[f * self.rows..(f + 1) * self.rows],
+            self.distinct[f],
+        )
+    }
+}
+
+/// Buffers one tree's build reuses across its nodes.
+#[derive(Default)]
+pub(crate) struct SplitScratch {
+    order: Vec<u32>,
+    sorter: RankSorter,
+}
+
+/// Stable sorts of row indices by rank (see the module docs).
+#[derive(Default)]
+struct RankSorter {
+    keys: Vec<u64>,
+    counts: Vec<u32>,
+    copy: Vec<u32>,
+}
+
+impl RankSorter {
+    /// Stable-sorts `rows` by `rank`, a column with `distinct` ranks.
+    ///
+    /// A counting sort when the rank range is small next to the node, an
+    /// unstable sort of distinct `(rank, position)` keys otherwise; both
+    /// give the one stable order.
+    fn sort(&mut self, rows: &mut [u32], (rank, distinct): (&[u32], usize)) {
+        self.copy.clear();
+        self.copy.extend_from_slice(rows);
+        if distinct <= 2 * rows.len() {
+            self.counts.clear();
+            self.counts.resize(distinct + 1, 0);
+            for &r in &self.copy {
+                self.counts[rank[r as usize] as usize + 1] += 1;
+            }
+            for i in 1..self.counts.len() {
+                self.counts[i] += self.counts[i - 1];
+            }
+            for &r in &self.copy {
+                let slot = &mut self.counts[rank[r as usize] as usize];
+                rows[*slot as usize] = r;
+                *slot += 1;
+            }
+        } else {
+            self.keys.clear();
+            self.keys.extend(
+                rows.iter()
+                    .enumerate()
+                    .map(|(pos, &r)| (u64::from(rank[r as usize]) << 32) | pos as u64),
+            );
+            self.keys.sort_unstable();
+            for (slot, &key) in rows.iter_mut().zip(&self.keys) {
+                *slot = self.copy[key as u32 as usize];
+            }
+        }
+    }
+}
+
 impl RegressionTree {
     /// Fits a tree to `(x, y)`.
     ///
@@ -68,44 +224,69 @@ impl RegressionTree {
         params: TreeParams,
         rng: &mut Rng,
     ) -> Result<Self, MlError> {
-        let (_, cols) = check_xy(x, y)?;
+        check_xy(x, y)?;
+        let data = RankedColumns::new(x, None)?;
+        let mut rows: Vec<u32> = (0..x.len() as u32).collect();
+        Ok(Self::grow(
+            &data,
+            y,
+            &mut rows,
+            params,
+            rng,
+            &mut SplitScratch::default(),
+        ))
+    }
+
+    /// Fits a tree to the rows `rows` of `data` (a row may repeat, as in
+    /// a bootstrap resample); `y` is indexed by row.
+    pub(crate) fn grow(
+        data: &RankedColumns,
+        y: &[f64],
+        rows: &mut [u32],
+        params: TreeParams,
+        rng: &mut Rng,
+        scratch: &mut SplitScratch,
+    ) -> Self {
+        let cols = data.n_features();
         let mut tree = RegressionTree {
             params,
             nodes: Vec::new(),
             n_features: cols,
             feature_gains: vec![0.0; cols],
         };
-        let mut indices: Vec<usize> = (0..x.len()).collect();
-        tree.build(x, y, &mut indices, 0, rng);
-        Ok(tree)
+        tree.build(data, y, rows, 0, rng, scratch);
+        tree
     }
 
-    /// Recursively builds the subtree over `indices`, returning its node id.
+    /// Recursively builds the subtree over `rows`, returning its node id.
     fn build(
         &mut self,
-        x: &[Vec<f64>],
+        data: &RankedColumns,
         y: &[f64],
-        indices: &mut [usize],
+        rows: &mut [u32],
         depth: usize,
         rng: &mut Rng,
+        scratch: &mut SplitScratch,
     ) -> usize {
-        let n = indices.len();
-        let mean = indices.iter().map(|&i| y[i]).sum::<f64>() / n as f64;
+        let n = rows.len();
+        let total_sum = rows.iter().map(|&i| y[i as usize]).sum::<f64>();
+        let mean = total_sum / n as f64;
 
         let must_leaf = depth >= self.params.max_depth
             || n < self.params.min_samples_split
             || n < 2 * self.params.min_samples_leaf;
         if !must_leaf {
-            if let Some((feature, threshold, gain, split_at)) = self.best_split(x, y, indices, rng)
+            if let Some((feature, threshold, gain, split_at)) =
+                self.best_split(data, y, rows, total_sum, rng, scratch)
             {
                 self.feature_gains[feature] += gain;
-                // Partition indices in place around the found threshold.
-                indices.sort_by(|&a, &b| x[a][feature].total_cmp(&x[b][feature]));
-                let (left_idx, right_idx) = indices.split_at_mut(split_at);
+                // Partition rows in place around the found threshold.
+                scratch.sorter.sort(rows, data.rank(feature));
+                let (left_rows, right_rows) = rows.split_at_mut(split_at);
                 let node_id = self.nodes.len();
                 self.nodes.push(Node::Leaf { value: mean, n }); // Placeholder.
-                let left = self.build(x, y, left_idx, depth + 1, rng);
-                let right = self.build(x, y, right_idx, depth + 1, rng);
+                let left = self.build(data, y, left_rows, depth + 1, rng, scratch);
+                let right = self.build(data, y, right_rows, depth + 1, rng, scratch);
                 self.nodes[node_id] = Node::Internal {
                     feature,
                     threshold,
@@ -126,14 +307,15 @@ impl RegressionTree {
     /// split satisfies the leaf-size constraint or improves the SSE.
     fn best_split(
         &self,
-        x: &[Vec<f64>],
+        data: &RankedColumns,
         y: &[f64],
-        indices: &[usize],
+        rows: &[u32],
+        total_sum: f64,
         rng: &mut Rng,
+        scratch: &mut SplitScratch,
     ) -> Option<(usize, f64, f64, usize)> {
-        let n = indices.len();
-        let total_sum: f64 = indices.iter().map(|&i| y[i]).sum();
-        let total_sq: f64 = indices.iter().map(|&i| y[i] * y[i]).sum();
+        let n = rows.len();
+        let total_sq: f64 = rows.iter().map(|&i| y[i as usize] * y[i as usize]).sum();
         let parent_sse = total_sq - total_sum * total_sum / n as f64;
         if parent_sse <= 1e-12 {
             return None; // Pure node.
@@ -152,13 +334,16 @@ impl RegressionTree {
 
         let min_leaf = self.params.min_samples_leaf;
         let mut best: Option<(usize, f64, f64, usize)> = None;
-        let mut order: Vec<usize> = indices.to_vec();
+        let SplitScratch { order, sorter } = scratch;
+        order.clear();
+        order.extend_from_slice(rows);
         for &f in &features {
-            order.sort_by(|&a, &b| x[a][f].total_cmp(&x[b][f]));
+            sorter.sort(order, data.rank(f));
+            let x = data.column(f);
             let mut left_sum = 0.0;
             let mut left_sq = 0.0;
             for pos in 0..n - 1 {
-                let yi = y[order[pos]];
+                let yi = y[order[pos] as usize];
                 left_sum += yi;
                 left_sq += yi * yi;
                 let left_n = pos + 1;
@@ -166,8 +351,8 @@ impl RegressionTree {
                 if left_n < min_leaf || right_n < min_leaf {
                     continue;
                 }
-                let xv = x[order[pos]][f];
-                let xn = x[order[pos + 1]][f];
+                let xv = x[order[pos] as usize];
+                let xn = x[order[pos + 1] as usize];
                 if xn <= xv {
                     continue; // Tied feature values cannot separate here.
                 }
@@ -249,6 +434,140 @@ impl RegressionTree {
     /// Number of features the tree was trained on.
     pub fn n_features(&self) -> usize {
         self.n_features
+    }
+}
+
+/// The original builder, retained as an oracle.
+///
+/// It indexes row-major rows and stable-sorts them with `total_cmp` at
+/// every node, once per candidate feature and once more to partition. It
+/// is kept public — not `#[cfg(test)]` — because the differential
+/// property tests that pin the fast builder to it bit for bit live in the
+/// crate's integration-test tree. Do not call it from production code.
+pub mod naive {
+    use super::{Node, RegressionTree, TreeParams};
+    use crate::{check_xy, MlError};
+    use tuna_stats::rng::Rng;
+
+    /// Fits a tree to `(x, y)` with the original builder.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the training set is empty or ragged.
+    pub fn fit(
+        x: &[Vec<f64>],
+        y: &[f64],
+        params: TreeParams,
+        rng: &mut Rng,
+    ) -> Result<RegressionTree, MlError> {
+        let (_, cols) = check_xy(x, y)?;
+        let mut tree = RegressionTree {
+            params,
+            nodes: Vec::new(),
+            n_features: cols,
+            feature_gains: vec![0.0; cols],
+        };
+        let mut indices: Vec<usize> = (0..x.len()).collect();
+        build(&mut tree, x, y, &mut indices, 0, rng);
+        Ok(tree)
+    }
+
+    fn build(
+        tree: &mut RegressionTree,
+        x: &[Vec<f64>],
+        y: &[f64],
+        indices: &mut [usize],
+        depth: usize,
+        rng: &mut Rng,
+    ) -> usize {
+        let n = indices.len();
+        let mean = indices.iter().map(|&i| y[i]).sum::<f64>() / n as f64;
+
+        let must_leaf = depth >= tree.params.max_depth
+            || n < tree.params.min_samples_split
+            || n < 2 * tree.params.min_samples_leaf;
+        if !must_leaf {
+            if let Some((feature, threshold, gain, split_at)) = best_split(tree, x, y, indices, rng)
+            {
+                tree.feature_gains[feature] += gain;
+                indices.sort_by(|&a, &b| x[a][feature].total_cmp(&x[b][feature]));
+                let (left_idx, right_idx) = indices.split_at_mut(split_at);
+                let node_id = tree.nodes.len();
+                tree.nodes.push(Node::Leaf { value: mean, n });
+                let left = build(tree, x, y, left_idx, depth + 1, rng);
+                let right = build(tree, x, y, right_idx, depth + 1, rng);
+                tree.nodes[node_id] = Node::Internal {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                };
+                return node_id;
+            }
+        }
+        let node_id = tree.nodes.len();
+        tree.nodes.push(Node::Leaf { value: mean, n });
+        node_id
+    }
+
+    fn best_split(
+        tree: &RegressionTree,
+        x: &[Vec<f64>],
+        y: &[f64],
+        indices: &[usize],
+        rng: &mut Rng,
+    ) -> Option<(usize, f64, f64, usize)> {
+        let n = indices.len();
+        let total_sum: f64 = indices.iter().map(|&i| y[i]).sum();
+        let total_sq: f64 = indices.iter().map(|&i| y[i] * y[i]).sum();
+        let parent_sse = total_sq - total_sum * total_sum / n as f64;
+        if parent_sse <= 1e-12 {
+            return None;
+        }
+
+        let k = tree
+            .params
+            .max_features
+            .unwrap_or(tree.n_features)
+            .clamp(1, tree.n_features);
+        let features = if k == tree.n_features {
+            (0..tree.n_features).collect::<Vec<_>>()
+        } else {
+            rng.sample_indices(tree.n_features, k)
+        };
+
+        let min_leaf = tree.params.min_samples_leaf;
+        let mut best: Option<(usize, f64, f64, usize)> = None;
+        let mut order: Vec<usize> = indices.to_vec();
+        for &f in &features {
+            order.sort_by(|&a, &b| x[a][f].total_cmp(&x[b][f]));
+            let mut left_sum = 0.0;
+            let mut left_sq = 0.0;
+            for pos in 0..n - 1 {
+                let yi = y[order[pos]];
+                left_sum += yi;
+                left_sq += yi * yi;
+                let left_n = pos + 1;
+                let right_n = n - left_n;
+                if left_n < min_leaf || right_n < min_leaf {
+                    continue;
+                }
+                let xv = x[order[pos]][f];
+                let xn = x[order[pos + 1]][f];
+                if xn <= xv {
+                    continue;
+                }
+                let right_sum = total_sum - left_sum;
+                let right_sq = total_sq - left_sq;
+                let left_sse = left_sq - left_sum * left_sum / left_n as f64;
+                let right_sse = right_sq - right_sum * right_sum / right_n as f64;
+                let gain = parent_sse - left_sse - right_sse;
+                if gain > best.map_or(1e-12, |b| b.2) {
+                    best = Some((f, 0.5 * (xv + xn), gain, left_n));
+                }
+            }
+        }
+        best
     }
 }
 

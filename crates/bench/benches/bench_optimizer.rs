@@ -2,7 +2,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
-use tuna_optimizer::{Objective, Optimizer};
+use tuna_optimizer::{Objective, Solver};
 use tuna_space::ConfigSpace;
 use tuna_stats::rng::Rng;
 

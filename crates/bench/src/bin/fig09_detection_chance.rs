@@ -11,7 +11,7 @@ use tuna_bench::{banner, paper_vs, HarnessArgs};
 use tuna_cloudsim::{Cluster, Region, VmSku};
 use tuna_core::report::render_table;
 use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
-use tuna_optimizer::{Objective, Optimizer};
+use tuna_optimizer::{Objective, Solver};
 use tuna_stats::rng::{hash_combine, Rng};
 use tuna_stats::summary;
 use tuna_sut::postgres::Postgres;

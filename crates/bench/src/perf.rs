@@ -32,12 +32,14 @@ use std::time::Instant;
 use tuna_cloudsim::{Cluster, Machine, Region, VmSku};
 use tuna_core::aggregate::AggregationPolicy;
 use tuna_core::baselines::run_naive_distributed;
+use tuna_core::campaign::{CellRecord, CellRow};
 use tuna_core::executor::ExecutionMode;
 use tuna_core::outlier::OutlierDetector;
 use tuna_core::pipeline::{TunaConfig, TunaPipeline, TuningResult};
 use tuna_optimizer::multifidelity::LadderParams;
 use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
-use tuna_optimizer::{Objective, Optimizer};
+use tuna_optimizer::{Objective, Solver};
+use tuna_serve::manager::{Assignment, StudyManager};
 use tuna_stats::ar1::Ar1;
 use tuna_stats::bootstrap::bootstrap_mean_ci;
 use tuna_stats::corr::{pearson, spearman_with, RankScratch};
@@ -292,7 +294,7 @@ fn objective_for(workload: &Workload) -> Objective {
     }
 }
 
-fn smac_for(sut: &dyn SystemUnderTest, objective: Objective) -> Box<dyn Optimizer> {
+fn smac_for(sut: &dyn SystemUnderTest, objective: Objective) -> Box<dyn Solver> {
     Box::new(SmacOptimizer::multi_fidelity(
         sut.space().clone(),
         objective,
@@ -339,6 +341,36 @@ fn run_pipeline(
     let mut rng = Rng::seed_from(seed ^ 0x9E37);
     pipeline.run_rounds(rounds, &mut rng);
     pipeline.finish()
+}
+
+/// Drains `mgr`'s fair-share scheduler with synthetic one-row
+/// completions, each charging `wall_ns`, and returns the grants in
+/// order: scheduling throughput alone, no cell executes.
+fn drain_synthetic(mgr: &mut StudyManager, wall_ns: u64) -> Vec<Assignment> {
+    let mut grants = Vec::new();
+    while let Some(a) = mgr.next_assignment() {
+        let rows = vec![CellRow {
+            label: "synthetic".to_string(),
+            seed: a.cell as u64,
+            samples: 1,
+            best: Some(a.cell as f64),
+            mean: Some(1.0),
+            std: Some(0.0),
+            min: Some(1.0),
+            max: Some(1.0),
+            crashes: Some(0),
+        }];
+        let checksum = CellRecord::compute_checksum(&rows);
+        let record = CellRecord {
+            cell: a.cell,
+            rows,
+            checksum,
+        };
+        mgr.complete_traced(&a.tenant, &a.study, record, wall_ns, None)
+            .expect("synthetic completion");
+        grants.push(a);
+    }
+    grants
 }
 
 /// The curated deterministic scenario suite.
@@ -728,12 +760,12 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
                 (requests + cells) as u64
             },
             run: Box::new(move |c| {
-                use tuna_core::campaign::{CellRecord, CellRow};
                 use tuna_serve::daemon::handle_bytes;
                 use tuna_serve::http;
-                use tuna_serve::manager::StudyManager;
+                use tuna_serve::tenant::TenantRegistry;
 
-                let mut mgr = StudyManager::in_memory();
+                let mut mgr =
+                    StudyManager::new(None, TenantRegistry::loopback()).expect("in-memory manager");
                 for r in 0..requests {
                     let workloads = if r % 2 == 0 {
                         "\"tpcc\""
@@ -755,33 +787,11 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
                 // Drain the fair-share scheduler with synthetic
                 // completions: this times pure scheduling throughput and
                 // pins the policy's assignment order.
-                while let Some(a) = mgr.next_assignment() {
+                for a in drain_synthetic(&mut mgr, 0) {
                     let mut h = Checksum::new();
                     h.push_str(&a.study);
                     h.push_u64(a.cell as u64);
                     c.push_str(&h.hex());
-                    let rows = vec![CellRow {
-                        label: "synthetic".to_string(),
-                        seed: a.cell as u64,
-                        samples: 1,
-                        best: Some(a.cell as f64),
-                        mean: Some(1.0),
-                        std: Some(0.0),
-                        min: Some(1.0),
-                        max: Some(1.0),
-                        crashes: Some(0),
-                    }];
-                    let checksum = CellRecord::compute_checksum(&rows);
-                    mgr.complete(
-                        &a.tenant,
-                        &a.study,
-                        CellRecord {
-                            cell: a.cell,
-                            rows,
-                            checksum,
-                        },
-                    )
-                    .expect("synthetic completion");
                 }
                 for study in mgr.studies() {
                     c.push_str(&study.campaign.digest());
@@ -810,16 +820,17 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
             name: "serve/c10k",
             items: CONNS as u64,
             run: Box::new(move |c| {
-                use tuna_core::campaign::{CellRecord, CellRow};
-                use tuna_serve::engine::EngineConfig;
+                use tuna_serve::engine::{Engine, EngineConfig};
                 use tuna_serve::http;
                 use tuna_serve::sim::SimServer;
+                use tuna_serve::tenant::TenantRegistry;
 
-                let cfg = EngineConfig {
+                let mut sim = SimServer::with_tenants(None, 1, TenantRegistry::loopback())
+                    .expect("in-memory sim");
+                *sim.engine_mut() = Engine::new(EngineConfig {
                     record_latency: true,
                     ..EngineConfig::sim_default()
-                };
-                let mut sim = SimServer::with_engine_config(None, 1, cfg).expect("in-memory sim");
+                });
                 let conns: Vec<usize> = (0..CONNS).map(|_| sim.connect()).collect();
 
                 // Round 1: every connection submits a one-cell study;
@@ -876,38 +887,14 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
 
                 // Drain the fair-share scheduler synthetically and pin
                 // the assignment order (one cell per study).
-                let mut drained = 0u64;
-                while let Some(a) = sim.manager_mut().next_assignment() {
+                let grants = drain_synthetic(sim.manager_mut(), 0);
+                for a in &grants {
                     let mut h = Checksum::new();
                     h.push_str(&a.study);
                     h.push_u64(a.cell as u64);
                     c.push_str(&h.hex());
-                    let rows = vec![CellRow {
-                        label: "synthetic".to_string(),
-                        seed: a.cell as u64,
-                        samples: 1,
-                        best: Some(a.cell as f64),
-                        mean: Some(1.0),
-                        std: Some(0.0),
-                        min: Some(1.0),
-                        max: Some(1.0),
-                        crashes: Some(0),
-                    }];
-                    let checksum = CellRecord::compute_checksum(&rows);
-                    sim.manager_mut()
-                        .complete(
-                            &a.tenant,
-                            &a.study,
-                            CellRecord {
-                                cell: a.cell,
-                                rows,
-                                checksum,
-                            },
-                        )
-                        .expect("synthetic completion");
-                    drained += 1;
                 }
-                assert_eq!(drained, CONNS as u64, "one cell per connection's study");
+                assert_eq!(grants.len(), CONNS, "one cell per connection's study");
             }),
         });
     }
@@ -931,7 +918,6 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
                 (2 * (STUDIES + cells)) as u64
             },
             run: Box::new(move |c| {
-                use tuna_core::campaign::{CellRecord, CellRow};
                 use tuna_serve::sim::SimServer;
                 use tuna_serve::tenant::TenantRegistry;
 
@@ -946,9 +932,9 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
 
                 // Auth refusals come back structured: 401 without a
                 // token, 403 with an unknown one.
-                let (status, _) = sim.request("GET", "/v1/studies", "");
+                let (status, _) = sim.request("GET", "/v1/studies", "", None);
                 c.push_u64(u64::from(status));
-                let (status, _) = sim.request_as("GET", "/v1/studies", "", Some("wrong"));
+                let (status, _) = sim.request("GET", "/v1/studies", "", Some("wrong"));
                 c.push_u64(u64::from(status));
 
                 for r in 0..STUDIES {
@@ -966,7 +952,7 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
                              \"arms\": [{{\"label\": \"Default\", \"method\": \"default\"}}]}}",
                             1 + r % 3
                         );
-                        let (status, _) = sim.request_as("POST", "/v1/studies", &body, Some(token));
+                        let (status, _) = sim.request("POST", "/v1/studies", &body, Some(token));
                         c.push_u64(u64::from(status));
                     }
                 }
@@ -977,50 +963,25 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
                 let over = "{\"name\": \"mt-over\", \"runs\": 1, \"rounds\": 2, \
                             \"workloads\": [\"tpcc\"], \
                             \"arms\": [{\"label\": \"Default\", \"method\": \"default\"}]}";
-                let (status, _) = sim.request_as("POST", "/v1/studies", over, Some("alice-secret"));
+                let (status, _) = sim.request("POST", "/v1/studies", over, Some("alice-secret"));
                 c.push_u64(u64::from(status));
                 let big = over.replace("\"runs\": 1", "\"runs\": 150");
-                let (status, _) = sim.request_as("POST", "/v1/studies", &big, Some("bob-secret"));
+                let (status, _) = sim.request("POST", "/v1/studies", &big, Some("bob-secret"));
                 c.push_u64(u64::from(status));
 
                 // Drain the weighted scheduler synthetically, pinning the
                 // full (tenant, study, cell) grant order.
-                while let Some(a) = sim.manager_mut().next_assignment() {
+                for a in drain_synthetic(sim.manager_mut(), 1000) {
                     let mut h = Checksum::new();
                     h.push_str(&a.tenant);
                     h.push_str(&a.study);
                     h.push_u64(a.cell as u64);
                     c.push_str(&h.hex());
-                    let rows = vec![CellRow {
-                        label: "synthetic".to_string(),
-                        seed: a.cell as u64,
-                        samples: 1,
-                        best: Some(a.cell as f64),
-                        mean: Some(1.0),
-                        std: Some(0.0),
-                        min: Some(1.0),
-                        max: Some(1.0),
-                        crashes: Some(0),
-                    }];
-                    let checksum = CellRecord::compute_checksum(&rows);
-                    sim.manager_mut()
-                        .complete_timed(
-                            &a.tenant,
-                            &a.study,
-                            CellRecord {
-                                cell: a.cell,
-                                rows,
-                                checksum,
-                            },
-                            1000,
-                        )
-                        .expect("synthetic completion");
                 }
 
                 // Usage meters (the persisted accounting) are part of the
                 // pinned surface, via the tenants document.
-                let (status, tenants) =
-                    sim.request_as("GET", "/v1/tenants", "", Some("bob-secret"));
+                let (status, tenants) = sim.request("GET", "/v1/tenants", "", Some("bob-secret"));
                 assert_eq!(status, 200, "{tenants}");
                 c.push_str(&tenants);
             }),
@@ -1135,18 +1096,19 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
             name: "obs/overhead",
             items: CONNS as u64,
             run: Box::new(move |c| {
-                use tuna_serve::engine::EngineConfig;
+                use tuna_serve::engine::{Engine, EngineConfig};
                 use tuna_serve::http;
                 use tuna_serve::sim::SimServer;
+                use tuna_serve::tenant::TenantRegistry;
 
                 let pass = |instrument: bool| -> (Vec<u8>, u64) {
-                    let cfg = EngineConfig {
+                    let start = Instant::now();
+                    let mut sim = SimServer::with_tenants(None, 1, TenantRegistry::loopback())
+                        .expect("in-memory sim");
+                    *sim.engine_mut() = Engine::new(EngineConfig {
                         instrument,
                         ..EngineConfig::sim_default()
-                    };
-                    let start = Instant::now();
-                    let mut sim =
-                        SimServer::with_engine_config(None, 1, cfg).expect("in-memory sim");
+                    });
                     let conns: Vec<usize> = (0..CONNS).map(|_| sim.connect()).collect();
                     for round in 0..2 {
                         for (id, &conn) in conns.iter().enumerate() {

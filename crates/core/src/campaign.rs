@@ -944,6 +944,12 @@ impl ResultStore {
         let Some(path) = &self.path else {
             return Ok(());
         };
+        write_atomic(path, &self.render_csv(campaign))
+    }
+
+    /// The canonical journal: header, column line, then every record
+    /// in cell order.
+    fn render_csv(&self, campaign: &Campaign) -> String {
         let mut csv = String::new();
         csv.push_str(&self.header);
         csv.push('\n');
@@ -952,7 +958,7 @@ impl ResultStore {
         for record in self.records.values() {
             write_csv_record(&mut csv, campaign, record);
         }
-        write_atomic(path, &csv)
+        csv
     }
 
     /// The backing CSV path, if any.
@@ -985,7 +991,13 @@ impl ResultStore {
     /// [`ResultStore::finalize`] canonicalizes it. Public so external
     /// schedulers (the serve daemon) can stream cells they executed via
     /// [`execute_cell`] into the same store format the runner writes.
-    pub fn record(&mut self, campaign: &Campaign, record: CellRecord) {
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the journal cannot be opened or appended
+    /// to; the record is then *not* kept, so memory never claims a cell
+    /// the journal lacks.
+    pub fn record(&mut self, campaign: &Campaign, record: CellRecord) -> Result<(), String> {
         if let Some(path) = &self.path {
             let mut text = String::new();
             // Write the header before the first row of a fresh journal —
@@ -999,15 +1011,15 @@ impl ResultStore {
                 text.push('\n');
             }
             write_csv_record(&mut text, campaign, &record);
-            if let Ok(mut f) = std::fs::OpenOptions::new()
+            std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(path)
-            {
-                let _ = f.write_all(text.as_bytes());
-            }
+                .and_then(|mut f| f.write_all(text.as_bytes()))
+                .map_err(|e| format!("cannot append to {}: {e}", path.display()))?;
         }
         self.records.insert(record.cell, record);
+        Ok(())
     }
 
     /// Campaign-level checksum: FNV-1a over per-cell checksums in cell
@@ -1032,18 +1044,10 @@ impl ResultStore {
         let Some(path) = &self.path else {
             return Ok(());
         };
-        let mut csv = String::new();
-        csv.push_str(&self.header);
-        csv.push('\n');
-        csv.push_str(CSV_COLUMNS);
-        csv.push('\n');
-        for record in self.records.values() {
-            write_csv_record(&mut csv, campaign, record);
-        }
         // Atomic replace (write-temp-then-rename): an interrupt during
         // finalize must not destroy the journal of completed cells —
         // surviving interrupts is this store's whole point.
-        write_atomic(path, &csv)?;
+        write_atomic(path, &self.render_csv(campaign))?;
         let json_path = self.json_path().expect("file-backed store");
         write_atomic(&json_path, &self.to_json(campaign))?;
         Ok(())
@@ -1260,7 +1264,8 @@ impl CampaignRunner {
     /// # Panics
     ///
     /// Panics if a cell's recipe is inconsistent with the grid (e.g. a
-    /// ladder that exceeds its cluster), or (propagated) if a SuT panics.
+    /// ladder that exceeds its cluster), (propagated) if a SuT panics,
+    /// or with the store's message if a journal append fails.
     pub fn run(&self, campaign: &Campaign, store: &mut ResultStore) -> CampaignResult {
         assert_eq!(
             store.campaign_digest,
@@ -1284,7 +1289,9 @@ impl CampaignRunner {
             let mut out = Vec::with_capacity(to_run.len());
             for &cell in &to_run {
                 let (record, payload) = execute_cell(campaign, cell, inner);
-                store.record(campaign, record.clone());
+                store
+                    .record(campaign, record.clone())
+                    .unwrap_or_else(|e| panic!("campaign '{}': {e}", campaign.name));
                 out.push((cell, record, payload));
             }
             out
@@ -1306,10 +1313,15 @@ impl CampaignRunner {
                                         break;
                                     };
                                     let (record, payload) = execute_cell(campaign, cell, inner);
-                                    shared_store
+                                    // The guard drops before a failure
+                                    // panics, so the mutex is not poisoned.
+                                    let recorded = shared_store
                                         .lock()
                                         .expect("store mutex poisoned")
                                         .record(campaign, record.clone());
+                                    recorded.unwrap_or_else(|e| {
+                                        panic!("campaign '{}': {e}", campaign.name)
+                                    });
                                     produced.push((cell, record, payload));
                                 }
                                 produced
@@ -1318,7 +1330,7 @@ impl CampaignRunner {
                         .collect();
                     handles
                         .into_iter()
-                        .map(|h| h.join().expect("campaign worker panicked"))
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                         .collect()
                 });
             let mut out: Vec<(usize, CellRecord, CellPayload)> = Vec::with_capacity(to_run.len());
@@ -1880,7 +1892,7 @@ mod tests {
                 if let Some(kept) = store.get(cell) {
                     assert_eq!(kept, record, "offset {offset}: kept cell {cell} differs");
                 } else {
-                    store.record(&campaign, record.clone());
+                    store.record(&campaign, record.clone()).unwrap();
                 }
             }
             store.finalize(&campaign).unwrap();
@@ -1994,6 +2006,68 @@ mod tests {
         let err = ResultStore::open(&stripped, &campaign).unwrap_err();
         assert!(err.contains("no '# tuna-campaign"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Replaces a store's journal file with a directory of the same
+    /// name, so every later append fails.
+    fn block_journal(path: &Path) {
+        std::fs::remove_file(path).unwrap();
+        std::fs::create_dir(path).unwrap();
+    }
+
+    #[test]
+    fn failed_journal_append_is_reported_and_not_kept() {
+        let campaign = tiny_campaign("blocked");
+        let dir =
+            std::env::temp_dir().join(format!("tuna-campaign-blocked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("store.csv");
+        let mut store = ResultStore::open(&path, &campaign).unwrap();
+        let (first, _) = execute_cell(&campaign, 0, ExecutionMode::Serial);
+        store.record(&campaign, first).unwrap();
+        block_journal(&path);
+
+        let (second, _) = execute_cell(&campaign, 1, ExecutionMode::Serial);
+        let err = store.record(&campaign, second).unwrap_err();
+        assert!(err.contains("cannot append"), "{err}");
+        assert_eq!(
+            store.len(),
+            1,
+            "memory must not claim a cell the journal lacks"
+        );
+        assert!(store.get(1).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn runner_panics_with_the_store_message_on_a_failed_append() {
+        let campaign = tiny_campaign("blocked-runner");
+        for workers in [1, 2] {
+            let dir = std::env::temp_dir().join(format!(
+                "tuna-campaign-blocked-runner-{workers}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let path = dir.join("store.csv");
+            let mut store = ResultStore::open(&path, &campaign).unwrap();
+            CampaignRunner::serial()
+                .with_cell_limit(1)
+                .run(&campaign, &mut store);
+            block_journal(&path);
+
+            let runner = CampaignRunner::with_workers(workers);
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                runner.run(&campaign, &mut store)
+            }))
+            .expect_err("a failed append must not be dropped");
+            let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(
+                message.contains("cannot append"),
+                "{workers} workers: {message}"
+            );
+            assert_eq!(store.len(), 1, "{workers} workers");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

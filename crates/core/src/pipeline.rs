@@ -29,7 +29,7 @@ use crate::sample::{Sample, SampleScratch};
 use crate::scheduler::TaskScheduler;
 use tuna_cloudsim::Cluster;
 use tuna_optimizer::multifidelity::LadderParams;
-use tuna_optimizer::{Objective, Optimizer};
+use tuna_optimizer::{Objective, Solver};
 use tuna_space::{Config, ConfigId};
 use tuna_stats::rng::{hash_combine, Rng};
 use tuna_sut::SystemUnderTest;
@@ -162,7 +162,7 @@ pub struct TunaPipeline<'a> {
     config: TunaConfig,
     sut: &'a dyn SystemUnderTest,
     workload: &'a Workload,
-    optimizer: Box<dyn Optimizer>,
+    optimizer: Box<dyn Solver>,
     cluster: Cluster,
     scheduler: TaskScheduler,
     detector: OutlierDetector,
@@ -187,7 +187,7 @@ impl<'a> TunaPipeline<'a> {
         config: TunaConfig,
         sut: &'a dyn SystemUnderTest,
         workload: &'a Workload,
-        optimizer: Box<dyn Optimizer>,
+        optimizer: Box<dyn Solver>,
         cluster: Cluster,
     ) -> Self {
         assert!(

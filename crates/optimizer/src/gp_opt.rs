@@ -138,7 +138,7 @@ impl GpOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Optimizer, Suggestion};
+    use crate::{Solver, Suggestion};
 
     fn space1d() -> ConfigSpace {
         ConfigSpace::builder().float("x", 0.0, 1.0).build()

@@ -25,7 +25,7 @@
 //! # Examples
 //!
 //! ```
-//! use tuna_optimizer::{Objective, Optimizer};
+//! use tuna_optimizer::{Objective, Solver};
 //! use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
 //! use tuna_space::ConfigSpace;
 //! use tuna_stats::rng::Rng;
@@ -152,10 +152,6 @@ pub trait Solver {
     /// Number of tell() calls so far.
     fn n_observations(&self) -> usize;
 }
-
-/// Pre-registry name for [`Solver`], kept so downstream ask/tell call
-/// sites keep compiling while arms migrate to registry names.
-pub use Solver as Optimizer;
 
 #[cfg(test)]
 mod tests {

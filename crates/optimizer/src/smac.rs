@@ -139,7 +139,7 @@ impl SmacOptimizer {
 mod tests {
     use super::*;
     use crate::random::RandomSearch;
-    use crate::{Optimizer, Suggestion};
+    use crate::{Solver, Suggestion};
 
     /// 2-D test objective with optimum at (0.25, 0.75); cost in [0, ~1.25].
     fn cost_fn(space: &ConfigSpace, config: &Config) -> f64 {
@@ -155,7 +155,7 @@ mod tests {
             .build()
     }
 
-    fn run_opt(opt: &mut dyn Optimizer, iters: usize, seed: u64) -> f64 {
+    fn run_opt(opt: &mut dyn Solver, iters: usize, seed: u64) -> f64 {
         let space = opt.space().clone();
         let mut rng = Rng::seed_from(seed);
         for _ in 0..iters {
@@ -187,7 +187,7 @@ mod tests {
                 })
                 .sum::<f64>()
         };
-        let run4 = |opt: &mut dyn Optimizer, seed: u64| {
+        let run4 = |opt: &mut dyn Solver, seed: u64| {
             let space = opt.space().clone();
             let mut rng = Rng::seed_from(seed);
             for _ in 0..60 {

@@ -120,7 +120,7 @@ fn main() {
         }
     };
 
-    let mgr = StudyManager::open_with(&data, registry).unwrap_or_else(|e| {
+    let mgr = StudyManager::new(Some(data.clone().into()), registry).unwrap_or_else(|e| {
         eprintln!("tunad: {e}");
         std::process::exit(1);
     });

@@ -192,7 +192,8 @@ mod tests {
     }
 
     fn authed_manager() -> StudyManager {
-        StudyManager::in_memory_with(
+        StudyManager::new(
+            None,
             TenantRegistry::parse(
                 r#"{"tenants": [
                     {"name": "alice", "token": "alice-secret", "weight": 3},
@@ -201,11 +202,12 @@ mod tests {
             )
             .unwrap(),
         )
+        .unwrap()
     }
 
     #[test]
     fn submit_status_results_cancel_flow() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let (status, body) = call(&mut mgr, "POST", "/v1/studies", &spec_body("s1"));
         assert_eq!(status, 201, "{body}");
         assert!(body.contains("\"state\": \"running\""), "{body}");
@@ -233,7 +235,7 @@ mod tests {
 
     #[test]
     fn routing_errors_are_structured() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let (status, body) = call(&mut mgr, "GET", "/v1/studies/nope", "");
         assert_eq!(status, 404);
         assert!(body.contains("\"error\""), "{body}");
@@ -251,7 +253,7 @@ mod tests {
 
     #[test]
     fn healthz_counts_studies() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let (_, body) = call(&mut mgr, "GET", "/healthz", "");
         assert!(body.contains("\"studies\": 0"), "{body}");
         call(&mut mgr, "POST", "/v1/studies", &spec_body("a"));
@@ -272,7 +274,7 @@ mod tests {
 
     #[test]
     fn trace_endpoint_serves_convergence_document() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         call(&mut mgr, "POST", "/v1/studies", &spec_body("s1"));
         // Run the study's single cell through the manager.
         let a = mgr.next_assignment().unwrap();

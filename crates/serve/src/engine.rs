@@ -209,9 +209,6 @@ pub struct Engine {
     free: Vec<usize>,
     open: usize,
     latencies: Vec<u64>,
-    served_total: u64,
-    shed_total: u64,
-    timeout_total: u64,
 }
 
 impl Engine {
@@ -223,9 +220,6 @@ impl Engine {
             free: Vec::new(),
             open: 0,
             latencies: Vec::new(),
-            served_total: 0,
-            shed_total: 0,
-            timeout_total: 0,
         }
     }
 
@@ -241,7 +235,6 @@ impl Engine {
                 503,
                 "server at connection capacity; retry later",
             ));
-            self.shed_total += 1;
             if self.cfg.instrument {
                 engine_metrics().shed_503_capacity.inc();
             }
@@ -276,7 +269,6 @@ impl Engine {
                 429,
                 "connection byte budget exhausted; reconnect",
             ));
-            self.shed_total += 1;
             if self.cfg.instrument {
                 engine_metrics().shed_429_bytes.inc();
             }
@@ -289,7 +281,6 @@ impl Engine {
                     conn.request_started = None;
                     if conn.pending.len() >= self.cfg.max_pending {
                         conn.shed(Response::error(429, "pipeline depth exceeded; slow down"));
-                        self.shed_total += 1;
                         if self.cfg.instrument {
                             engine_metrics().shed_429_depth.inc();
                         }
@@ -357,7 +348,6 @@ impl Engine {
                         }
                         dispatched += 1;
                         conn.served += 1;
-                        self.served_total += 1;
                         let close = req.close || conn.served >= self.cfg.max_requests_per_conn;
                         (daemon::handle(mgr, &req), close)
                     }
@@ -399,7 +389,6 @@ impl Engine {
                         408,
                         "request did not complete within its time budget",
                     ));
-                    self.timeout_total += 1;
                     if self.cfg.instrument {
                         engine_metrics().shed_408_timeout.inc();
                     }
@@ -482,27 +471,13 @@ impl Engine {
     pub fn take_latencies(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.latencies)
     }
-
-    /// Requests dispatched over the engine's lifetime.
-    pub fn served_total(&self) -> u64 {
-        self.served_total
-    }
-
-    /// Connections shed (503/429) over the engine's lifetime.
-    pub fn shed_total(&self) -> u64 {
-        self.shed_total
-    }
-
-    /// Requests timed out (408) over the engine's lifetime.
-    pub fn timeout_total(&self) -> u64 {
-        self.timeout_total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::http::{request_bytes_with, split_responses};
+    use crate::tenant::TenantRegistry;
 
     fn tiny_cfg() -> EngineConfig {
         EngineConfig {
@@ -524,7 +499,7 @@ mod tests {
 
     #[test]
     fn keep_alive_answers_many_requests_on_one_connection() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let mut engine = Engine::new(tiny_cfg());
         let id = engine.connect(0);
         for t in 0..3u64 {
@@ -544,7 +519,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_answered_in_order_then_close_honored() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let mut engine = Engine::new(tiny_cfg());
         let id = engine.connect(0);
         let mut bytes = request_bytes_with("GET", "/healthz", "", true);
@@ -559,7 +534,7 @@ mod tests {
 
     #[test]
     fn malformed_frame_answers_valid_prefix_then_structured_error() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let mut engine = Engine::new(tiny_cfg());
         let id = engine.connect(0);
         let mut bytes = request_bytes_with("GET", "/healthz", "", true);
@@ -576,7 +551,7 @@ mod tests {
 
     #[test]
     fn connection_capacity_sheds_with_503() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let mut engine = Engine::new(tiny_cfg());
         let a = engine.connect(0);
         let b = engine.connect(0);
@@ -588,7 +563,10 @@ mod tests {
         assert_eq!(parts[0].0, 503);
         assert!(parts[0].1.contains("capacity"));
         assert!(engine.wants_close(c));
-        assert_eq!(engine.shed_total(), 1);
+        assert!(
+            engine.take_output(a).is_empty() && engine.take_output(b).is_empty(),
+            "only the connection over capacity is shed"
+        );
 
         // Reaping a slot frees capacity.
         engine.disconnect(c);
@@ -600,7 +578,7 @@ mod tests {
 
     #[test]
     fn pipeline_depth_sheds_with_429() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let mut engine = Engine::new(tiny_cfg());
         let id = engine.connect(0);
         let one = request_bytes_with("GET", "/healthz", "", true);
@@ -620,7 +598,7 @@ mod tests {
 
     #[test]
     fn stalled_half_request_gets_408_after_budget() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let mut engine = Engine::new(tiny_cfg());
         let id = engine.connect(0);
         engine.recv(id, b"POST /v1/studies HTTP/1.1\r\ncontent-le", 1);
@@ -629,19 +607,20 @@ mod tests {
         for now in 2..=11 {
             engine.on_tick(now);
         }
-        assert_eq!(engine.timeout_total(), 0, "budget not yet exceeded");
+        engine.dispatch(&mut mgr, 11);
+        assert!(engine.take_output(id).is_empty(), "budget not yet exceeded");
+        assert!(!engine.wants_close(id));
         engine.on_tick(12);
         engine.dispatch(&mut mgr, 12);
         let parts = split_responses(&engine.take_output(id)).unwrap();
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].0, 408);
         assert!(engine.wants_close(id));
-        assert_eq!(engine.timeout_total(), 1);
     }
 
     #[test]
     fn idle_keep_alive_connection_closes_silently() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let mut engine = Engine::new(tiny_cfg());
         let id = engine.connect(0);
         drive(
@@ -661,7 +640,7 @@ mod tests {
 
     #[test]
     fn byte_budget_sheds_with_429() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let mut engine = Engine::new(tiny_cfg());
         let id = engine.connect(0);
         let big = vec![b'x'; 5000];
@@ -675,7 +654,7 @@ mod tests {
 
     #[test]
     fn eof_mid_frame_is_truncation_between_frames_is_clean() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let mut engine = Engine::new(tiny_cfg());
         let a = engine.connect(0);
         engine.recv(a, b"GET /healthz HTTP/1.1\r\nhos", 1);
@@ -701,12 +680,14 @@ mod tests {
 
     #[test]
     fn latencies_measure_decode_to_dispatch() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let mut engine = Engine::new(tiny_cfg());
         let id = engine.connect(0);
         engine.recv(id, &request_bytes_with("GET", "/healthz", "", true), 3);
         engine.dispatch(&mut mgr, 7);
         assert_eq!(engine.take_latencies(), vec![4]);
-        assert_eq!(engine.served_total(), 1);
+        let parts = split_responses(&engine.take_output(id)).unwrap();
+        assert_eq!(parts.len(), 1, "one request served");
+        assert_eq!(parts[0].0, 200);
     }
 }

@@ -63,6 +63,7 @@ mod robustness {
     use crate::daemon::handle_bytes;
     use crate::http::{parse_response, request_bytes};
     use crate::manager::StudyManager;
+    use crate::tenant::TenantRegistry;
     use tuna_stats::json;
     use tuna_stats::rng::Rng;
 
@@ -70,7 +71,7 @@ mod robustness {
     /// HTTP with a JSON body, and that an error status carries the
     /// structured error object.
     fn assert_structured(raw: &[u8]) {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let reply = handle_bytes(&mut mgr, raw);
         let (status, body) = parse_response(&reply).expect("reply is well-formed HTTP");
         let v = json::parse(&body).expect("reply body is valid JSON");
@@ -212,7 +213,8 @@ mod robustness {
                 for pos in 0..=valid.len() {
                     // A fresh server per splice keeps the expected
                     // statuses independent of submission history.
-                    let mut sim = SimServer::new(None, workers).unwrap();
+                    let mut sim =
+                        SimServer::with_tenants(None, workers, TenantRegistry::loopback()).unwrap();
                     let conn = sim.connect();
                     let mut bytes = Vec::new();
                     for frame in &valid[..pos] {

@@ -68,11 +68,11 @@
 //! ```
 //! use tuna_serve::api::StudySpec;
 //! use tuna_serve::manager::StudyManager;
-//! use tuna_serve::tenant::DEFAULT_TENANT;
+//! use tuna_serve::tenant::{TenantRegistry, DEFAULT_TENANT};
 //! use tuna_core::campaign::execute_cell;
 //! use tuna_core::executor::ExecutionMode;
 //!
-//! let mut mgr = StudyManager::in_memory();
+//! let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
 //! let spec = StudySpec::parse(
 //!     r#"{"name": "demo", "runs": 2, "rounds": 2, "workloads": ["tpcc"],
 //!         "arms": [{"label": "Default", "method": "default"}]}"#,
@@ -80,7 +80,7 @@
 //! mgr.submit(spec).unwrap();
 //! while let Some(a) = mgr.next_assignment() {
 //!     let (record, _) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
-//!     mgr.complete(&a.tenant, &a.study, record).unwrap();
+//!     mgr.complete_traced(&a.tenant, &a.study, record, 0, None).unwrap();
 //! }
 //! let study = mgr.get(DEFAULT_TENANT, "demo").unwrap();
 //! assert_eq!(study.completed(), 2);
@@ -389,38 +389,10 @@ pub struct Assignment {
 }
 
 impl StudyManager {
-    /// An in-memory loopback manager (no persistence, default tenant
-    /// only; the perf gate and unit tests).
-    pub fn in_memory() -> Self {
-        Self::in_memory_with(TenantRegistry::loopback())
-    }
-
-    /// An in-memory manager over an explicit tenant table.
-    pub fn in_memory_with(registry: TenantRegistry) -> Self {
-        let mut mgr = StudyManager {
-            data_dir: None,
-            registry,
-            studies: BTreeMap::new(),
-            tenants: BTreeMap::new(),
-            clock: 0,
-            obs: Obs::new(),
-        };
-        mgr.seed_registry_tenants();
-        mgr
-    }
-
-    /// Opens (or creates) a persistent loopback manager rooted at
-    /// `data_dir`.
-    ///
-    /// # Errors
-    ///
-    /// See [`StudyManager::open_with`].
-    pub fn open(data_dir: impl Into<PathBuf>) -> Result<Self, String> {
-        Self::open_with(data_dir, TenantRegistry::loopback())
-    }
-
-    /// Opens (or creates) a persistent manager rooted at `data_dir`
-    /// over an explicit tenant table, reloading every persisted study:
+    /// A manager over `registry`'s tenant table (pass
+    /// [`TenantRegistry::loopback`] for the single default tenant),
+    /// fully in memory when `data_dir` is `None`. With a data directory
+    /// it is created if absent and every persisted study is reloaded:
     /// top-level `<name>.spec.json` files are the default tenant's,
     /// each `<tenant>/` subdirectory holds that tenant's. Stores
     /// resume, so finished cells are not re-run; persisted usage
@@ -432,15 +404,9 @@ impl StudyManager {
     ///
     /// Returns an error when the directory cannot be created or a
     /// persisted spec/store/usage file fails to load or verify.
-    pub fn open_with(
-        data_dir: impl Into<PathBuf>,
-        registry: TenantRegistry,
-    ) -> Result<Self, String> {
-        let data_dir = data_dir.into();
-        std::fs::create_dir_all(&data_dir)
-            .map_err(|e| format!("cannot create data dir {}: {e}", data_dir.display()))?;
+    pub fn new(data_dir: Option<PathBuf>, registry: TenantRegistry) -> Result<Self, String> {
         let mut mgr = StudyManager {
-            data_dir: Some(data_dir.clone()),
+            data_dir: data_dir.clone(),
             registry,
             studies: BTreeMap::new(),
             tenants: BTreeMap::new(),
@@ -448,6 +414,11 @@ impl StudyManager {
             obs: Obs::new(),
         };
         mgr.seed_registry_tenants();
+        let Some(data_dir) = data_dir else {
+            return Ok(mgr);
+        };
+        std::fs::create_dir_all(&data_dir)
+            .map_err(|e| format!("cannot create data dir {}: {e}", data_dir.display()))?;
 
         let usage_path = data_dir.join(USAGE_FILE);
         if usage_path.exists() {
@@ -1109,41 +1080,11 @@ impl StudyManager {
         }
     }
 
-    /// Records a finished cell, charging no wall time (tests and
-    /// synthetic completions) — see [`StudyManager::complete_timed`].
+    /// Records a finished cell, charges `wall_ns` to the tenant's meter
+    /// and files the cell's convergence trace. When the study's grid is
+    /// complete its store is finalized (canonical CSV + JSON mirror on
+    /// disk). The updated usage table persists atomically.
     ///
-    /// # Errors
-    ///
-    /// See [`StudyManager::complete_timed`].
-    pub fn complete(
-        &mut self,
-        tenant: &str,
-        study: &str,
-        record: CellRecord,
-    ) -> Result<(), String> {
-        self.complete_timed(tenant, study, record, 0)
-    }
-
-    /// Records a finished cell and charges `wall_ns` to the tenant's
-    /// meter. When the study's grid is complete its store is finalized
-    /// (canonical CSV + JSON mirror on disk). The updated usage table
-    /// persists atomically.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown studies or cells that were never
-    /// assigned (double completion).
-    pub fn complete_timed(
-        &mut self,
-        tenant: &str,
-        study: &str,
-        record: CellRecord,
-        wall_ns: u64,
-    ) -> Result<(), String> {
-        self.complete_traced(tenant, study, record, wall_ns, None)
-    }
-
-    /// Records a finished cell together with its convergence trace.
     /// The trace line is appended to the study's `<name>.trace` sidecar
     /// *before* the result store records the cell: a kill between the
     /// two re-executes the cell (cells are pure), and the duplicate
@@ -1154,8 +1095,12 @@ impl StudyManager {
     ///
     /// # Errors
     ///
-    /// See [`StudyManager::complete_timed`]; additionally a sidecar
-    /// append failure is reported before the result is recorded.
+    /// Returns an error for unknown studies, cells that were never
+    /// assigned (double completion), and a sidecar append failure
+    /// (reported before the result is recorded). A result-journal
+    /// append failure first abandons the cell
+    /// ([`StudyManager::abandon`]), so the study is cancelled instead
+    /// of wedged with a cell that is neither in flight nor pending.
     pub fn complete_traced(
         &mut self,
         tenant: &str,
@@ -1193,9 +1138,12 @@ impl StudyManager {
             }
         }
 
-        s.in_flight.remove(slot);
         let cell_idx = record.cell;
-        s.store.record(&s.campaign, record);
+        if let Err(e) = s.store.record(&s.campaign, record) {
+            self.abandon(tenant, study, cell_idx)?;
+            return Err(format!("study '{study}': {e}"));
+        }
+        s.in_flight.remove(slot);
         if s.store.len() == s.campaign.n_cells() {
             s.store
                 .finalize(&s.campaign)
@@ -1365,13 +1313,14 @@ mod tests {
     fn drain(mgr: &mut StudyManager) {
         while let Some(a) = mgr.next_assignment() {
             let (record, _) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
-            mgr.complete(&a.tenant, &a.study, record).unwrap();
+            mgr.complete_traced(&a.tenant, &a.study, record, 0, None)
+                .unwrap();
         }
     }
 
     #[test]
     fn fair_share_interleaves_studies() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         mgr.submit(spec("aaa", 4)).unwrap();
         mgr.submit(spec("bbb", 4)).unwrap();
         // With nothing in flight, assignments alternate between the two
@@ -1384,7 +1333,7 @@ mod tests {
 
     #[test]
     fn late_study_gets_its_share() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         mgr.submit(spec("big", 8)).unwrap();
         let _a = mgr.next_assignment().unwrap();
         let _b = mgr.next_assignment().unwrap();
@@ -1397,7 +1346,7 @@ mod tests {
 
     #[test]
     fn weighted_share_respects_tenant_weights() {
-        let mut mgr = StudyManager::in_memory_with(two_tenant_registry());
+        let mut mgr = StudyManager::new(None, two_tenant_registry()).unwrap();
         mgr.submit(tenant_spec("alice", "job", 8, "")).unwrap();
         mgr.submit(tenant_spec("bob", "job", 8, "")).unwrap();
         // Weight 3 vs 1: alice gets 3 of every 4 grants while both
@@ -1406,7 +1355,8 @@ mod tests {
         while let Some(a) = mgr.next_assignment() {
             order.push(a.tenant.clone());
             let (record, _) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
-            mgr.complete(&a.tenant, &a.study, record).unwrap();
+            mgr.complete_traced(&a.tenant, &a.study, record, 0, None)
+                .unwrap();
         }
         let expect = [
             "alice", "bob", "alice", "alice", "bob", "alice", "alice", "alice", "bob", "alice",
@@ -1417,13 +1367,14 @@ mod tests {
 
     #[test]
     fn late_tenant_joins_at_the_active_minimum() {
-        let mut mgr = StudyManager::in_memory_with(two_tenant_registry());
+        let mut mgr = StudyManager::new(None, two_tenant_registry()).unwrap();
         mgr.submit(tenant_spec("alice", "job", 8, "")).unwrap();
         // Alice alone takes 6 grants (virtual time 2.0)...
         for _ in 0..6 {
             let a = mgr.next_assignment().unwrap();
             let (record, _) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
-            mgr.complete(&a.tenant, &a.study, record).unwrap();
+            mgr.complete_traced(&a.tenant, &a.study, record, 0, None)
+                .unwrap();
         }
         // ...then bob arrives. He starts at alice's virtual time (not
         // zero), so he gets his weighted share from now on instead of a
@@ -1436,14 +1387,15 @@ mod tests {
             let a = mgr.next_assignment().unwrap();
             order.push(a.tenant.clone());
             let (record, _) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
-            mgr.complete(&a.tenant, &a.study, record).unwrap();
+            mgr.complete_traced(&a.tenant, &a.study, record, 0, None)
+                .unwrap();
         }
         assert_eq!(order, ["bob", "alice", "alice", "bob"]);
     }
 
     #[test]
     fn interactive_lane_preempts_batch_at_cell_boundaries() {
-        let mut mgr = StudyManager::in_memory_with(two_tenant_registry());
+        let mut mgr = StudyManager::new(None, two_tenant_registry()).unwrap();
         mgr.submit(tenant_spec("alice", "campaign", 6, "")).unwrap();
         let a = mgr.next_assignment().unwrap();
         assert_eq!(a.study, "campaign");
@@ -1455,14 +1407,15 @@ mod tests {
         let p2 = mgr.next_assignment().unwrap();
         assert_eq!((p1.study.as_str(), p2.study.as_str()), ("probe", "probe"));
         let (record, _) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
-        mgr.complete(&a.tenant, &a.study, record).unwrap();
+        mgr.complete_traced(&a.tenant, &a.study, record, 0, None)
+            .unwrap();
         // Probe exhausted (both cells in flight): batch resumes.
         assert_eq!(mgr.next_assignment().unwrap().study, "campaign");
     }
 
     #[test]
     fn per_study_worker_cap_bounds_concurrency() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let mut capped = spec("capped", 6);
         capped.max_workers = 2;
         mgr.submit(capped).unwrap();
@@ -1473,7 +1426,8 @@ mod tests {
             "cap of 2 holds the third grant back"
         );
         let (record, _) = execute_cell(&a1.campaign, a1.cell, ExecutionMode::Serial);
-        mgr.complete(&a1.tenant, &a1.study, record).unwrap();
+        mgr.complete_traced(&a1.tenant, &a1.study, record, 0, None)
+            .unwrap();
         assert!(mgr.next_assignment().is_some(), "a completion frees a slot");
     }
 
@@ -1485,7 +1439,7 @@ mod tests {
             ]}"#,
         )
         .unwrap();
-        let mut mgr = StudyManager::in_memory_with(registry);
+        let mut mgr = StudyManager::new(None, registry).unwrap();
         mgr.submit(tenant_spec("alice", "one", 2, "")).unwrap();
         mgr.submit(tenant_spec("alice", "two", 2, "")).unwrap();
         let r = mgr
@@ -1504,14 +1458,14 @@ mod tests {
 
     #[test]
     fn unknown_tenant_is_refused() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         let r = mgr.submit(tenant_spec("mallory", "x", 1, "")).unwrap_err();
         assert_eq!((r.status, r.reason), (403, "unknown-tenant"));
     }
 
     #[test]
     fn namespaces_isolate_same_named_studies() {
-        let mut mgr = StudyManager::in_memory_with(two_tenant_registry());
+        let mut mgr = StudyManager::new(None, two_tenant_registry()).unwrap();
         mgr.submit(tenant_spec("alice", "nightly", 2, "")).unwrap();
         // Same name, different tenant, different declaration: no clash.
         mgr.submit(tenant_spec("bob", "nightly", 4, "")).unwrap();
@@ -1531,18 +1485,18 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tuna-mgr-usage-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let registry = two_tenant_registry();
-        let mut mgr = StudyManager::open_with(&dir, registry.clone()).unwrap();
+        let mut mgr = StudyManager::new(Some(dir.clone()), registry.clone()).unwrap();
         mgr.submit(tenant_spec("alice", "job", 2, "")).unwrap();
         let a = mgr.next_assignment().unwrap();
         let (record, _) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
-        mgr.complete_timed(&a.tenant, &a.study, record, 5_000)
+        mgr.complete_traced(&a.tenant, &a.study, record, 5_000, None)
             .unwrap();
         let before = std::fs::read(dir.join(USAGE_FILE)).unwrap();
         drop(mgr);
 
         // Restart: counters reload and the file is untouched until the
         // next mutation (kill/restart preserves it byte-identically).
-        let mgr = StudyManager::open_with(&dir, registry).unwrap();
+        let mgr = StudyManager::new(Some(dir.clone()), registry).unwrap();
         assert_eq!(std::fs::read(dir.join(USAGE_FILE)).unwrap(), before);
         let u = mgr.usage("alice").unwrap();
         assert_eq!((u.studies, u.cells, u.wall_ns), (1, 1, 5_000));
@@ -1555,7 +1509,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tuna-mgr-ns-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         // A loopback daemon writes a pre-tenant, top-level study...
-        let mut mgr = StudyManager::open(&dir).unwrap();
+        let mut mgr = StudyManager::new(Some(dir.clone()), TenantRegistry::loopback()).unwrap();
         mgr.submit(spec("plain", 2)).unwrap();
         drain(&mut mgr);
         drop(mgr);
@@ -1563,7 +1517,7 @@ mod tests {
         // ...then the daemon is reconfigured with a tenant table: the
         // top-level study reloads as the default tenant's, and a named
         // tenant's files land in its subdirectory.
-        let mut mgr = StudyManager::open_with(&dir, two_tenant_registry()).unwrap();
+        let mut mgr = StudyManager::new(Some(dir.clone()), two_tenant_registry()).unwrap();
         assert_eq!(
             mgr.get(DEFAULT_TENANT, "plain").unwrap().phase(),
             StudyPhase::Done
@@ -1578,7 +1532,7 @@ mod tests {
 
         // A restart reloads both namespaces — even if the tenant table
         // shrank, disk studies are not dropped (implicit weight-1).
-        let mgr = StudyManager::open_with(&dir, TenantRegistry::loopback()).unwrap();
+        let mgr = StudyManager::new(Some(dir.clone()), TenantRegistry::loopback()).unwrap();
         assert_eq!(mgr.get("alice", "job").unwrap().phase(), StudyPhase::Done);
         assert_eq!(
             mgr.get(DEFAULT_TENANT, "plain").unwrap().phase(),
@@ -1589,7 +1543,7 @@ mod tests {
 
     #[test]
     fn complete_records_and_finalizes() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         mgr.submit(spec("s", 2)).unwrap();
         assert_eq!(
             mgr.get(DEFAULT_TENANT, "s").unwrap().phase(),
@@ -1607,7 +1561,7 @@ mod tests {
 
     #[test]
     fn duplicate_submissions_are_idempotent_conflicts_refused() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         mgr.submit(spec("s", 2)).unwrap();
         assert!(mgr.submit(spec("s", 2)).is_ok());
         let r = mgr.submit(spec("s", 3)).unwrap_err();
@@ -1617,7 +1571,7 @@ mod tests {
 
     #[test]
     fn cancel_drops_pending_work() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         mgr.submit(spec("s", 4)).unwrap();
         let a = mgr.next_assignment().unwrap();
         mgr.cancel(DEFAULT_TENANT, "s").unwrap();
@@ -1628,7 +1582,8 @@ mod tests {
         assert!(mgr.next_assignment().is_none());
         // The in-flight cell still lands.
         let (record, _) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
-        mgr.complete(&a.tenant, &a.study, record).unwrap();
+        mgr.complete_traced(&a.tenant, &a.study, record, 0, None)
+            .unwrap();
         assert_eq!(mgr.get(DEFAULT_TENANT, "s").unwrap().completed(), 1);
         assert!(mgr.cancel(DEFAULT_TENANT, "nope").is_err());
     }
@@ -1637,12 +1592,12 @@ mod tests {
     fn cancel_survives_restart() {
         let dir = std::env::temp_dir().join(format!("tuna-mgr-cancel-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut mgr = StudyManager::open(&dir).unwrap();
+        let mut mgr = StudyManager::new(Some(dir.clone()), TenantRegistry::loopback()).unwrap();
         mgr.submit(spec("s", 4)).unwrap();
         mgr.cancel(DEFAULT_TENANT, "s").unwrap();
         drop(mgr);
 
-        let mut mgr = StudyManager::open(&dir).unwrap();
+        let mut mgr = StudyManager::new(Some(dir.clone()), TenantRegistry::loopback()).unwrap();
         assert_eq!(
             mgr.get(DEFAULT_TENANT, "s").unwrap().phase(),
             StudyPhase::Cancelled
@@ -1656,7 +1611,7 @@ mod tests {
 
     #[test]
     fn abandon_cancels_instead_of_wedging() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         mgr.submit(spec("s", 3)).unwrap();
         let a = mgr.next_assignment().unwrap();
         mgr.abandon(&a.tenant, &a.study, a.cell).unwrap();
@@ -1664,6 +1619,35 @@ mod tests {
         assert_eq!(s.phase(), StudyPhase::Cancelled);
         assert_eq!(s.in_flight(), 0);
         assert!(mgr.next_assignment().is_none());
+    }
+
+    #[test]
+    fn failed_journal_append_cancels_instead_of_wedging() {
+        let dir = std::env::temp_dir().join(format!("tuna-mgr-blocked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut mgr = StudyManager::new(Some(dir.clone()), TenantRegistry::loopback()).unwrap();
+        mgr.submit(spec("s", 3)).unwrap();
+        let a = mgr.next_assignment().unwrap();
+        let (record, _) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
+        mgr.complete_traced(&a.tenant, &a.study, record, 0, None)
+            .unwrap();
+
+        // A directory where the journal should be: the next append fails.
+        let journal = dir.join("s.csv");
+        std::fs::remove_file(&journal).unwrap();
+        std::fs::create_dir(&journal).unwrap();
+        let a = mgr.next_assignment().unwrap();
+        let (record, _) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
+        let err = mgr
+            .complete_traced(&a.tenant, &a.study, record, 0, None)
+            .unwrap_err();
+        assert!(err.contains("cannot append"), "{err}");
+        let s = mgr.get(DEFAULT_TENANT, "s").unwrap();
+        assert_eq!(s.phase(), StudyPhase::Cancelled);
+        assert_eq!(s.in_flight(), 0);
+        assert_eq!(s.completed(), 1, "the failed cell is not recorded");
+        assert!(mgr.next_assignment().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1678,18 +1662,18 @@ mod tests {
         let mut store = ResultStore::open(dir.join("s.csv"), &other).unwrap();
         while let Some(cell) = (0..other.n_cells()).find(|c| store.get(*c).is_none()) {
             let (record, _) = execute_cell(&other, cell, ExecutionMode::Serial);
-            store.record(&other, record);
+            store.record(&other, record).unwrap();
         }
         drop(store);
 
-        let mut mgr = StudyManager::open(&dir).unwrap();
+        let mut mgr = StudyManager::new(Some(dir.clone()), TenantRegistry::loopback()).unwrap();
         let r = mgr.submit(spec("s", 2)).unwrap_err();
         assert_eq!(r.status, 500);
         assert!(r.message.contains("digest"), "{}", r.message);
         assert!(mgr.get(DEFAULT_TENANT, "s").is_none());
         assert!(!dir.join("s.spec.json").exists(), "spec must not persist");
         // The daemon still starts over this data dir.
-        assert!(StudyManager::open(&dir).is_ok());
+        assert!(StudyManager::new(Some(dir.clone()), TenantRegistry::loopback()).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1697,7 +1681,7 @@ mod tests {
     fn complete_store_is_finalized_on_attach() {
         let dir = std::env::temp_dir().join(format!("tuna-mgr-finalize-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut mgr = StudyManager::open(&dir).unwrap();
+        let mut mgr = StudyManager::new(Some(dir.clone()), TenantRegistry::loopback()).unwrap();
         mgr.submit(spec("s", 2)).unwrap();
         drain(&mut mgr);
         let results = mgr.results_json(DEFAULT_TENANT, "s").unwrap();
@@ -1707,7 +1691,7 @@ mod tests {
         // before finalize: delete the mirror the finalize wrote.
         let mirror = dir.join("s.json");
         std::fs::remove_file(&mirror).unwrap();
-        let mgr = StudyManager::open(&dir).unwrap();
+        let mgr = StudyManager::new(Some(dir.clone()), TenantRegistry::loopback()).unwrap();
         assert_eq!(
             mgr.get(DEFAULT_TENANT, "s").unwrap().phase(),
             StudyPhase::Done
@@ -1718,12 +1702,15 @@ mod tests {
 
     #[test]
     fn double_completion_is_refused() {
-        let mut mgr = StudyManager::in_memory();
+        let mut mgr = StudyManager::new(None, TenantRegistry::loopback()).unwrap();
         mgr.submit(spec("s", 2)).unwrap();
         let a = mgr.next_assignment().unwrap();
         let (record, _) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
-        mgr.complete(&a.tenant, &a.study, record.clone()).unwrap();
-        let err = mgr.complete(&a.tenant, &a.study, record).unwrap_err();
+        mgr.complete_traced(&a.tenant, &a.study, record.clone(), 0, None)
+            .unwrap();
+        let err = mgr
+            .complete_traced(&a.tenant, &a.study, record, 0, None)
+            .unwrap_err();
         assert!(err.contains("not in flight"), "{err}");
     }
 }

@@ -42,57 +42,26 @@ pub struct SimServer {
 }
 
 impl SimServer {
-    /// A simulator with `workers` virtual workers, persistent under
-    /// `data_dir` (or fully in-memory when `None`). Persisted studies
-    /// are reloaded exactly like a restarted `tunad`.
+    /// A simulator with `workers` virtual workers over `registry`'s
+    /// tenant table (pass [`TenantRegistry::loopback`] for the single
+    /// default tenant), persistent under `data_dir` or fully in memory
+    /// when `None`. Persisted studies are reloaded exactly like a
+    /// restarted `tunad`. The engine runs [`EngineConfig::sim_default`]
+    /// budgets; install other budgets with
+    /// `*sim.engine_mut() = Engine::new(cfg)` before the first
+    /// [`SimServer::connect`].
     ///
     /// # Errors
     ///
-    /// Propagates [`StudyManager::open`] failures.
-    pub fn new(data_dir: Option<PathBuf>, workers: usize) -> Result<Self, String> {
-        Self::with_engine_config(data_dir, workers, EngineConfig::sim_default())
-    }
-
-    /// A simulator over an explicit tenant table — the multi-tenant
-    /// daemon (auth, weighted fair share, admission) on the sim clock.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StudyManager::open_with`] failures.
+    /// Propagates [`StudyManager::new`] failures.
     pub fn with_tenants(
         data_dir: Option<PathBuf>,
         workers: usize,
         registry: TenantRegistry,
     ) -> Result<Self, String> {
-        let mgr = match data_dir {
-            None => Ok(StudyManager::in_memory_with(registry)),
-            Some(dir) => StudyManager::open_with(dir, registry),
-        }?;
         Ok(SimServer {
-            mgr,
+            mgr: StudyManager::new(data_dir, registry)?,
             engine: Engine::new(EngineConfig::sim_default()),
-            workers: workers.max(1),
-            ticks: 0,
-        })
-    }
-
-    /// A simulator with explicit engine budgets (tick units).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StudyManager::open`] failures.
-    pub fn with_engine_config(
-        data_dir: Option<PathBuf>,
-        workers: usize,
-        cfg: EngineConfig,
-    ) -> Result<Self, String> {
-        let mgr = match data_dir {
-            None => StudyManager::in_memory(),
-            Some(dir) => StudyManager::open(dir)?,
-        };
-        Ok(SimServer {
-            mgr,
-            engine: Engine::new(cfg),
             workers: workers.max(1),
             ticks: 0,
         })
@@ -183,17 +152,11 @@ impl SimServer {
         out
     }
 
-    /// Convenience request: builds the wire bytes, runs them through
+    /// Convenience request: builds the wire bytes (with a bearer
+    /// `token` when given), runs them through
     /// [`SimServer::request_bytes`], and splits the response into
     /// `(status, body)`.
-    pub fn request(&mut self, method: &str, path: &str, body: &str) -> (u16, String) {
-        let raw = self.request_bytes(&http::request_bytes(method, path, body));
-        http::parse_response(&raw).unwrap_or_else(|e| (500, Response::error(500, &e).body))
-    }
-
-    /// [`SimServer::request`] with a bearer token — the authenticated
-    /// variant multi-tenant tests drive.
-    pub fn request_as(
+    pub fn request(
         &mut self,
         method: &str,
         path: &str,
@@ -284,25 +247,25 @@ mod tests {
 
     #[test]
     fn submit_step_results_loop() {
-        let mut sim = SimServer::new(None, 2).unwrap();
-        let (status, _) = sim.request("POST", "/v1/studies", &spec_body("a", 3));
+        let mut sim = SimServer::with_tenants(None, 2, TenantRegistry::loopback()).unwrap();
+        let (status, _) = sim.request("POST", "/v1/studies", &spec_body("a", 3), None);
         assert_eq!(status, 201);
         assert!(!sim.idle());
         let done = sim.step();
         assert_eq!(done.len(), 2, "two workers claim two cells");
         sim.run_to_completion();
-        let (status, body) = sim.request("GET", "/v1/studies/a", "");
+        let (status, body) = sim.request("GET", "/v1/studies/a", "", None);
         assert_eq!(status, 200);
         assert!(body.contains("\"state\": \"done\""), "{body}");
-        let (_, results) = sim.request("GET", "/v1/studies/a/results", "");
+        let (_, results) = sim.request("GET", "/v1/studies/a/results", "", None);
         assert!(results.contains("\"completed\": 3"), "{results}");
     }
 
     #[test]
     fn two_studies_share_the_pool_per_tick() {
-        let mut sim = SimServer::new(None, 4).unwrap();
-        sim.request("POST", "/v1/studies", &spec_body("a", 6));
-        sim.request("POST", "/v1/studies", &spec_body("b", 6));
+        let mut sim = SimServer::with_tenants(None, 4, TenantRegistry::loopback()).unwrap();
+        sim.request("POST", "/v1/studies", &spec_body("a", 6), None);
+        sim.request("POST", "/v1/studies", &spec_body("b", 6), None);
         let done = sim.step();
         let a_count = done.iter().filter(|(_, s, _)| s == "a").count();
         let b_count = done.iter().filter(|(_, s, _)| s == "b").count();
@@ -312,10 +275,11 @@ mod tests {
     #[test]
     fn worker_width_changes_pacing_not_results() {
         let run = |workers: usize| -> String {
-            let mut sim = SimServer::new(None, workers).unwrap();
-            sim.request("POST", "/v1/studies", &spec_body("x", 4));
+            let mut sim =
+                SimServer::with_tenants(None, workers, TenantRegistry::loopback()).unwrap();
+            sim.request("POST", "/v1/studies", &spec_body("x", 4), None);
             sim.run_to_completion();
-            sim.request("GET", "/v1/studies/x/results", "").1
+            sim.request("GET", "/v1/studies/x/results", "", None).1
         };
         let serial = run(1);
         assert_eq!(serial, run(4));
@@ -324,7 +288,7 @@ mod tests {
 
     #[test]
     fn keep_alive_connection_spans_scheduler_ticks() {
-        let mut sim = SimServer::new(None, 1).unwrap();
+        let mut sim = SimServer::with_tenants(None, 1, TenantRegistry::loopback()).unwrap();
         let conn = sim.connect();
         sim.send(
             conn,

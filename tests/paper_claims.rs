@@ -36,7 +36,7 @@ fn claim_component_noise_ordering() {
 fn claim_noise_slows_convergence() {
     use tuna_cloudsim::{Cluster, Region, VmSku};
     use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
-    use tuna_optimizer::{Objective, Optimizer};
+    use tuna_optimizer::{Objective, Solver};
     use tuna_stats::rng::Rng;
     use tuna_sut::postgres::Postgres;
     use tuna_sut::SystemUnderTest;

@@ -53,7 +53,7 @@ fn fresh_dir(tag: &str) -> std::path::PathBuf {
 }
 
 fn submit_as(sim: &mut SimServer, token: &str) {
-    let (status, body) = sim.request_as("POST", "/v1/studies", JOB, Some(token));
+    let (status, body) = sim.request("POST", "/v1/studies", JOB, Some(token));
     assert!(
         status == 201 || status == 200,
         "submit replied {status}: {body}"
@@ -73,7 +73,7 @@ fn run_mix(workers: usize) -> (Vec<String>, String, String) {
         }
     }
     let results = |sim: &mut SimServer, token: &str| {
-        let (status, body) = sim.request_as("GET", "/v1/studies/job/results", "", Some(token));
+        let (status, body) = sim.request("GET", "/v1/studies/job/results", "", Some(token));
         assert_eq!(status, 200, "{body}");
         body
     };
@@ -164,24 +164,24 @@ fn kill_restart_preserves_usage_counters_byte_identically() {
 fn wire_auth_and_namespacing_against_a_configured_table() {
     let mut sim = SimServer::with_tenants(None, 1, registry()).unwrap();
 
-    let (status, body) = sim.request_as("POST", "/v1/studies", JOB, None);
+    let (status, body) = sim.request("POST", "/v1/studies", JOB, None);
     assert_eq!(status, 401, "{body}");
     assert!(body.contains("\"reason\": \"missing-token\""), "{body}");
 
-    let (status, body) = sim.request_as("POST", "/v1/studies", JOB, Some("wrong"));
+    let (status, body) = sim.request("POST", "/v1/studies", JOB, Some("wrong"));
     assert_eq!(status, 403, "{body}");
     assert!(body.contains("\"reason\": \"bad-token\""), "{body}");
 
     // Health stays unauthenticated — probes need no credentials.
-    let (status, _) = sim.request_as("GET", "/healthz", "", None);
+    let (status, _) = sim.request("GET", "/healthz", "", None);
     assert_eq!(status, 200);
 
     submit_as(&mut sim, "alice-secret");
-    let (status, body) = sim.request_as("GET", "/v1/studies/job", "", Some("bob-secret"));
+    let (status, body) = sim.request("GET", "/v1/studies/job", "", Some("bob-secret"));
     assert_eq!(status, 404, "bob must not see alice's study: {body}");
 
     sim.run_to_completion();
-    let (status, body) = sim.request_as("GET", "/v1/tenants", "", Some("bob-secret"));
+    let (status, body) = sim.request("GET", "/v1/tenants", "", Some("bob-secret"));
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"name\": \"alice\""), "{body}");
     assert!(body.contains("\"weight\": 3"), "{body}");

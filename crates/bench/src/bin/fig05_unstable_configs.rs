@@ -10,7 +10,7 @@
 
 use tuna_bench::{banner, paper_vs, HarnessArgs};
 use tuna_cloudsim::{Cluster, Region, VmSku};
-use tuna_core::deploy::evaluate_deployment;
+use tuna_core::deploy::evaluate_deployment_with;
 use tuna_core::experiment::{Experiment, Method};
 use tuna_core::report::{fmt_value, render_table};
 use tuna_stats::rng::{hash_combine, Rng};
@@ -154,7 +154,8 @@ fn main() {
     // panel of Figure 5b) — deploy the default config.
     let base = Cluster::new(10, VmSku::d8s_v5(), Region::westus2(), args.seed);
     let drng = Rng::seed_from(hash_combine(args.seed, 3));
-    let stable = evaluate_deployment(
+    let stable = evaluate_deployment_with(
+        exp.exec,
         &pg,
         &workload,
         &pg.default_config(),

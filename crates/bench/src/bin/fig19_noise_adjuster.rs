@@ -9,7 +9,7 @@
 
 use tuna_bench::{banner, paper_vs, HarnessArgs};
 use tuna_cloudsim::Cluster;
-use tuna_core::deploy::default_worst_case;
+use tuna_core::deploy::default_worst_case_with;
 use tuna_core::experiment::Experiment;
 use tuna_core::pipeline::{ModelErrorRecord, TunaConfig, TunaPipeline};
 use tuna_core::report::render_table;
@@ -27,7 +27,7 @@ fn run_variant(
     let sut = exp.make_sut();
     let base = Cluster::new(exp.cluster_size, exp.sku.clone(), exp.region.clone(), seed);
     let mut rng = Rng::seed_from(hash_combine(seed, 5));
-    let crash_penalty = default_worst_case(sut.as_ref(), &exp.workload, &base, &rng);
+    let crash_penalty = default_worst_case_with(exp.exec, sut.as_ref(), &exp.workload, &base, &rng);
     let cfg = if with_model {
         TunaConfig::paper_default(crash_penalty)
     } else {

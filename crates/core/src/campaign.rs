@@ -22,6 +22,9 @@
 //!   [`ResultStore::finalize`] rewrites the file in cell order and emits a
 //!   JSON mirror. Re-running a half-finished campaign skips completed
 //!   cells and produces byte-identical files to an uninterrupted run.
+//!   A cell may also carry its convergence trace
+//!   ([`ResultStore::record_traced`], what the serve daemon records): the
+//!   trace rides in the same journal, one line ahead of the cell's rows.
 //!
 //! # Examples
 //!
@@ -57,6 +60,7 @@ use crate::experiment::{Experiment, Method, RunSummary, SolverId};
 use crate::pipeline::{TunaConfig, TunaPipeline, TuningResult};
 use crate::report::{summarize_method, MethodSummary};
 use tuna_cloudsim::{Cluster, Region};
+use tuna_obs::CellTrace;
 use tuna_optimizer::multifidelity::LadderParams;
 use tuna_stats::fnv::Checksum;
 use tuna_stats::rng::{hash_combine, Rng};
@@ -751,10 +755,20 @@ impl CampaignResult {
 /// cell index plus a JSON mirror next to it. Because rows are pure
 /// functions of the campaign declaration, an interrupted-then-resumed
 /// campaign finalizes to byte-identical files.
+///
+/// After the header and column lines, each recorded cell is one *cell
+/// group*, written by a single append: an optional trace line (`@trace `
+/// then [`CellTrace::render_line`]) and the cell's CSV rows. Batch runs
+/// record no traces, so their journals hold rows only.
 #[derive(Debug)]
 pub struct ResultStore {
     path: Option<PathBuf>,
     records: BTreeMap<usize, CellRecord>,
+    /// Convergence traces of recorded cells, sorted by cell index (a
+    /// subset of `records`' keys). A sorted `Vec`, not a map: a map's
+    /// first node takes ~1 KB, once per study across a fleet of
+    /// thousands of small studies.
+    traces: Vec<CellTrace>,
     campaign_digest: String,
     header: String,
     repaired: bool,
@@ -766,6 +780,7 @@ impl ResultStore {
         ResultStore {
             path: None,
             records: BTreeMap::new(),
+            traces: Vec::new(),
             campaign_digest: campaign.digest(),
             header: Self::header_line(campaign),
             repaired: false,
@@ -793,9 +808,10 @@ impl ResultStore {
     /// run.
     ///
     /// A journal whose *tail* was torn by a kill mid-append — an
-    /// unterminated final line, or a final cell group with fewer rows
-    /// than its recipe produces — is repaired, not refused: the torn
-    /// tail is dropped (re-executing only that cell on resume) and the
+    /// unterminated final line, or a final cell group (trace line plus
+    /// rows) with fewer rows than its recipe produces — is repaired, not
+    /// refused: the torn group is dropped whole, trace included
+    /// (re-executing only that cell on resume) and the
     /// journal is atomically rewritten to its verified prefix so later
     /// appends land on a clean file. Because cells are pure functions
     /// of the declaration, the repaired-and-resumed store finalizes
@@ -812,6 +828,7 @@ impl ResultStore {
         let mut store = ResultStore {
             path: Some(path.clone()),
             records: BTreeMap::new(),
+            traces: Vec::new(),
             campaign_digest: campaign.digest(),
             header: Self::header_line(campaign),
             repaired: false,
@@ -851,7 +868,9 @@ impl ResultStore {
         let mut repaired = complete.len() != text.len();
 
         let mut pending: BTreeMap<usize, (Vec<CellRow>, String)> = BTreeMap::new();
-        let mut file_order: Vec<usize> = Vec::new();
+        let mut traces: BTreeMap<usize, CellTrace> = BTreeMap::new();
+        // Cell of the last group: the only one a kill can have torn.
+        let mut tail_cell = None;
         let mut saw_header = false;
         for (lineno, line) in complete.lines().enumerate() {
             let line = line.trim_end();
@@ -873,22 +892,38 @@ impl ResultStore {
                 }
                 continue;
             }
-            let (cell, row, checksum) =
-                parse_csv_row(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+            let cell = if let Some(json) = line.strip_prefix(TRACE_PREFIX) {
+                let trace =
+                    CellTrace::parse_line(json).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                let cell = trace.cell as usize;
+                // A trace line opens its cell's group: one that follows
+                // the cell's rows or another trace line is corruption.
+                if pending.contains_key(&cell) || traces.insert(cell, trace).is_some() {
+                    return Err(format!(
+                        "line {}: cell {cell} trace does not lead its group (corrupt store)",
+                        lineno + 1
+                    ));
+                }
+                cell
+            } else {
+                let (cell, row, checksum) =
+                    parse_csv_row(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                let entry = pending
+                    .entry(cell)
+                    .or_insert_with(|| (Vec::new(), checksum.clone()));
+                if entry.1 != checksum {
+                    return Err(format!(
+                        "line {}: cell {cell} rows disagree on their checksum",
+                        lineno + 1
+                    ));
+                }
+                entry.0.push(row);
+                cell
+            };
             if cell >= campaign.n_cells() {
                 return Err(format!("line {}: cell {cell} out of range", lineno + 1));
             }
-            let entry = pending.entry(cell).or_insert_with(|| {
-                file_order.push(cell);
-                (Vec::new(), checksum.clone())
-            });
-            if entry.1 != checksum {
-                return Err(format!(
-                    "line {}: cell {cell} rows disagree on their checksum",
-                    lineno + 1
-                ));
-            }
-            entry.0.push(row);
+            tail_cell = Some(cell);
         }
         // Rows without a verified header could belong to any declaration
         // whose cell indices happen to fit — refuse rather than resume
@@ -902,9 +937,16 @@ impl ResultStore {
         }
         // The journal is grouped by cell in append order, so only the
         // *last* group can have been torn by a kill: a group short of
-        // its recipe's row count there is a repairable tear, anywhere
-        // else it is corruption.
-        let tail_cell = file_order.last().copied();
+        // its recipe's row count there — a lone trace line included — is
+        // a repairable tear, anywhere else it is corruption.
+        for cell in traces.keys().filter(|c| !pending.contains_key(c)) {
+            if Some(*cell) != tail_cell {
+                return Err(format!(
+                    "cell {cell}: trace line without its rows (corrupt store)"
+                ));
+            }
+            repaired = true;
+        }
         for (cell, (rows, checksum)) in pending {
             let expected_rows = campaign.rows_per_cell(cell);
             if rows.len() < expected_rows && Some(cell) == tail_cell {
@@ -925,6 +967,8 @@ impl ResultStore {
                      (corrupt or hand-edited store)"
                 ));
             }
+            // `pending` iterates in cell order, so this stays sorted.
+            self.traces.extend(traces.remove(&cell));
             self.records.insert(
                 cell,
                 CellRecord {
@@ -947,8 +991,8 @@ impl ResultStore {
         write_atomic(path, &self.render_csv(campaign))
     }
 
-    /// The canonical journal: header, column line, then every record
-    /// in cell order.
+    /// The canonical journal: header, column line, then every cell
+    /// group in cell order.
     fn render_csv(&self, campaign: &Campaign) -> String {
         let mut csv = String::new();
         csv.push_str(&self.header);
@@ -956,7 +1000,8 @@ impl ResultStore {
         csv.push_str(CSV_COLUMNS);
         csv.push('\n');
         for record in self.records.values() {
-            write_csv_record(&mut csv, campaign, record);
+            let trace = self.trace_slot(record.cell).ok().map(|i| &self.traces[i]);
+            write_cell_group(&mut csv, campaign, record, trace);
         }
         csv
     }
@@ -986,8 +1031,26 @@ impl ResultStore {
         self.records.get(&cell)
     }
 
-    /// Records a finished cell, appending it to the journal when
-    /// file-backed. The journal line order follows completion order;
+    /// Convergence traces of the recorded cells that carry one, in cell
+    /// order.
+    pub fn traces(&self) -> impl Iterator<Item = &CellTrace> {
+        self.traces.iter()
+    }
+
+    /// Where `cell`'s trace is (`Ok`) or would go (`Err`) in `traces`.
+    fn trace_slot(&self, cell: usize) -> Result<usize, usize> {
+        self.traces.binary_search_by_key(&(cell as u64), |t| t.cell)
+    }
+
+    /// [`ResultStore::record_traced`] without a trace — the batch
+    /// runner's path.
+    pub fn record(&mut self, campaign: &Campaign, record: CellRecord) -> Result<(), String> {
+        self.record_traced(campaign, record, None)
+    }
+
+    /// Records a finished cell and its optional convergence trace,
+    /// appending them to the journal as one cell group (one write) when
+    /// file-backed. The journal's group order follows completion order;
     /// [`ResultStore::finalize`] canonicalizes it. Public so external
     /// schedulers (the serve daemon) can stream cells they executed via
     /// [`execute_cell`] into the same store format the runner writes.
@@ -996,8 +1059,14 @@ impl ResultStore {
     ///
     /// Returns an error when the journal cannot be opened or appended
     /// to; the record is then *not* kept, so memory never claims a cell
-    /// the journal lacks.
-    pub fn record(&mut self, campaign: &Campaign, record: CellRecord) -> Result<(), String> {
+    /// the journal lacks. Failures count in
+    /// `tuna_store_append_failures_total`.
+    pub fn record_traced(
+        &mut self,
+        campaign: &Campaign,
+        record: CellRecord,
+        trace: Option<CellTrace>,
+    ) -> Result<(), String> {
         if let Some(path) = &self.path {
             let mut text = String::new();
             // Write the header before the first row of a fresh journal —
@@ -1010,16 +1079,56 @@ impl ResultStore {
                 text.push_str(CSV_COLUMNS);
                 text.push('\n');
             }
-            write_csv_record(&mut text, campaign, &record);
+            write_cell_group(&mut text, campaign, &record, trace.as_ref());
             std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(path)
                 .and_then(|mut f| f.write_all(text.as_bytes()))
-                .map_err(|e| format!("cannot append to {}: {e}", path.display()))?;
+                .map_err(|e| {
+                    tuna_obs::global()
+                        .counter(
+                            "tuna_store_append_failures_total",
+                            "result-journal appends that failed (the cell was not kept)",
+                        )
+                        .inc();
+                    format!("cannot append to {}: {e}", path.display())
+                })?;
+        }
+        if let Some(trace) = trace {
+            match self.trace_slot(record.cell) {
+                Ok(i) => self.traces[i] = trace,
+                Err(i) => self.traces.insert(i, trace),
+            }
         }
         self.records.insert(record.cell, record);
         Ok(())
+    }
+
+    /// Adopts traces for recorded cells that have none yet (the first
+    /// offered trace per cell wins; traces of unrecorded cells are
+    /// dropped), then rewrites the journal. This is how a journal
+    /// written before traces rode in it takes over the traces of a
+    /// leftover sidecar file.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the journal rewrite fails.
+    pub fn adopt_traces(
+        &mut self,
+        campaign: &Campaign,
+        traces: impl IntoIterator<Item = CellTrace>,
+    ) -> Result<(), String> {
+        for trace in traces {
+            let cell = trace.cell as usize;
+            if !self.records.contains_key(&cell) {
+                continue;
+            }
+            if let Err(i) = self.trace_slot(cell) {
+                self.traces.insert(i, trace);
+            }
+        }
+        self.rewrite_journal(campaign)
     }
 
     /// Campaign-level checksum: FNV-1a over per-cell checksums in cell
@@ -1135,9 +1244,24 @@ use tuna_stats::json::quote as json_quote;
 const CSV_COLUMNS: &str =
     "cell,workload,arm,label,run,seed,samples,best,mean,std,min,max,crashes,checksum";
 
-fn write_csv_record(out: &mut String, campaign: &Campaign, record: &CellRecord) {
+/// Leads a trace line in the journal: no CSV row starts with `@` and no
+/// header line does either.
+const TRACE_PREFIX: &str = "@trace ";
+
+/// One journal cell group: the trace line, if any, then the rows.
+fn write_cell_group(
+    out: &mut String,
+    campaign: &Campaign,
+    record: &CellRecord,
+    trace: Option<&CellTrace>,
+) {
     fn opt_f64(v: Option<f64>) -> String {
         v.map_or(String::new(), |x| format!("{x:?}"))
+    }
+    if let Some(trace) = trace {
+        out.push_str(TRACE_PREFIX);
+        out.push_str(&trace.render_line());
+        out.push('\n');
     }
     let (w, a, run) = campaign.coords(record.cell);
     for row in &record.rows {
@@ -1435,13 +1559,14 @@ pub fn execute_cell(
 /// Extracts the convergence trace of a freshly executed cell: one
 /// best-cost-so-far series per tuner that ran (two for convergence
 /// pairs, none for non-tuning arms such as a static default config).
-/// This is what the serve layer appends to a study's trace sidecar —
-/// the payload only exists in memory at completion time.
+/// The serve layer records it with the cell's rows
+/// ([`ResultStore::record_traced`]) — the payload only exists in memory
+/// at completion time.
 ///
 /// # Panics
 ///
 /// Panics if `cell` is out of range for `campaign`.
-pub fn cell_trace(campaign: &Campaign, cell: usize, payload: &CellPayload) -> tuna_obs::CellTrace {
+pub fn cell_trace(campaign: &Campaign, cell: usize, payload: &CellPayload) -> CellTrace {
     fn series_of(label: &str, t: &TuningResult) -> tuna_obs::ArmTrace {
         tuna_obs::ArmTrace {
             label: label.to_string(),
@@ -1462,7 +1587,7 @@ pub fn cell_trace(campaign: &Campaign, cell: usize, payload: &CellPayload) -> tu
             vec![series_of("TUNA", tuna), series_of("naive", naive)]
         }
     };
-    tuna_obs::CellTrace {
+    CellTrace {
         cell: cell as u64,
         workload: campaign.workloads[w].name.to_string(),
         arm: campaign.arms[a].label.clone(),
@@ -1860,60 +1985,146 @@ mod tests {
         campaign
     }
 
+    /// The served trace document of a store, as the serve layer
+    /// assembles it.
+    fn trace_document(campaign: &Campaign, store: &ResultStore) -> String {
+        tuna_obs::StudyTrace {
+            study: campaign.name.clone(),
+            digest: campaign.digest(),
+            n_cells: campaign.n_cells() as u64,
+            cells: store.traces().cloned().collect(),
+        }
+        .to_json()
+    }
+
     #[test]
     fn torn_tail_is_repaired_at_every_byte_offset() {
         let campaign = torn_campaign("torn");
         let dir = std::env::temp_dir().join(format!("tuna-campaign-torn-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Uninterrupted reference run (also caches the pure per-cell
-        // records, so each truncation below resumes from the journal
-        // write path without paying for re-execution).
-        let ref_path = dir.join("reference.csv");
-        let mut ref_store = ResultStore::open(&ref_path, &campaign).unwrap();
-        let result = CampaignRunner::serial().run(&campaign, &mut ref_store);
-        assert!(result.complete);
-        let records: Vec<CellRecord> = (0..campaign.n_cells())
-            .map(|c| ref_store.get(c).expect("complete run").clone())
+        // The pure per-cell records and traces, so each truncation below
+        // resumes from the journal write path without re-execution.
+        let cells: Vec<(CellRecord, CellTrace)> = (0..campaign.n_cells())
+            .map(|c| {
+                let (record, payload) = execute_cell(&campaign, c, ExecutionMode::Serial);
+                let trace = cell_trace(&campaign, c, &payload);
+                (record, trace)
+            })
             .collect();
-        let ref_csv = std::fs::read_to_string(&ref_path).unwrap();
-        let ref_json = std::fs::read_to_string(ref_path.with_extension("json")).unwrap();
 
-        // Kill at every byte offset: the truncated journal must open
-        // (repair, not refuse), keep only verified whole cells, and
-        // after re-recording the lost cells finalize byte-identically.
-        let path = dir.join("truncated.csv");
-        for offset in 0..=ref_csv.len() {
-            let _ = std::fs::remove_file(path.with_extension("json"));
-            std::fs::write(&path, &ref_csv.as_bytes()[..offset]).unwrap();
-            let mut store = ResultStore::open(&path, &campaign)
-                .unwrap_or_else(|e| panic!("offset {offset}: refused instead of repaired: {e}"));
-            for (cell, record) in records.iter().enumerate() {
-                if let Some(kept) = store.get(cell) {
-                    assert_eq!(kept, record, "offset {offset}: kept cell {cell} differs");
-                } else {
-                    store.record(&campaign, record.clone()).unwrap();
+        // A batch journal (rows only, written by the runner) and a
+        // served one (each cell group led by its trace line).
+        for traced in [false, true] {
+            let ref_path = dir.join(format!("reference-{traced}.csv"));
+            let mut ref_store = ResultStore::open(&ref_path, &campaign).unwrap();
+            if traced {
+                for (record, trace) in &cells {
+                    ref_store
+                        .record_traced(&campaign, record.clone(), Some(trace.clone()))
+                        .unwrap();
                 }
+                ref_store.finalize(&campaign).unwrap();
+            } else {
+                let result = CampaignRunner::serial().run(&campaign, &mut ref_store);
+                assert!(result.complete);
             }
-            store.finalize(&campaign).unwrap();
-            assert_eq!(
-                std::fs::read_to_string(&path).unwrap(),
-                ref_csv,
-                "offset {offset}: resumed CSV differs from uninterrupted"
-            );
-            assert_eq!(
-                std::fs::read_to_string(path.with_extension("json")).unwrap(),
-                ref_json,
-                "offset {offset}: resumed JSON differs from uninterrupted"
-            );
-        }
+            for (c, (record, _)) in cells.iter().enumerate() {
+                assert_eq!(ref_store.get(c), Some(record), "records are pure");
+            }
+            let ref_csv = std::fs::read_to_string(&ref_path).unwrap();
+            let ref_json = std::fs::read_to_string(ref_path.with_extension("json")).unwrap();
+            let ref_trace = trace_document(&campaign, &ref_store);
+            assert_eq!(ref_csv.contains(TRACE_PREFIX), traced);
+            assert_eq!(ref_store.traces().count(), if traced { 2 } else { 0 });
 
-        // Spot-check the repair boundary: cutting the final byte tears
-        // only the tail cell; the complete first cell survives.
-        std::fs::write(&path, &ref_csv.as_bytes()[..ref_csv.len() - 1]).unwrap();
-        let store = ResultStore::open(&path, &campaign).unwrap();
-        assert_eq!(store.len(), 1, "only the torn tail cell is lost");
-        assert!(store.get(0).is_some());
+            // Kill at every byte offset: the truncated journal must open
+            // (repair, not refuse), keep only verified whole cell groups,
+            // and after re-recording the lost cells finalize
+            // byte-identically.
+            let path = dir.join(format!("truncated-{traced}.csv"));
+            for offset in 0..=ref_csv.len() {
+                let _ = std::fs::remove_file(path.with_extension("json"));
+                std::fs::write(&path, &ref_csv.as_bytes()[..offset]).unwrap();
+                let mut store = ResultStore::open(&path, &campaign).unwrap_or_else(|e| {
+                    panic!("traced={traced} offset {offset}: refused instead of repaired: {e}")
+                });
+                let kept_traces: Vec<usize> = store.traces().map(|t| t.cell as usize).collect();
+                for (cell, (record, trace)) in cells.iter().enumerate() {
+                    if let Some(kept) = store.get(cell) {
+                        assert_eq!(kept, record, "offset {offset}: kept cell {cell} differs");
+                        assert_eq!(
+                            kept_traces.contains(&cell),
+                            traced,
+                            "traced={traced} offset {offset}: cell {cell} kept rows without trace"
+                        );
+                    } else {
+                        assert!(
+                            !kept_traces.contains(&cell),
+                            "offset {offset}: cell {cell} kept a trace without rows"
+                        );
+                        store
+                            .record_traced(&campaign, record.clone(), traced.then(|| trace.clone()))
+                            .unwrap();
+                    }
+                }
+                store.finalize(&campaign).unwrap();
+                assert_eq!(
+                    std::fs::read_to_string(&path).unwrap(),
+                    ref_csv,
+                    "traced={traced} offset {offset}: resumed CSV differs from uninterrupted"
+                );
+                assert_eq!(
+                    std::fs::read_to_string(path.with_extension("json")).unwrap(),
+                    ref_json,
+                    "traced={traced} offset {offset}: resumed JSON differs from uninterrupted"
+                );
+                assert_eq!(
+                    trace_document(&campaign, &store),
+                    ref_trace,
+                    "offset {offset}: resumed trace document differs from uninterrupted"
+                );
+            }
+
+            // Spot-check the repair boundary: cutting the final byte
+            // tears only the tail cell; the complete first cell survives.
+            std::fs::write(&path, &ref_csv.as_bytes()[..ref_csv.len() - 1]).unwrap();
+            let store = ResultStore::open(&path, &campaign).unwrap();
+            assert_eq!(store.len(), 1, "only the torn tail cell is lost");
+            assert!(store.get(0).is_some());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn trace_line_without_its_rows_mid_file_is_refused() {
+        let campaign = torn_campaign("torn-trace-midfile");
+        let dir = std::env::temp_dir().join(format!(
+            "tuna-campaign-trace-midfile-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("campaign.csv");
+        let mut store = ResultStore::open(&path, &campaign).unwrap();
+        for c in 0..campaign.n_cells() {
+            let (record, payload) = execute_cell(&campaign, c, ExecutionMode::Serial);
+            let trace = cell_trace(&campaign, c, &payload);
+            store.record_traced(&campaign, record, Some(trace)).unwrap();
+        }
+        drop(store);
+
+        // Drop the first cell's rows but keep its trace line: the group
+        // is short before the journal tail — corruption, not a tear.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let gutted: String = text
+            .lines()
+            .filter(|l| !l.starts_with("0,"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_ne!(text, gutted);
+        std::fs::write(&path, gutted).unwrap();
+        let err = ResultStore::open(&path, &campaign).unwrap_err();
+        assert!(err.contains("trace line without its rows"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2027,9 +2238,12 @@ mod tests {
         store.record(&campaign, first).unwrap();
         block_journal(&path);
 
+        let failures = tuna_obs::global().counter("tuna_store_append_failures_total", "");
+        let before = failures.get();
         let (second, _) = execute_cell(&campaign, 1, ExecutionMode::Serial);
         let err = store.record(&campaign, second).unwrap_err();
         assert!(err.contains("cannot append"), "{err}");
+        assert!(failures.get() > before, "the failed append is counted");
         assert_eq!(
             store.len(),
             1,

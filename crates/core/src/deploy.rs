@@ -37,38 +37,8 @@ pub struct DeployStats {
 /// `base_cluster` with decorrelated placements), measuring `repeats` epochs
 /// per VM. Crashed runs contribute `crash_penalty` instead of their value.
 ///
-/// Execution mode comes from the `TUNA_WORKERS` environment variable; use
-/// [`evaluate_deployment_with`] for explicit control. Results are
-/// identical either way.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_deployment(
-    sut: &dyn SystemUnderTest,
-    workload: &Workload,
-    config: &Config,
-    base_cluster: &Cluster,
-    deploy_label: u64,
-    n_vms: usize,
-    repeats: usize,
-    crash_penalty: f64,
-    rng: &Rng,
-) -> DeployStats {
-    evaluate_deployment_with(
-        ExecutionMode::from_env(),
-        sut,
-        workload,
-        config,
-        base_cluster,
-        deploy_label,
-        n_vms,
-        repeats,
-        crash_penalty,
-        rng,
-    )
-}
-
-/// [`evaluate_deployment`] with an explicit [`ExecutionMode`]: each
-/// deployment VM is one executor lane running `repeats` epochs in order,
-/// and per-run randomness is forked from `rng` by
+/// Each deployment VM is one executor lane running `repeats` epochs in
+/// order under `mode`, and per-run randomness is forked from `rng` by
 /// `(config, deploy_label, vm, repeat)` — so the measured distribution is
 /// bit-identical for any worker count.
 #[allow(clippy::too_many_arguments)]
@@ -120,16 +90,6 @@ pub fn evaluate_deployment_with(
 
 /// Profiles the default configuration on fresh nodes and returns the
 /// *worst* observed value (orientation-aware) — the §6.4 crash penalty.
-pub fn default_worst_case(
-    sut: &dyn SystemUnderTest,
-    workload: &Workload,
-    base_cluster: &Cluster,
-    rng: &Rng,
-) -> f64 {
-    default_worst_case_with(ExecutionMode::from_env(), sut, workload, base_cluster, rng)
-}
-
-/// [`default_worst_case`] with an explicit [`ExecutionMode`].
 pub fn default_worst_case_with(
     mode: ExecutionMode,
     sut: &dyn SystemUnderTest,
@@ -174,8 +134,18 @@ mod tests {
         let pg = Postgres::new();
         let w = tuna_workloads::tpcc();
         let rng = Rng::seed_from(1);
-        let stats =
-            evaluate_deployment(&pg, &w, &pg.default_config(), &base(), 1, 10, 3, 1.0, &rng);
+        let stats = evaluate_deployment_with(
+            ExecutionMode::Serial,
+            &pg,
+            &w,
+            &pg.default_config(),
+            &base(),
+            1,
+            10,
+            3,
+            1.0,
+            &rng,
+        );
         assert_eq!(stats.values.len(), 30);
         assert!(stats.mean > 500.0);
         assert!(stats.std >= 0.0);
@@ -188,8 +158,30 @@ mod tests {
         let pg = Postgres::new();
         let w = tuna_workloads::tpcc();
         let rng = Rng::seed_from(2);
-        let a = evaluate_deployment(&pg, &w, &pg.default_config(), &base(), 1, 10, 1, 1.0, &rng);
-        let b = evaluate_deployment(&pg, &w, &pg.default_config(), &base(), 2, 10, 1, 1.0, &rng);
+        let a = evaluate_deployment_with(
+            ExecutionMode::Serial,
+            &pg,
+            &w,
+            &pg.default_config(),
+            &base(),
+            1,
+            10,
+            1,
+            1.0,
+            &rng,
+        );
+        let b = evaluate_deployment_with(
+            ExecutionMode::Serial,
+            &pg,
+            &w,
+            &pg.default_config(),
+            &base(),
+            2,
+            10,
+            1,
+            1.0,
+            &rng,
+        );
         assert_ne!(a.values, b.values);
     }
 
@@ -204,7 +196,18 @@ mod tests {
         );
         let rng = Rng::seed_from(3);
         let penalty = 0.908;
-        let stats = evaluate_deployment(&rd, &w, &broken, &base(), 3, 10, 2, penalty, &rng);
+        let stats = evaluate_deployment_with(
+            ExecutionMode::Serial,
+            &rd,
+            &w,
+            &broken,
+            &base(),
+            3,
+            10,
+            2,
+            penalty,
+            &rng,
+        );
         assert_eq!(stats.crashes, 20);
         assert!(stats.values.iter().all(|&v| v == penalty));
     }
@@ -215,11 +218,11 @@ mod tests {
         let rng = Rng::seed_from(4);
         // Throughput: worst = lowest.
         let tpcc = tuna_workloads::tpcc();
-        let worst_tps = default_worst_case(&pg, &tpcc, &base(), &rng);
+        let worst_tps = default_worst_case_with(ExecutionMode::Serial, &pg, &tpcc, &base(), &rng);
         assert!(worst_tps < 900.0 && worst_tps > 300.0, "{worst_tps}");
         // Runtime: worst = highest.
         let tpch = tuna_workloads::tpch();
-        let worst_rt = default_worst_case(&pg, &tpch, &base(), &rng);
+        let worst_rt = default_worst_case_with(ExecutionMode::Serial, &pg, &tpch, &base(), &rng);
         assert!(worst_rt > 100.0, "{worst_rt}");
     }
 }

@@ -35,6 +35,8 @@ pub enum EventKind {
     QuarantinedNan,
     /// A torn result journal was repaired on open.
     JournalRepaired,
+    /// A result-journal append failed; the cell was abandoned.
+    JournalAppendFailed,
     /// A batch-lane study was held back in favour of interactive work.
     Preempted,
     /// A submit was refused by admission control (budget or auth).
@@ -43,7 +45,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in rendering order.
-    pub const ALL: [EventKind; 9] = [
+    pub const ALL: [EventKind; 10] = [
         EventKind::Scheduled,
         EventKind::Completed,
         EventKind::Shed408,
@@ -51,6 +53,7 @@ impl EventKind {
         EventKind::Shed503,
         EventKind::QuarantinedNan,
         EventKind::JournalRepaired,
+        EventKind::JournalAppendFailed,
         EventKind::Preempted,
         EventKind::AdmissionRefused,
     ];
@@ -65,6 +68,7 @@ impl EventKind {
             EventKind::Shed503 => "shed-503",
             EventKind::QuarantinedNan => "quarantined-nan",
             EventKind::JournalRepaired => "journal-repaired",
+            EventKind::JournalAppendFailed => "journal-append-failed",
             EventKind::Preempted => "preempted",
             EventKind::AdmissionRefused => "admission-refused",
         }

@@ -15,15 +15,17 @@
 //!   (see `docs/LINTS.md`).
 //! - [`journal`]: hierarchical study → cell → trial-round **spans**
 //!   plus discrete **events** (scheduled, shed{408,429,503},
-//!   quarantined-NaN, journal-repaired, preempted, admission-refused),
-//!   bounded in memory, rendered deterministically.
+//!   quarantined-NaN, journal-repaired, journal-append-failed,
+//!   preempted, admission-refused), bounded in memory, rendered
+//!   deterministically.
 //! - [`metrics`]: a registry of named counters, gauges and fixed-bucket
 //!   histograms over atomics — hot paths never take a lock to record —
 //!   rendered in Prometheus text exposition format with p50/p99
 //!   derived from the bucket counts.
 //! - [`trace`]: the per-study convergence trace (best-cost-so-far
-//!   series per arm, per cell), with a torn-tail-tolerant line-oriented
-//!   sidecar format so a killed daemon resumes with an identical trace.
+//!   series per arm, per cell) and its one-line rendering, which rides
+//!   in the study's result journal so a killed daemon resumes with an
+//!   identical trace.
 //!
 //! # The observer effect, pinned
 //!

@@ -1,26 +1,19 @@
 //! The per-study convergence trace: best-cost-so-far series per arm,
 //! per cell — the answer to "is this study converging, and how fast?".
 //!
-//! # Why a sidecar journal, not the row store
-//!
-//! The row store persists per-configuration *measurements*; the
+//! The rows a cell records are per-configuration *measurements*; the
 //! convergence series lives in the tuning pipeline's iteration trace,
 //! which is only materialized while a cell executes. To serve
 //! `GET /v1/studies/<name>/trace` after a restart without re-running
-//! anything, the manager appends one line per completed cell to a
-//! `<study>.trace` sidecar **before** recording the cell in the row
-//! store. A crash between the two re-executes the cell (cells are pure
-//! functions of the declaration), and the dedup-by-cell load drops the
-//! duplicate — so the assembled document is byte-identical across
-//! kill/restart and across `TUNA_WORKERS`, even though the sidecar's
-//! own line *order* may differ.
+//! anything, the serve manager records each cell's [`CellTrace`] in the
+//! study's result journal, as one line ([`CellTrace::render_line`])
+//! ahead of the cell's rows and in the same append. The journal's
+//! torn-tail rule therefore keeps or drops a cell's rows and trace
+//! together, and the assembled [`StudyTrace`] is byte-identical across
+//! kill/restart and across `TUNA_WORKERS`.
 //!
-//! # Sidecar format
-//!
-//! One JSON object per `\n`-terminated line (the same torn-tail
-//! discipline as the result journal): an unterminated or malformed
-//! tail is dropped on load and the file rewritten. All JSON goes
-//! through `tuna_stats::json`, the workspace's single JSON surface.
+//! A line is one JSON object with no newline. All JSON goes through
+//! `tuna_stats::json`, the workspace's single JSON surface.
 
 use tuna_stats::json::{self, fmt_f64, quote, Value};
 
@@ -105,7 +98,7 @@ impl ArmTrace {
 }
 
 impl CellTrace {
-    /// Render as one canonical sidecar line (no trailing newline).
+    /// Render as one canonical line (no trailing newline).
     pub fn render_line(&self) -> String {
         let arms: Vec<String> = self.arms.iter().map(ArmTrace::render).collect();
         format!(
@@ -118,12 +111,12 @@ impl CellTrace {
         )
     }
 
-    /// Parse one sidecar line.
+    /// Parse one line rendered by [`CellTrace::render_line`].
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed JSON or a missing field — the
-    /// caller treats that as a torn tail, never a panic.
+    /// Returns a message on malformed JSON or a missing field, never a
+    /// panic.
     pub fn parse_line(line: &str) -> Result<CellTrace, String> {
         let v = json::parse(line)?;
         let cell = v
@@ -160,63 +153,6 @@ impl CellTrace {
             arms,
         })
     }
-}
-
-/// Result of loading a sidecar: the surviving cells (deduped,
-/// first-wins, sorted by cell) and whether the file needs rewriting
-/// (torn tail, malformed line, or duplicate dropped).
-#[derive(Debug)]
-pub struct SidecarLoad {
-    /// Surviving cell traces, sorted by cell index.
-    pub cells: Vec<CellTrace>,
-    /// The on-disk bytes are not the canonical rendering of `cells`;
-    /// the owner should rewrite the file.
-    pub dirty: bool,
-}
-
-/// Load sidecar text with the journal's torn-tail discipline: an
-/// unterminated final line is dropped, a malformed line and everything
-/// after it is dropped, and duplicate cells (a crash between the
-/// sidecar append and the row-store record) keep the first occurrence.
-pub fn load_sidecar(text: &str) -> SidecarLoad {
-    let mut cells: Vec<CellTrace> = Vec::new();
-    let mut dirty = !text.is_empty() && !text.ends_with('\n');
-    let mut rest = text;
-    while let Some(nl) = rest.find('\n') {
-        let line = &rest[..nl];
-        rest = &rest[nl + 1..];
-        if line.trim().is_empty() {
-            dirty = true;
-            continue;
-        }
-        match CellTrace::parse_line(line) {
-            Ok(cell) => {
-                if cells.iter().any(|c| c.cell == cell.cell) {
-                    dirty = true;
-                } else {
-                    cells.push(cell);
-                }
-            }
-            Err(_) => {
-                // Torn mid-file write: nothing after it is trustworthy.
-                dirty = true;
-                break;
-            }
-        }
-    }
-    cells.sort_by_key(|c| c.cell);
-    SidecarLoad { cells, dirty }
-}
-
-/// Canonical sidecar text for a set of cells (used for repair
-/// rewrites; cells should already be sorted).
-pub fn render_sidecar(cells: &[CellTrace]) -> String {
-    let mut out = String::new();
-    for c in cells {
-        out.push_str(&c.render_line());
-        out.push('\n');
-    }
-    out
 }
 
 impl StudyTrace {
@@ -274,39 +210,6 @@ mod tests {
         assert!(line.contains("[0,null]"));
         let parsed = CellTrace::parse_line(&line).unwrap();
         assert!(parsed.arms[0].series[0].1.is_nan());
-    }
-
-    #[test]
-    fn sidecar_load_is_torn_tail_tolerant() {
-        let clean = render_sidecar(&[cell(0), cell(1)]);
-        let load = load_sidecar(&clean);
-        assert_eq!(load.cells.len(), 2);
-        assert!(!load.dirty);
-
-        // Unterminated tail: dropped, marked dirty.
-        let torn = format!("{clean}{}", &cell(2).render_line()[..10]);
-        let load = load_sidecar(&torn);
-        assert_eq!(load.cells.len(), 2);
-        assert!(load.dirty);
-
-        // Malformed mid-file line: it and everything after is dropped.
-        let garbled = format!("not json\n{clean}");
-        let load = load_sidecar(&garbled);
-        assert!(load.cells.is_empty());
-        assert!(load.dirty);
-    }
-
-    #[test]
-    fn sidecar_load_dedups_first_wins_and_sorts() {
-        let mut dup = cell(1);
-        dup.workload = "shadowed".into();
-        let text = render_sidecar(&[cell(1), cell(0), dup]);
-        let load = load_sidecar(&text);
-        assert_eq!(load.cells.len(), 2);
-        assert_eq!(load.cells[0].cell, 0);
-        assert_eq!(load.cells[1].cell, 1);
-        assert_eq!(load.cells[1].workload, "tpcc");
-        assert!(load.dirty, "duplicate drop must request a rewrite");
     }
 
     #[test]

@@ -53,15 +53,20 @@
 //!
 //! # Durability
 //!
-//! Every accepted study persists two files: `<name>.spec.json` (the
-//! canonical submission, written first, atomic) and `<name>.csv` (the
-//! streaming result store plus its JSON mirror on finalize) — at the
-//! top level for the default tenant (unchanged from the pre-tenant
-//! layout), under `<data_dir>/<tenant>/` for named tenants. A killed
-//! daemon reloads everything on start: finished cells are skipped,
-//! in-flight-at-kill cells simply run again — cells are pure functions
-//! of the declaration, so the resumed study's results are
-//! byte-identical to an uninterrupted run.
+//! Every accepted study persists `<name>.spec.json` (the canonical
+//! submission, written first, atomic) and one journal, `<name>.csv`:
+//! the streaming [`ResultStore`], where each completed cell is a
+//! single append of its convergence-trace line and its rows. Two more
+//! files appear later: the `<name>.json` results mirror once the study
+//! is done, and a `<name>.cancelled` marker if it is cancelled. They
+//! sit at the top level for the default tenant (unchanged from the
+//! pre-tenant layout), under `<data_dir>/<tenant>/` for named tenants.
+//! A killed daemon reloads everything on start: finished cells are
+//! skipped, in-flight-at-kill cells simply run again — cells are pure
+//! functions of the declaration, so the resumed study's results and
+//! trace are byte-identical to an uninterrupted run. A `<name>.trace`
+//! sidecar left by the older two-journal layout is folded into the
+//! journal on load and removed.
 //!
 //! # Examples
 //!
@@ -95,7 +100,6 @@ use std::sync::Arc;
 use crate::api::{Lane, StudySpec};
 use crate::tenant::{self, TenantRegistry, TenantUsage, DEFAULT_TENANT};
 use tuna_core::campaign::{write_atomic, Campaign, CellRecord, ResultStore};
-use tuna_obs::trace::{load_sidecar, render_sidecar};
 use tuna_obs::{
     CellTrace, Clock, EventKind, Journal, MetricsRegistry, SpanId, StudyTrace, TickClock,
 };
@@ -172,9 +176,6 @@ pub struct Study {
     span: SpanId,
     /// Open spans of in-flight cells, by cell index.
     cell_spans: BTreeMap<usize, SpanId>,
-    /// Convergence traces of completed cells, sorted by cell index —
-    /// the in-memory mirror of the `<name>.trace` sidecar.
-    traces: Vec<CellTrace>,
 }
 
 impl Study {
@@ -184,7 +185,6 @@ impl Study {
         store: ResultStore,
         cancelled: bool,
         span: SpanId,
-        traces: Vec<CellTrace>,
     ) -> Self {
         let pending = if cancelled {
             VecDeque::new()
@@ -203,7 +203,6 @@ impl Study {
             last_scheduled: 0,
             span,
             cell_spans: BTreeMap::new(),
-            traces,
         }
     }
 
@@ -300,19 +299,23 @@ fn vtime_cmp(a: (u64, u64), b: (u64, u64)) -> Ordering {
     (a.0 as u128 * b.1 as u128).cmp(&(b.0 as u128 * a.1 as u128))
 }
 
-/// Appends one `\n`-terminated line to `path`, creating the file if
-/// needed. Unlike [`write_atomic`] this is a plain append — the trace
-/// sidecar's torn-tail load discipline makes a mid-append kill safe.
-fn append_line(path: &Path, line: &str) -> Result<(), String> {
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("cannot open {}: {e}", path.display()))?;
-    f.write_all(line.as_bytes())
-        .and_then(|()| f.write_all(b"\n"))
-        .map_err(|e| format!("cannot append to {}: {e}", path.display()))
+/// Folds a `<name>.trace` sidecar, where traces lived before they rode
+/// in the result journal, into `store` and removes it. Only complete
+/// lines count, the first per cell wins, and only cells the journal
+/// holds keep one: the old layout wrote the sidecar first, so a kill
+/// could leave a line for a cell that re-runs and traces itself.
+fn fold_sidecar(path: &Path, store: &mut ResultStore, campaign: &Campaign) -> Result<(), String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
+    };
+    let complete = text.rfind('\n').map_or("", |i| &text[..i]);
+    let traces = complete
+        .lines()
+        .filter_map(|line| CellTrace::parse_line(line).ok());
+    store.adopt_traces(campaign, traces)?;
+    std::fs::remove_file(path).map_err(|e| format!("cannot remove {}: {e}", path.display()))
 }
 
 /// The manager's observability rig: a deterministic tick clock (kept
@@ -546,11 +549,6 @@ impl StudyManager {
             .map(|d| d.join(format!("{name}.cancelled")))
     }
 
-    fn trace_path(&self, tenant: &str, name: &str) -> Option<PathBuf> {
-        self.tenant_dir(tenant)
-            .map(|d| d.join(format!("{name}.trace")))
-    }
-
     /// Writes the usage table atomically (no-op in memory; the file is
     /// not created until some counter is nonzero, and an unchanged
     /// table rewrites byte-identically — canonical serialization).
@@ -585,7 +583,11 @@ impl StudyManager {
         let campaign = Arc::new(spec.to_campaign());
         let store = match self.store_path(&tenant, &spec.name) {
             None => ResultStore::in_memory(&campaign),
-            Some(path) => ResultStore::open(path, &campaign)
+            Some(path) => ResultStore::open(&path, &campaign)
+                .and_then(|mut store| {
+                    fold_sidecar(&path.with_extension("trace"), &mut store, &campaign)?;
+                    Ok(store)
+                })
                 .map_err(|e| format!("study '{}': {e}", spec.name))?,
         };
         // A persisted cancellation survives restarts: the cancelled
@@ -601,36 +603,6 @@ impl StudyManager {
                 .finalize(&campaign)
                 .map_err(|e| format!("study '{}': finalize on attach failed: {e}", spec.name))?;
         }
-
-        // Resume the convergence-trace sidecar, tolerating a torn tail
-        // (a kill mid-append): damaged lines drop — the cell re-runs,
-        // because the sidecar append always precedes the store record —
-        // and a dirty file is rewritten canonically so later appends
-        // land on a clean one.
-        let mut traces = Vec::new();
-        if let Some(path) = self.trace_path(&tenant, &spec.name) {
-            if path.exists() {
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-                let loaded = load_sidecar(&text);
-                if loaded.dirty {
-                    write_atomic(&path, &render_sidecar(&loaded.cells))
-                        .map_err(|e| format!("study '{}': {e}", spec.name))?;
-                    self.obs.journal.event(
-                        None,
-                        EventKind::JournalRepaired,
-                        &format!("{}: trace sidecar tail dropped", spec.name),
-                    );
-                }
-                // Entries beyond the grid cannot belong to this
-                // declaration; drop them rather than serve them.
-                traces = loaded
-                    .cells
-                    .into_iter()
-                    .filter(|c| (c.cell as usize) < campaign.n_cells())
-                    .collect();
-            }
-        }
         if store.repaired() {
             self.obs.journal.event(
                 None,
@@ -644,7 +616,7 @@ impl StudyManager {
             .journal
             .begin_span(None, &format!("study:{}", spec.name));
         let key = (tenant, spec.name.clone());
-        let study = Study::new(spec, campaign, store, cancelled, span, traces);
+        let study = Study::new(spec, campaign, store, cancelled, span);
         self.studies.insert(key.clone(), study);
         self.obs.studies_gauge.set(self.studies.len() as u64);
         Ok(self.studies.get(&key).expect("just inserted"))
@@ -1080,27 +1052,25 @@ impl StudyManager {
         }
     }
 
-    /// Records a finished cell, charges `wall_ns` to the tenant's meter
-    /// and files the cell's convergence trace. When the study's grid is
+    /// Records a finished cell together with its convergence trace and
+    /// charges `wall_ns` to the tenant's meter. When the study's grid is
     /// complete its store is finalized (canonical CSV + JSON mirror on
     /// disk). The updated usage table persists atomically.
     ///
-    /// The trace line is appended to the study's `<name>.trace` sidecar
-    /// *before* the result store records the cell: a kill between the
-    /// two re-executes the cell (cells are pure), and the duplicate
-    /// sidecar line is dropped first-wins on reload — so the assembled
-    /// trace document is byte-identical across kill/restart and worker
-    /// counts. Completions without a trace (synthetic perf records,
-    /// untuned arms) are legal and simply leave no sidecar line.
+    /// Rows and trace go to the study's result journal as one append
+    /// ([`ResultStore::record_traced`]), so a kill keeps or loses them
+    /// together and the trace document is byte-identical across
+    /// kill/restart and worker counts. Completions without a trace
+    /// (synthetic perf records) are legal and journal rows only.
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown studies, cells that were never
-    /// assigned (double completion), and a sidecar append failure
-    /// (reported before the result is recorded). A result-journal
-    /// append failure first abandons the cell
-    /// ([`StudyManager::abandon`]), so the study is cancelled instead
-    /// of wedged with a cell that is neither in flight nor pending.
+    /// Returns an error for unknown studies and cells that were never
+    /// assigned (double completion). A journal append failure records a
+    /// `journal-append-failed` event and abandons the cell
+    /// ([`StudyManager::abandon`]) before it is returned, so the study
+    /// is cancelled instead of wedged with a cell that is neither in
+    /// flight nor pending.
     pub fn complete_traced(
         &mut self,
         tenant: &str,
@@ -1109,7 +1079,6 @@ impl StudyManager {
         wall_ns: u64,
         trace: Option<CellTrace>,
     ) -> Result<(), String> {
-        let trace_path = self.trace_path(tenant, study);
         let key = (tenant.to_string(), study.to_string());
         let s = self
             .studies
@@ -1122,24 +1091,13 @@ impl StudyManager {
             ));
         };
 
-        if let Some(trace) = trace {
-            match s.traces.binary_search_by_key(&trace.cell, |c| c.cell) {
-                // Already traced: a resumed cell re-ran after a kill
-                // that landed between sidecar append and store record.
-                // First wins (re-execution is bit-identical anyway).
-                Ok(_) => {}
-                Err(at) => {
-                    if let Some(path) = &trace_path {
-                        append_line(path, &trace.render_line())
-                            .map_err(|e| format!("study '{study}': {e}"))?;
-                    }
-                    s.traces.insert(at, trace);
-                }
-            }
-        }
-
         let cell_idx = record.cell;
-        if let Err(e) = s.store.record(&s.campaign, record) {
+        if let Err(e) = s.store.record_traced(&s.campaign, record, trace) {
+            self.obs.journal.event(
+                None,
+                EventKind::JournalAppendFailed,
+                &format!("{tenant}/{study} cell {cell_idx}"),
+            );
             self.abandon(tenant, study, cell_idx)?;
             return Err(format!("study '{study}': {e}"));
         }
@@ -1226,10 +1184,10 @@ impl StudyManager {
 
     /// The study's convergence-trace document
     /// (`GET /v1/studies/<name>/trace`): best-cost-so-far series per
-    /// arm, per completed cell, assembled from the trace sidecar's
-    /// in-memory mirror — never from the row store. Cells are sorted by
-    /// index and the document carries no clock values, so it is
-    /// byte-identical across worker counts and kill/restart.
+    /// arm, per completed cell, read from the traces in the study's
+    /// result journal. Cells are sorted by index and the document
+    /// carries no clock values, so it is byte-identical across worker
+    /// counts and kill/restart.
     pub fn trace_json(&self, tenant: &str, study: &str) -> Option<String> {
         let s = self.get(tenant, study)?;
         Some(
@@ -1237,7 +1195,7 @@ impl StudyManager {
                 study: s.spec.name.clone(),
                 digest: s.campaign.digest(),
                 n_cells: s.campaign.n_cells() as u64,
-                cells: s.traces.clone(),
+                cells: s.store.traces().cloned().collect(),
             }
             .to_json(),
         )
@@ -1642,6 +1600,14 @@ mod tests {
             .complete_traced(&a.tenant, &a.study, record, 0, None)
             .unwrap_err();
         assert!(err.contains("cannot append"), "{err}");
+        assert_eq!(mgr.journal().count(EventKind::JournalAppendFailed), 1);
+        assert!(mgr.journal_render().contains(&format!(
+            "journal-append-failed span=- default/s cell {}",
+            a.cell
+        )));
+        assert!(mgr
+            .metrics_text()
+            .contains("# TYPE tuna_store_append_failures_total counter"));
         let s = mgr.get(DEFAULT_TENANT, "s").unwrap();
         assert_eq!(s.phase(), StudyPhase::Cancelled);
         assert_eq!(s.in_flight(), 0);

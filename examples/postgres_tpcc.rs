@@ -10,7 +10,8 @@
 //! ```
 
 use tuna_cloudsim::{Cluster, Region, VmSku};
-use tuna_core::deploy::{default_worst_case, evaluate_deployment};
+use tuna_core::deploy::{default_worst_case_with, evaluate_deployment_with};
+use tuna_core::executor::ExecutionMode;
 use tuna_core::pipeline::{TunaConfig, TunaPipeline};
 use tuna_optimizer::multifidelity::LadderParams;
 use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
@@ -37,7 +38,8 @@ fn main() {
         LadderParams::paper_default(),
     );
 
-    let crash_penalty = default_worst_case(&pg, &workload, &cluster, &rng);
+    let crash_penalty =
+        default_worst_case_with(ExecutionMode::from_env(), &pg, &workload, &cluster, &rng);
     let mut pipeline = TunaPipeline::new(
         TunaConfig::paper_default(crash_penalty),
         &pg,
@@ -69,7 +71,8 @@ fn main() {
     println!("  max_connections      = {}", knobs.max_connections);
 
     // Deploy on 10 brand-new VMs, the paper's robustness test.
-    let stats = evaluate_deployment(
+    let stats = evaluate_deployment_with(
+        ExecutionMode::from_env(),
         &pg,
         &workload,
         &result.best_config,

@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: the full TUNA stack end to end.
 
 use tuna_cloudsim::{Cluster, Region, VmSku};
-use tuna_core::deploy::{default_worst_case, evaluate_deployment};
+use tuna_core::deploy::{default_worst_case_with, evaluate_deployment_with};
+use tuna_core::executor::ExecutionMode;
 use tuna_core::experiment::{Experiment, Method, SolverId};
 use tuna_core::pipeline::{TunaConfig, TunaPipeline};
 use tuna_optimizer::multifidelity::LadderParams;
@@ -141,7 +142,13 @@ fn crash_penalty_flows_through_tuning_and_deployment() {
     let sut = exp.make_sut();
     let base = Cluster::new(10, VmSku::d8s_v5(), Region::westus2(), 41);
     let rng = Rng::seed_from(42);
-    let penalty = default_worst_case(sut.as_ref(), &exp.workload, &base, &rng);
+    let penalty = default_worst_case_with(
+        ExecutionMode::Serial,
+        sut.as_ref(),
+        &exp.workload,
+        &base,
+        &rng,
+    );
     assert!(penalty > 0.0);
     // Deploy a config that always crashes: every value equals the penalty.
     let broken = {
@@ -151,7 +158,8 @@ fn crash_penalty_flows_through_tuning_and_deployment() {
             tuna_space::ParamValue::Int(4_096),
         )
     };
-    let stats = evaluate_deployment(
+    let stats = evaluate_deployment_with(
+        ExecutionMode::Serial,
         sut.as_ref(),
         &exp.workload,
         &broken,

@@ -201,8 +201,9 @@ fn trace(sim: &mut SimServer, name: &str) -> String {
 /// document a killed-and-restarted daemon serves is byte-identical to
 /// an uninterrupted run's, at 1 and 4 workers — and identical *across*
 /// worker counts, because cells are sorted and no clock values appear.
-/// The trace is assembled from the `<study>.trace` sidecar (never the
-/// row store), so the sidecar's reload path is what this test pins.
+/// The traces ride in the study's result journal (no `<study>.trace`
+/// sidecar is written), so the journal's reload path is what this test
+/// pins.
 #[test]
 fn trace_endpoint_is_byte_identical_across_kill_restart_and_workers() {
     let mut reference: Option<(String, String)> = None;
@@ -252,10 +253,10 @@ fn trace_endpoint_is_byte_identical_across_kill_restart_and_workers() {
             ref_beta,
             "workers={workers}: resumed trace != uninterrupted (beta)"
         );
-        // The sidecar is the on-disk source of the document.
+        // The result journal is the document's only on-disk source.
         assert!(
-            kill_dir.join("alpha.trace").exists(),
-            "trace sidecar missing"
+            !kill_dir.join("alpha.trace").exists(),
+            "no trace sidecar is written"
         );
 
         // --- Identical across worker counts too. ---------------------
@@ -270,6 +271,83 @@ fn trace_endpoint_is_byte_identical_across_kill_restart_and_workers() {
         let _ = std::fs::remove_dir_all(&ref_dir);
         let _ = std::fs::remove_dir_all(&kill_dir);
     }
+}
+
+/// A data dir written by the two-journal layout — rows in `alpha.csv`,
+/// traces in an `alpha.trace` sidecar — still loads. The sidecar is
+/// folded into the journal and removed; the fold keeps complete lines
+/// only, the first line per cell, and only cells the journal holds. The
+/// resumed study then ends byte-identical to an uninterrupted run:
+/// results, trace document and journal.
+#[test]
+fn two_journal_data_dir_folds_its_trace_sidecar() {
+    let ref_dir = fresh_dir("fold-ref");
+    let mut sim =
+        SimServer::with_tenants(Some(ref_dir.clone()), 1, TenantRegistry::loopback()).unwrap();
+    submit(&mut sim, ALPHA);
+    sim.run_to_completion();
+    let ref_trace = trace(&mut sim, "alpha");
+    let ref_results = results(&mut sim, "alpha");
+    drop(sim);
+    let ref_journal = std::fs::read_to_string(ref_dir.join("alpha.csv")).unwrap();
+
+    // Split the finalized journal into trace lines (JSON after the
+    // `@trace ` prefix) and everything else, by cell.
+    let trace_line = |cell: usize| -> String {
+        ref_journal
+            .lines()
+            .filter_map(|l| l.strip_prefix("@trace "))
+            .find(|json| json.starts_with(&format!("{{\"cell\":{cell},")))
+            .expect("every served cell is traced")
+            .to_string()
+    };
+    let rows_only: String = ref_journal
+        .lines()
+        .filter(|l| !l.starts_with("@trace ") && !l.starts_with("2,") && !l.starts_with("3,"))
+        .map(|l| format!("{l}\n"))
+        .collect();
+
+    // The old layout: cells 0 and 1 in a rows-only journal; a sidecar
+    // with both their lines, a shadowed duplicate of cell 0, a line for
+    // cell 2 (which the journal lacks) and a torn line for cell 3.
+    let dir = fresh_dir("fold");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::copy(ref_dir.join("alpha.spec.json"), dir.join("alpha.spec.json")).unwrap();
+    std::fs::write(dir.join("alpha.csv"), &rows_only).unwrap();
+    let shadow = |line: String| line.replace("\"workload\":\"tpcc\"", "\"workload\":\"shadow\"");
+    let sidecar = format!(
+        "{}\n{}\n{}\n{}\n{}",
+        trace_line(1),
+        trace_line(0),
+        shadow(trace_line(0)),
+        shadow(trace_line(2)),
+        &trace_line(3)[..20],
+    );
+    std::fs::write(dir.join("alpha.trace"), sidecar).unwrap();
+
+    let mut sim =
+        SimServer::with_tenants(Some(dir.clone()), 1, TenantRegistry::loopback()).unwrap();
+    assert!(!dir.join("alpha.trace").exists(), "the sidecar is removed");
+    let folded = trace(&mut sim, "alpha");
+    assert!(!folded.contains("shadow"), "{folded}");
+    let cells = tuna::stats::json::parse(folded.trim_end())
+        .unwrap()
+        .get("cells")
+        .and_then(|c| c.as_arr().map(<[_]>::len));
+    assert_eq!(cells, Some(2), "only the journal's cells keep a trace");
+    let journal = std::fs::read_to_string(dir.join("alpha.csv")).unwrap();
+    assert_eq!(journal.matches("@trace ").count(), 2, "{journal}");
+
+    submit(&mut sim, ALPHA); // idempotent re-attach, as a client would
+    assert_eq!(sim.run_to_completion(), 2, "only cells 2 and 3 run");
+    assert_eq!(trace(&mut sim, "alpha"), ref_trace);
+    assert_eq!(results(&mut sim, "alpha"), ref_results);
+    assert_eq!(
+        std::fs::read_to_string(dir.join("alpha.csv")).unwrap(),
+        ref_journal
+    );
+    let _ = std::fs::remove_dir_all(&ref_dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A slowloris peer — half a request, then silence — must not pin its

@@ -1,15 +1,19 @@
-//! `tuna` — command-line driver for single tuning runs.
+//! `tuna` — command-line driver for single tuning runs and the paper's
+//! figures.
 //!
 //! The reproduction's equivalent of the artifact's `TUNA.py`: pick a
 //! workload, a sampling method and budgets, get the tuning trace summary
-//! and the deployment distribution.
+//! and the deployment distribution. `tuna figures` regenerates the
+//! paper's tables, figures and ablations ([`tuna_bench::figures`]).
 //!
 //! ```text
 //! tuna --workload tpcc --method tuna --rounds 96 --seed 42
 //! tuna --workload ycsb-c --method traditional --region centralus
 //! tuna --workload tpcc --method tuna --sku c220g5 --region cloudlab
+//! tuna figures --only fig12 fig20 --quick
 //! ```
 
+use tuna_bench::{fail, HarnessArgs};
 use tuna_cloudsim::{Region, VmSku};
 use tuna_core::experiment::{Experiment, Method, SolverId};
 use tuna_core::report::deploy_line;
@@ -20,18 +24,25 @@ fn usage() -> ! {
          \x20           [--method tuna|traditional|naive|no-outlier|no-adjuster|default]\n\
          \x20           [--optimizer smac|gp|random|tournament] [--rounds N] [--seed N]\n\
          \x20           [--region westus2|eastus|centralus|cloudlab]\n\
-         \x20           [--sku d8s_v5|b8ms|c220g5] [--deploy-vms N]"
+         \x20           [--sku d8s_v5|b8ms|c220g5] [--deploy-vms N]\n\
+         {}",
+        tuna_bench::USAGE
     );
     std::process::exit(2);
 }
 
 fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().map(String::as_str) == Some("figures") {
+        let args = HarnessArgs::parse_from(&argv[1..]).unwrap_or_else(|e| fail(&e));
+        tuna_bench::figures::run(&args);
+        return;
+    }
     let mut workload = tuna_workloads::tpcc();
     let mut method = Method::Tuna;
     let mut exp = Experiment::paper_default(workload.clone());
     let mut seed = 42u64;
 
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
         let need = |i: usize| argv.get(i + 1).cloned().unwrap_or_else(|| usage());

@@ -6,17 +6,11 @@
 //! aggregation policy inside an otherwise unchanged TUNA and deploys each
 //! winner.
 
-use tuna_bench::{banner, campaign_method_table, run_campaign, HarnessArgs};
+use crate::{campaign_method_table, run_campaign, HarnessArgs};
 use tuna_core::aggregate::AggregationPolicy;
 use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Ablation: aggregation",
-        "TUNA with min / mean / median / max sample aggregation (TPC-C)",
-        "§4.4: min correctly penalizes unstable configs and optimizes the worst case",
-    );
+pub fn run(args: &HarnessArgs) {
     let runs = args.runs_or(3, 6, 10);
     let rounds = args.rounds_or(25, 60, 96);
 
@@ -50,8 +44,8 @@ fn main() {
             )
         })
         .collect();
-    let result = run_campaign(&args, &campaign);
-    let entries = campaign_method_table(&campaign, &result, 0, "tx/s");
+    let result = run_campaign(args, &campaign);
+    let entries = campaign_method_table(&campaign, &result, 0);
 
     let min_s = entries[0].1;
     let max_s = entries[3].1;

@@ -5,19 +5,13 @@
 //! budget ladder and measures deployment robustness: small clusters miss
 //! flips; larger ones spend more per config for diminishing returns.
 
-use tuna_bench::{banner, fail, run_campaign, HarnessArgs};
+use crate::{fail, run_campaign, HarnessArgs};
 use tuna_core::campaign::{Arm, Campaign, ClusterShape, Recipe, SampleBudgetSpec};
 use tuna_core::report::render_table;
 use tuna_optimizer::multifidelity::LadderParams;
 use tuna_stats::summary;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Ablation: cluster size",
-        "TUNA with tuning clusters of 3 / 5 / 10 / 15 nodes (TPC-C, equal samples)",
-        "§5.1: 10 nodes balances detection confidence against sample cost",
-    );
+pub fn run(args: &HarnessArgs) {
     let runs = args.runs_or(3, 5, 10);
     let sample_budget = args.rounds_or(250, 600, 960);
 
@@ -55,7 +49,7 @@ fn main() {
             )
         })
         .collect();
-    let result = run_campaign(&args, &campaign);
+    let result = run_campaign(args, &campaign);
 
     let mut rows = vec![vec![
         "cluster".to_string(),

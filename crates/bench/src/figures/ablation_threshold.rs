@@ -6,20 +6,14 @@
 //! negatives deploy disasters. This sweep runs TUNA across thresholds and
 //! reports deployment quality plus how much of the search was discarded.
 
-use tuna_bench::{banner, fail, run_campaign, HarnessArgs};
+use crate::{fail, run_campaign, HarnessArgs};
 use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
 use tuna_core::report::render_table;
 use tuna_stats::summary;
 
 const THRESHOLDS: [f64; 6] = [0.10, 0.15, 0.20, 0.30, 0.50, 0.80];
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Ablation: threshold",
-        "TUNA outlier-detector threshold sweep (TPC-C)",
-        "§4.2: anything in 15-30% is reasonable; too-loose thresholds leak unstable configs",
-    );
+pub fn run(args: &HarnessArgs) {
     let runs = args.runs_or(3, 5, 10);
     let rounds = args.rounds_or(25, 60, 96);
 
@@ -47,7 +41,7 @@ fn main() {
             )
         })
         .collect();
-    let result = run_campaign(&args, &campaign);
+    let result = run_campaign(args, &campaign);
 
     let mut rows = vec![vec![
         "threshold".to_string(),

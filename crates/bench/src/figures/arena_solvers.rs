@@ -7,17 +7,10 @@
 //! match-based noise cancellation can stand in for TUNA's filtering as
 //! regions get noisier — and is bit-identical for any `TUNA_WORKERS`.
 
-use tuna_bench::{banner, campaign_method_table, run_campaign, HarnessArgs};
+use crate::{arm, campaign_method_table, run_campaign, HarnessArgs};
 use tuna_core::campaign::Campaign;
-use tuna_core::executor::ExecutionMode;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Arena study",
-        "TPC-C across (noise regime x solver) head-to-head arenas",
-        "match-based noise cancellation vs TUNA filtering as regions get noisier",
-    );
+pub fn run(args: &HarnessArgs) {
     let samples = args.rounds_or(16, 96, 240);
 
     let campaign = Campaign::arena(
@@ -28,22 +21,14 @@ fn main() {
         &["tuna", "smac", "gp", "random", "tournament"],
         samples,
     );
-    let exp = campaign.experiment(0, ExecutionMode::Serial);
-    let result = run_campaign(&args, &campaign);
-    let entries = campaign_method_table(&campaign, &result, 0, exp.workload.metric.unit());
+    let result = run_campaign(args, &campaign);
+    let entries = campaign_method_table(&campaign, &result, 0);
 
     // Tournament resilience: how much of its westus2 deployment mean each
     // solver keeps when moved to the noisy region.
-    let get = |label: &str| {
-        entries
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, s)| *s)
-            .unwrap()
-    };
     for solver in ["tuna", "smac", "gp", "random", "tournament"] {
-        let calm = get(&format!("westus2/{solver}"));
-        let noisy = get(&format!("centralus/{solver}"));
+        let calm = arm(&entries, &format!("westus2/{solver}"));
+        let noisy = arm(&entries, &format!("centralus/{solver}"));
         println!(
             "{solver:>10}: centralus keeps {:5.1}% of westus2 mean (std {:.2}x)",
             noisy.mean_of_means / calm.mean_of_means * 100.0,

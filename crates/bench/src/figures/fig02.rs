@@ -6,7 +6,7 @@
 //! σ ∈ {0%, 5%, 10%}. The paper finds 5% noise slows time-to-optimal by
 //! 2.50x and 10% by 4.35x.
 
-use tuna_bench::{banner, paper_vs, HarnessArgs};
+use crate::{paper_vs, HarnessArgs};
 use tuna_cloudsim::{Cluster, Region, VmSku};
 use tuna_core::report::{fmt_value, render_table};
 use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
@@ -17,13 +17,7 @@ use tuna_stats::summary;
 use tuna_sut::postgres::Postgres;
 use tuna_sut::SystemUnderTest;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 2",
-        "Optimizer convergence vs synthetic noise (epinions, SMAC)",
-        "0->5% noise slows time-to-optimal 2.50x; 0->10% slows 4.35x",
-    );
+pub fn run(args: &HarnessArgs) {
     let runs = args.runs_or(6, 24, 100);
     let iters = args.rounds_or(40, 100, 100);
 
@@ -114,36 +108,18 @@ fn main() {
         "  0%: {:?}  5%: {:?}  10%: {:?} iterations (None = not reached in {iters})",
         t0, t5, t10
     );
-    if let (Some(a), Some(b)) = (t0, t5) {
-        paper_vs(
-            "slowdown at 5% noise",
-            "2.50x",
-            &format!("{:.2}x", b as f64 / a as f64),
-        );
-    } else if let Some(a) = t0 {
-        paper_vs(
-            "slowdown at 5% noise",
-            "2.50x",
-            &format!(
+    for (label, paper, reached) in [
+        ("slowdown at 5% noise", "2.50x", t5),
+        ("slowdown at 10% noise", "4.35x", t10),
+    ] {
+        let Some(a) = t0 else { continue };
+        let measured = match reached {
+            Some(b) => format!("{:.2}x", b as f64 / a as f64),
+            None => format!(
                 ">{:.2}x (not reached in {iters} iters)",
                 iters as f64 / a as f64
             ),
-        );
-    }
-    if let (Some(a), Some(b)) = (t0, t10) {
-        paper_vs(
-            "slowdown at 10% noise",
-            "4.35x",
-            &format!("{:.2}x", b as f64 / a as f64),
-        );
-    } else if let Some(a) = t0 {
-        paper_vs(
-            "slowdown at 10% noise",
-            "4.35x",
-            &format!(
-                ">{:.2}x (not reached in {iters} iters)",
-                iters as f64 / a as f64
-            ),
-        );
+        };
+        paper_vs(label, paper, &measured);
     }
 }

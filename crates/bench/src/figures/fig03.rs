@@ -5,27 +5,13 @@
 //! distribution (credit depletion cuts performance by >50%), while
 //! D-series VMs are tight and unimodal.
 
-use tuna_bench::{banner, strip_plot, HarnessArgs};
-use tuna_cloudsim::study::{run_study, Lifespan, StudyConfig};
+use crate::{strip_plot, HarnessArgs};
+use tuna_cloudsim::study::Lifespan;
 use tuna_core::report::{fmt_value, render_table};
 use tuna_stats::summary::{self, FiveNumber};
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 3",
-        "PostgreSQL / Redis benchmark variance: burstable vs non-burstable",
-        "burstable VMs show higher variance and a bimodal distribution",
-    );
-    let mut cfg = if args.quick {
-        StudyConfig::quick()
-    } else if args.full {
-        StudyConfig::full_scale()
-    } else {
-        StudyConfig::scaled_default()
-    };
-    cfg.seed = args.seed;
-    let report = run_study(&cfg);
+pub fn run(args: &HarnessArgs) {
+    let report = super::study(args);
 
     let mut rows = vec![vec![
         "benchmark".to_string(),

@@ -4,27 +4,13 @@
 //! stable in the modern cloud (CoV 0.17% / 0.36%), while memory, OS and
 //! cache remain noisy (4.92% / 9.82% / 14.39%).
 
-use tuna_bench::{banner, paper_vs, strip_plot, HarnessArgs};
-use tuna_cloudsim::study::{run_study, Lifespan, StudyConfig};
+use crate::{paper_vs, strip_plot, HarnessArgs};
+use tuna_cloudsim::study::Lifespan;
 use tuna_core::report::render_table;
 use tuna_stats::summary::FiveNumber;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 4",
-        "Component microbenchmark variance (short-lived D8s_v5 fleet)",
-        "CoV: CPU 0.17%, Disk 0.36%, Mem 4.92%, OS 9.82%, Cache 14.39%",
-    );
-    let mut cfg = if args.quick {
-        StudyConfig::quick()
-    } else if args.full {
-        StudyConfig::full_scale()
-    } else {
-        StudyConfig::scaled_default()
-    };
-    cfg.seed = args.seed;
-    let report = run_study(&cfg);
+pub fn run(args: &HarnessArgs) {
+    let report = super::study(args);
 
     let benches = [
         ("CPU", "sysbench-cpu-prime", 0.0017),

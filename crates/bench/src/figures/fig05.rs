@@ -8,7 +8,7 @@
 //!     stable/unstable: the paper finds 13 of 30 unstable, with up to
 //!     76.1% degradation and CoVs up to 36.3%.
 
-use tuna_bench::{banner, paper_vs, HarnessArgs};
+use crate::{paper_vs, HarnessArgs};
 use tuna_cloudsim::{Cluster, Region, VmSku};
 use tuna_core::deploy::evaluate_deployment_with;
 use tuna_core::experiment::{Experiment, Method};
@@ -18,13 +18,7 @@ use tuna_stats::summary;
 use tuna_sut::postgres::Postgres;
 use tuna_sut::SystemUnderTest;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 5",
-        "Unstable configurations during tuning and at deployment (TPC-C)",
-        "39% of seen configs unstable; 13/30 best configs unstable on transfer; up to 76% degradation",
-    );
+pub fn run(args: &HarnessArgs) {
     let pg = Postgres::new();
     let workload = tuna_workloads::tpcc();
 

@@ -5,26 +5,12 @@
 //! spread that a fleet of short-lived VMs samples every month, so
 //! confidence about deployment behaviour requires sampling across nodes.
 
-use tuna_bench::{banner, HarnessArgs};
-use tuna_cloudsim::study::{run_study, Lifespan, StudyConfig};
+use crate::HarnessArgs;
+use tuna_cloudsim::study::Lifespan;
 use tuna_core::report::render_table;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 6",
-        "MLC memory bandwidth: one long-running VM vs the short-lived fleet (westus2)",
-        "long-running VM misses the across-placement variance the fleet sees",
-    );
-    let mut cfg = if args.quick {
-        StudyConfig::quick()
-    } else if args.full {
-        StudyConfig::full_scale()
-    } else {
-        StudyConfig::scaled_default()
-    };
-    cfg.seed = args.seed;
-    let report = run_study(&cfg);
+pub fn run(args: &HarnessArgs) {
+    let report = super::study(args);
 
     let long = report
         .series(

@@ -5,7 +5,7 @@
 //! tail, and a trough between them where the paper places its 30%
 //! detection threshold.
 
-use tuna_bench::{banner, paper_vs, HarnessArgs};
+use crate::{paper_vs, HarnessArgs};
 use tuna_cloudsim::{Cluster, Region, VmSku};
 use tuna_stats::hist::{Histogram, Kde};
 use tuna_stats::rng::{hash_combine, Rng};
@@ -13,13 +13,7 @@ use tuna_stats::summary;
 use tuna_sut::postgres::Postgres;
 use tuna_sut::SystemUnderTest;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 8",
-        "Density of relative ranges over configs seen during tuning (10 nodes each)",
-        "threshold at 30% sits in the trough between stable and unstable peaks",
-    );
+pub fn run(args: &HarnessArgs) {
     let n_configs = args.runs_or(150, 1000, 1000);
 
     let pg = Postgres::new();

@@ -7,7 +7,7 @@
 //! chance that every unstable config of a whole tuning run is caught.
 //! Ten nodes give ~95% confidence.
 
-use tuna_bench::{banner, paper_vs, HarnessArgs};
+use crate::{paper_vs, HarnessArgs};
 use tuna_cloudsim::{Cluster, Region, VmSku};
 use tuna_core::report::render_table;
 use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
@@ -17,13 +17,7 @@ use tuna_stats::summary;
 use tuna_sut::postgres::Postgres;
 use tuna_sut::SystemUnderTest;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 9",
-        "Chance of detecting unstable configs vs number of nodes sampled",
-        "cluster of 10 nodes detects all unstable configs with ~95% confidence",
-    );
+pub fn run(args: &HarnessArgs) {
     let tuning_runs = args.runs_or(2, 5, 10);
     let rounds = args.rounds_or(40, 80, 120);
     let max_nodes = 15usize;

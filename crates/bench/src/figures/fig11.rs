@@ -9,18 +9,12 @@
 //! - (c) TPC-H: TUNA 70.3 s (-38.6%) vs trad 94.5 s (-17.3%);
 //! - (d) mssales: TUNA 33.2 s σ0.49 vs trad 62.5 s σ1.26 (default 79.4 s).
 
-use tuna_bench::{banner, campaign_method_table, fail, paper_vs, run_campaign, HarnessArgs};
+use crate::{arm, campaign_method_table, fail, paper_vs, run_campaign, HarnessArgs};
 use tuna_core::campaign::Campaign;
 use tuna_core::executor::ExecutionMode;
 use tuna_workloads::arrival::ArrivalPattern;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 11",
-        "PostgreSQL tuned configs deployed on new VMs (4 workloads)",
-        "TUNA improves performance, reduces variability, or both, on every workload",
-    );
+pub fn run(args: &HarnessArgs) {
     let runs = args.runs_or(3, 8, 10);
     let rounds = args.rounds_or(30, 96, 96);
 
@@ -110,11 +104,11 @@ fn main() {
             modulated(tuna_workloads::tpch()),
             modulated(tuna_workloads::mssales()),
         ],
-        &tuna_bench::PROTOCOL_METHODS,
+        &crate::PROTOCOL_METHODS,
     )
     .with_runs(runs)
     .with_rounds(rounds);
-    let result = run_campaign(&args, &campaign);
+    let result = run_campaign(args, &campaign);
 
     for (w, (workload, refs)) in paper.iter().enumerate() {
         let exp = campaign.experiment(w, ExecutionMode::Serial);
@@ -134,7 +128,7 @@ fn main() {
                 "lower is better"
             }
         );
-        let results = campaign_method_table(&campaign, &result, w, exp.workload.metric.unit());
+        let results = campaign_method_table(&campaign, &result, w);
         for ((name, summary), (_, p_mean, p_std)) in results.iter().zip(refs.iter()) {
             let std_part = if p_std.is_nan() {
                 format!("σ {:.1}", summary.mean_std)
@@ -148,16 +142,9 @@ fn main() {
             );
         }
         // Who-wins shape checks.
-        let get = |n: &str| {
-            results
-                .iter()
-                .find(|(m, _)| *m == n)
-                .map(|(_, s)| *s)
-                .unwrap()
-        };
-        let tuna = get("TUNA");
-        let trad = get("Traditional");
-        let def = get("Default");
+        let tuna = arm(&results, "TUNA");
+        let trad = arm(&results, "Traditional");
+        let def = arm(&results, "Default");
         let better = |a: f64, b: f64| {
             if exp.workload.metric.higher_is_better() {
                 a > b

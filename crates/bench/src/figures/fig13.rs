@@ -5,42 +5,28 @@
 //! (17.8x); 8/10 traditional configs unstable with 7.71x higher std; all
 //! TUNA configs stable and on average 7% faster.
 
-use tuna_bench::{banner, compare_methods, fail, paper_vs, HarnessArgs};
-use tuna_cloudsim::{Region, VmSku};
-use tuna_core::experiment::{Experiment, Method};
+use crate::{arm, campaign_method_table, paper_vs, run_campaign, HarnessArgs};
+use tuna_core::campaign::Campaign;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 13",
-        "TPC-C on PostgreSQL, CloudLab c220g5 bare metal",
-        "TUNA 5756 tx/s (19.1x default) vs traditional 5380 tx/s (17.8x); trad 7.71x std",
-    );
+pub fn run(args: &HarnessArgs) {
     let runs = args.runs_or(3, 8, 10);
     let rounds = args.rounds_or(30, 96, 96);
 
-    let mut exp = Experiment::paper_default(tuna_workloads::tpcc());
-    exp.rounds = rounds;
-    exp.sku = VmSku::c220g5();
-    exp.region = Region::cloudlab();
-    let results = compare_methods(
-        &exp,
-        &[Method::Tuna, Method::Traditional, Method::DefaultConfig],
-        runs,
+    let campaign = Campaign::protocol(
+        "fig13_cloudlab",
         args.seed,
+        vec![tuna_workloads::tpcc()],
+        &crate::PROTOCOL_METHODS,
     )
-    .unwrap_or_else(|e| fail(&e));
+    .with_runs(runs)
+    .with_rounds(rounds)
+    .with_site("c220g5", "cloudlab");
+    let result = run_campaign(args, &campaign);
+    let results = campaign_method_table(&campaign, &result, 0);
 
-    let get = |n: &str| {
-        results
-            .iter()
-            .find(|(m, _)| *m == n)
-            .map(|(_, s)| *s)
-            .unwrap()
-    };
-    let tuna = get("TUNA");
-    let trad = get("Traditional");
-    let def = get("Default");
+    let tuna = arm(&results, "TUNA");
+    let trad = arm(&results, "Traditional");
+    let def = arm(&results, "Default");
     paper_vs(
         "TUNA improvement over default",
         "19.1x",

@@ -6,17 +6,11 @@
 //! 27.5% lower std than default and 86.8% lower than traditional, at
 //! +1.7% mean latency vs the default.
 
-use tuna_bench::{banner, campaign_method_table, paper_vs, run_campaign, HarnessArgs};
+use crate::{arm, campaign_method_table, paper_vs, run_campaign, HarnessArgs};
 use tuna_core::campaign::Campaign;
 use tuna_core::executor::ExecutionMode;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 14",
-        "Redis serving YCSB-C: tuned configs deployed on new VMs (p95 ms)",
-        "TUNA never crashes; std 86.8% lower than traditional; mean ~= default",
-    );
+pub fn run(args: &HarnessArgs) {
     let runs = args.runs_or(3, 8, 10);
     let rounds = args.rounds_or(30, 96, 96);
 
@@ -24,24 +18,17 @@ fn main() {
         "fig14_redis",
         args.seed,
         vec![tuna_workloads::ycsb_c()],
-        &tuna_bench::PROTOCOL_METHODS,
+        &crate::PROTOCOL_METHODS,
     )
     .with_runs(runs)
     .with_rounds(rounds);
     let exp = campaign.experiment(0, ExecutionMode::Serial);
-    let result = run_campaign(&args, &campaign);
-    let results = campaign_method_table(&campaign, &result, 0, exp.workload.metric.unit());
+    let result = run_campaign(args, &campaign);
+    let results = campaign_method_table(&campaign, &result, 0);
 
-    let get = |n: &str| {
-        results
-            .iter()
-            .find(|(m, _)| *m == n)
-            .map(|(_, s)| *s)
-            .unwrap()
-    };
-    let tuna = get("TUNA");
-    let trad = get("Traditional");
-    let def = get("Default");
+    let tuna = arm(&results, "TUNA");
+    let trad = arm(&results, "Traditional");
+    let def = arm(&results, "Default");
     paper_vs("TUNA deployment crashes", "0", &format!("{}", tuna.crashes));
     paper_vs(
         "traditional deployment crashes",

@@ -3,17 +3,10 @@
 //! Paper: TUNA 42.6 ms (-38.9% vs default) vs traditional 46.6 ms
 //! (-32.7%); TUNA std 0.82 ms vs traditional 1.46 ms (63.3% lower).
 
-use tuna_bench::{banner, campaign_method_table, paper_vs, run_campaign, HarnessArgs};
+use crate::{arm, campaign_method_table, paper_vs, run_campaign, HarnessArgs};
 use tuna_core::campaign::Campaign;
-use tuna_core::executor::ExecutionMode;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 15",
-        "NGINX serving Wikipedia Top-500: tuned configs on new VMs (p95 ms)",
-        "TUNA 42.6 ms vs traditional 46.6 ms vs default 69.7 ms; TUNA std 63.3% lower",
-    );
+pub fn run(args: &HarnessArgs) {
     let runs = args.runs_or(3, 8, 10);
     let rounds = args.rounds_or(30, 96, 96);
 
@@ -21,24 +14,16 @@ fn main() {
         "fig15_nginx",
         args.seed,
         vec![tuna_workloads::wikipedia()],
-        &tuna_bench::PROTOCOL_METHODS,
+        &crate::PROTOCOL_METHODS,
     )
     .with_runs(runs)
     .with_rounds(rounds);
-    let exp = campaign.experiment(0, ExecutionMode::Serial);
-    let result = run_campaign(&args, &campaign);
-    let results = campaign_method_table(&campaign, &result, 0, exp.workload.metric.unit());
+    let result = run_campaign(args, &campaign);
+    let results = campaign_method_table(&campaign, &result, 0);
 
-    let get = |n: &str| {
-        results
-            .iter()
-            .find(|(m, _)| *m == n)
-            .map(|(_, s)| *s)
-            .unwrap()
-    };
-    let tuna = get("TUNA");
-    let trad = get("Traditional");
-    let def = get("Default");
+    let tuna = arm(&results, "TUNA");
+    let trad = arm(&results, "Traditional");
+    let def = arm(&results, "Default");
     paper_vs(
         "TUNA improvement over default",
         "-38.9%",

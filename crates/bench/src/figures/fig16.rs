@@ -6,17 +6,11 @@
 //! exacerbates instability: its peak rises but so does its variance; TUNA
 //! ends 9.2% faster on average with 87.8% lower std.
 
-use tuna_bench::{banner, campaign_method_table, paper_vs, run_campaign, HarnessArgs};
+use crate::{campaign_method_table, paper_vs, run_campaign, HarnessArgs};
 use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
 use tuna_core::experiment::Method;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 16",
-        "Equal-cost: TUNA vs traditional extended to the same sample count (TPC-C)",
-        "TUNA +9.2% mean with 87.8% lower std at equal budgets of 500",
-    );
+pub fn run(args: &HarnessArgs) {
     let runs = args.runs_or(3, 6, 10);
     let sample_budget = args.rounds_or(150, 500, 500);
 
@@ -45,8 +39,8 @@ fn main() {
             },
         ),
     ];
-    let result = run_campaign(&args, &campaign);
-    let results = campaign_method_table(&campaign, &result, 0, "tx/s");
+    let result = run_campaign(args, &campaign);
+    let results = campaign_method_table(&campaign, &result, 0);
 
     let tuna_summary = results[0].1;
     let trad_summary = results[1].1;

@@ -6,39 +6,12 @@
 //! the same performance ~2.47x faster, matching naive's 500-sample result
 //! within ~206 samples on average.
 
-use tuna_bench::{banner, fail, paper_vs, run_campaign, HarnessArgs};
+use crate::{fail, paper_vs, run_campaign, HarnessArgs};
 use tuna_core::campaign::{Arm, Campaign, ConvergenceSpec, Recipe};
 use tuna_core::report::render_table;
 use tuna_stats::summary;
 
-/// Best-so-far (oriented) value after each sample count, step `step`.
-fn curve_at(
-    trace: &[tuna_core::pipeline::IterationRecord],
-    budget: usize,
-    step: usize,
-) -> Vec<f64> {
-    let mut out = Vec::new();
-    let mut best = f64::NEG_INFINITY;
-    let mut idx = 0;
-    for target in (step..=budget).step_by(step) {
-        while idx < trace.len() && trace[idx].cumulative_samples <= target {
-            if let Some(b) = trace[idx].best_so_far {
-                best = best.max(b);
-            }
-            idx += 1;
-        }
-        out.push(best);
-    }
-    out
-}
-
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 17",
-        "Convergence: TUNA vs naive distributed (every config on every node)",
-        "TUNA matches naive's 500-sample result in ~206 samples (2.47x faster)",
-    );
+pub fn run(args: &HarnessArgs) {
     let runs = args.runs_or(3, 6, 10);
     let sample_budget = args.rounds_or(150, 500, 500);
     let step = 10usize;
@@ -60,7 +33,7 @@ fn main() {
             rng_label: 3,
         }),
     )];
-    let result = run_campaign(&args, &campaign);
+    let result = run_campaign(args, &campaign);
     let pairs = result.pairs(0, 0).unwrap_or_else(|| {
         fail(
             "convergence curves need in-process traces; delete the --store file \
@@ -73,8 +46,8 @@ fn main() {
     let mut naive_curves: Vec<Vec<f64>> = Vec::new();
     let mut crossover_samples = Vec::new();
     for (tuna_result, naive_result) in &pairs {
-        let t = curve_at(&tuna_result.trace, sample_budget, step);
-        let n = curve_at(&naive_result.trace, sample_budget, step);
+        let t = super::curve_at(&tuna_result.trace, sample_budget, step);
+        let n = super::curve_at(&naive_result.trace, sample_budget, step);
         // Samples TUNA needs to reach naive's final performance.
         let naive_final = *n.last().unwrap();
         let reach = t

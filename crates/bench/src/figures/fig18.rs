@@ -5,18 +5,11 @@
 //! higher performance with 89.5% lower standard deviation than traditional
 //! sampling under the same GP optimizer.
 
-use tuna_bench::{banner, campaign_method_table, paper_vs, run_campaign, HarnessArgs};
+use crate::{arm, campaign_method_table, paper_vs, run_campaign, HarnessArgs};
 use tuna_core::campaign::Campaign;
-use tuna_core::executor::ExecutionMode;
 use tuna_core::experiment::SolverId;
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 18",
-        "TPC-C tuned with a Gaussian-process optimizer",
-        "TUNA +53.1% performance with 89.5% lower std than traditional (both GP)",
-    );
+pub fn run(args: &HarnessArgs) {
     // The GP's cubic fit cost keeps default budgets lower than SMAC's.
     let runs = args.runs_or(2, 4, 10);
     let rounds = args.rounds_or(10, 30, 96);
@@ -25,24 +18,16 @@ fn main() {
         "fig18_gp_optimizer",
         args.seed,
         vec![tuna_workloads::tpcc()],
-        &tuna_bench::PROTOCOL_METHODS,
+        &crate::PROTOCOL_METHODS,
     )
     .with_runs(runs)
     .with_rounds(rounds)
     .with_optimizer(SolverId::gp());
-    let exp = campaign.experiment(0, ExecutionMode::Serial);
-    let result = run_campaign(&args, &campaign);
-    let results = campaign_method_table(&campaign, &result, 0, exp.workload.metric.unit());
+    let result = run_campaign(args, &campaign);
+    let results = campaign_method_table(&campaign, &result, 0);
 
-    let get = |n: &str| {
-        results
-            .iter()
-            .find(|(m, _)| *m == n)
-            .map(|(_, s)| *s)
-            .unwrap()
-    };
-    let tuna = get("TUNA");
-    let trad = get("Traditional");
+    let tuna = arm(&results, "TUNA");
+    let trad = arm(&results, "Traditional");
     paper_vs(
         "TUNA mean vs traditional (GP)",
         "+53.1%",

@@ -7,7 +7,7 @@
 //!     4.87% → 1.99% after the halfway mark (a 59.2% reduction; 35.8%
 //!     averaged over the whole run).
 
-use tuna_bench::{banner, paper_vs, HarnessArgs};
+use crate::{paper_vs, HarnessArgs};
 use tuna_cloudsim::Cluster;
 use tuna_core::deploy::default_worst_case_with;
 use tuna_core::experiment::Experiment;
@@ -43,30 +43,11 @@ fn run_variant(
         TunaPipeline::new(cfg, sut.as_ref(), &exp.workload, Box::new(optimizer), base);
     pipeline.run_until_samples(sample_budget, &mut rng);
     let result = pipeline.finish();
-    // Best-so-far per 10-sample step.
-    let step = 10;
-    let mut curve = Vec::new();
-    let mut best = f64::NEG_INFINITY;
-    let mut idx = 0;
-    for target in (step..=sample_budget).step_by(step) {
-        while idx < result.trace.len() && result.trace[idx].cumulative_samples <= target {
-            if let Some(b) = result.trace[idx].best_so_far {
-                best = best.max(b);
-            }
-            idx += 1;
-        }
-        curve.push(best);
-    }
+    let curve = super::curve_at(&result.trace, sample_budget, 10);
     (curve, result.model_errors)
 }
 
-fn main() {
-    let args = HarnessArgs::parse();
-    banner(
-        "Figure 19",
-        "Noise-adjuster ablation on epinions",
-        "(a) 13.3% faster convergence with the model; (b) 4.87% -> 1.99% error past midpoint",
-    );
+pub fn run(args: &HarnessArgs) {
     let runs = args.runs_or(3, 8, 100);
     let sample_budget = args.rounds_or(120, 400, 500);
 

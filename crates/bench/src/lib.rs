@@ -1,34 +1,40 @@
-//! Shared harness utilities for the figure/table regenerator binaries.
+//! The paper-figure runner and its shared harness.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure from the
-//! paper's evaluation: it runs the corresponding experiment on the
-//! simulated substrate and prints the same rows/series the paper plots,
-//! annotated with the paper's reported values for comparison. Absolute
-//! numbers are not expected to match (the substrate is a simulator, not
-//! the authors' Azure/CloudLab testbed); the *shape* — who wins, by what
-//! rough factor, where crossovers fall — is the reproduction target.
+//! [`figures::FIGURES`] declares every table, figure and ablation of the
+//! paper's evaluation that the reproduction regenerates; `tuna figures`
+//! runs them. Each one runs its experiment on the simulated substrate and
+//! prints the rows or series the paper plots, annotated with the paper's
+//! reported values. Absolute numbers are not expected to match (the
+//! substrate is a simulator, not the authors' Azure/CloudLab testbed);
+//! the *shape* — who wins, by what rough factor, where crossovers fall —
+//! is the reproduction target.
 //!
 //! Grid-shaped figures declare a [`tuna_core::campaign::Campaign`] and run
 //! it through [`run_campaign`]; the campaign engine owns the (workload ×
-//! method × seed) loop, cell-level parallelism (`TUNA_WORKERS`) and the
-//! optional persistent, resumable result store (`--store`).
+//! method × seed) loop, cell-level parallelism and the optional
+//! persistent, resumable result store (`--store`).
 //!
-//! Common flags for all binaries:
+//! Flags of `tuna figures`:
 //!
+//! - `--only ID..`: run only these figures (default: all, in table order),
 //! - `--runs N`: tuning runs per method (default varies per figure),
 //! - `--rounds N`: optimizer rounds per tuning run,
 //! - `--seed N`: root seed,
 //! - `--quick`: cut all budgets for a fast smoke run,
 //! - `--full`: paper-scale budgets (slow),
-//! - `--store PATH`: stream campaign cells into `PATH` (CSV + JSON
-//!   mirror) and resume completed cells on re-runs (campaign-backed
-//!   binaries only).
+//! - `--store DIR`: stream each campaign's cells into
+//!   `DIR/<campaign name>.csv` (plus a JSON mirror) and resume completed
+//!   cells on re-runs (campaign-backed figures only),
+//! - `--pattern NAME`: arrival pattern for fig11.
+
+use std::path::Path;
 
 use tuna_core::campaign::{Campaign, CampaignResult, CampaignRunner, ResultStore};
 use tuna_core::experiment::Method;
-use tuna_core::report::{method_comparison_table, summarize_method, MethodSummary};
+use tuna_core::report::{method_comparison_table, MethodSummary};
 use tuna_stats::summary;
 
+pub mod figures;
 pub mod perf;
 
 /// The standard §6 method-comparison arms (TUNA vs traditional sampling
@@ -39,9 +45,11 @@ pub const PROTOCOL_METHODS: [(&str, Method); 3] = [
     ("Default", Method::DefaultConfig),
 ];
 
-/// Parsed command-line options for regenerator binaries.
+/// Parsed `tuna figures` options.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HarnessArgs {
+    /// Figure IDs to run (empty = all).
+    pub only: Vec<String>,
     /// Tuning runs per method (None = figure default).
     pub runs: Option<usize>,
     /// Optimizer rounds per run (None = figure default).
@@ -52,19 +60,17 @@ pub struct HarnessArgs {
     pub quick: bool,
     /// Paper-scale mode.
     pub full: bool,
-    /// Campaign result-store path (campaign-backed binaries only).
+    /// Campaign result-store directory (campaign-backed figures only).
     pub store: Option<String>,
-    /// Arrival-pattern name (pattern-aware binaries only; see
+    /// Arrival-pattern name (pattern-aware figures only; see
     /// [`tuna_workloads::arrival`]).
     pub pattern: Option<String>,
 }
 
-/// The usage message shared by every regenerator binary. Like
-/// `--store` (campaign-backed binaries only), `--pattern` parses
-/// everywhere but only pattern-aware binaries (fig11) act on it.
-pub const USAGE: &str = "usage: <figure binary> [--runs N] [--rounds N] [--seed N] \
-                         [--quick] [--full] [--store PATH (campaign-backed bins)] \
-                         [--pattern steady|diurnal|bursty (fig11)]";
+/// The `tuna figures` usage message. `--store` only affects
+/// campaign-backed figures and `--pattern` only fig11.
+pub const USAGE: &str = "usage: tuna figures [--only ID..] [--runs N] [--rounds N] [--seed N] \
+                         [--quick] [--full] [--store DIR] [--pattern steady|diurnal|bursty]";
 
 /// Prints `msg` and the usage line to stderr, then exits with status 2.
 pub fn fail(msg: &str) -> ! {
@@ -74,21 +80,12 @@ pub fn fail(msg: &str) -> ! {
 }
 
 impl HarnessArgs {
-    /// Parses `std::env::args()`, printing a usage message and exiting
-    /// with a non-zero status on malformed flags, missing values or
-    /// unknown flags.
-    pub fn parse() -> Self {
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        Self::parse_from(&argv).unwrap_or_else(|e| fail(&e))
-    }
-
-    /// [`HarnessArgs::parse`]'s grammar, factored out of the process
-    /// environment (and the process exit) so it is testable.
+    /// Parses the arguments after `tuna figures`.
     ///
     /// # Errors
     ///
     /// Returns a message describing the offending flag on malformed or
-    /// missing values and on unknown flags.
+    /// missing values, unknown flags and unknown figure IDs.
     pub fn parse_from(argv: &[String]) -> Result<Self, String> {
         fn value<'a>(argv: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
             *i += 1;
@@ -114,6 +111,24 @@ impl HarnessArgs {
                 "--seed" => args.seed = number(value(argv, &mut i, "--seed")?, "--seed")?,
                 "--store" => args.store = Some(value(argv, &mut i, "--store")?.to_string()),
                 "--pattern" => args.pattern = Some(value(argv, &mut i, "--pattern")?.to_string()),
+                "--only" => {
+                    let ids: Vec<&String> = argv[i + 1..]
+                        .iter()
+                        .take_while(|a| !a.starts_with("--"))
+                        .collect();
+                    if ids.is_empty() {
+                        return Err("--only requires at least one figure ID".to_string());
+                    }
+                    let known: Vec<&str> = figures::FIGURES.iter().map(|f| f.id).collect();
+                    if let Some(id) = ids.iter().find(|id| !known.contains(&id.as_str())) {
+                        return Err(format!(
+                            "unknown figure '{id}' (known: {})",
+                            known.join(", ")
+                        ));
+                    }
+                    i += ids.len();
+                    args.only.extend(ids.into_iter().cloned());
+                }
                 "--quick" => args.quick = true,
                 "--full" => args.full = true,
                 other => return Err(format!("unknown flag '{other}'")),
@@ -144,14 +159,6 @@ impl HarnessArgs {
         self.rounds
             .unwrap_or_else(|| self.pick(quick, default, full))
     }
-}
-
-/// Prints the figure banner.
-pub fn banner(id: &str, title: &str, claim: &str) {
-    println!("==================================================================");
-    println!("{id}: {title}");
-    println!("paper: {claim}");
-    println!("==================================================================");
 }
 
 /// Prints a paper-vs-measured comparison line.
@@ -211,52 +218,31 @@ pub fn mean_pm_std(values: &[f64]) -> String {
     )
 }
 
-/// Runs `n_runs` tuning runs per method and prints the §6-style
-/// method-comparison table with the paper's reference values.
-///
-/// Returns `(method name, summary)` pairs in the order given.
-///
-/// # Errors
-///
-/// Returns an error when `n_runs` or `methods` is empty — there is
-/// nothing to summarize, and formatting `NaN ± NaN` rows would hide the
-/// misconfiguration.
-pub fn compare_methods(
-    exp: &tuna_core::experiment::Experiment,
-    methods: &[tuna_core::experiment::Method],
-    n_runs: usize,
-    seed: u64,
-) -> Result<Vec<(&'static str, MethodSummary)>, String> {
-    if n_runs == 0 {
-        return Err("--runs 0: no tuning runs to compare".to_string());
-    }
-    if methods.is_empty() {
-        return Err("no methods to compare".to_string());
-    }
-    let mut out = Vec::new();
-    for &method in methods {
-        let runs = exp.run_many(method, n_runs, seed);
-        out.push((method.name(), summarize_method(&runs)));
-    }
-    let unit = exp.workload.metric.unit();
-    let entries: Vec<(&str, MethodSummary)> = out.iter().map(|(n, s)| (*n, *s)).collect();
-    println!("{}", method_comparison_table(unit, &entries));
-    Ok(out)
-}
-
-/// Runs a campaign with the harness's standard plumbing: cell-level
-/// workers from `TUNA_WORKERS`, the `--store` path (resume included) when
-/// given, and a stderr note about where results were persisted. Exits
-/// with a usage error when the grid is empty or the store is unusable.
+/// Runs a campaign with the harness's standard plumbing: `TUNA_WORKERS`
+/// cell-level workers, or one per core when it is unset (results do not
+/// depend on the count); the store `--store DIR/<campaign name>.csv`
+/// (resume included) when given; and a stderr note about where results
+/// were persisted. Exits with a usage error when the grid is empty or
+/// the store is unusable.
 pub fn run_campaign(args: &HarnessArgs, campaign: &Campaign) -> CampaignResult {
     if campaign.n_cells() == 0 {
         fail("--runs 0: the campaign grid is empty");
     }
     let mut store = match &args.store {
         None => ResultStore::in_memory(campaign),
-        Some(path) => ResultStore::open(path, campaign).unwrap_or_else(|e| fail(&e)),
+        Some(dir) => {
+            std::fs::create_dir_all(dir)
+                .unwrap_or_else(|e| fail(&format!("cannot create --store {dir}: {e}")));
+            let path = Path::new(dir).join(format!("{}.csv", campaign.name));
+            ResultStore::open(path, campaign).unwrap_or_else(|e| fail(&e))
+        }
     };
-    let result = CampaignRunner::from_env().run(campaign, &mut store);
+    let runner = if std::env::var_os("TUNA_WORKERS").is_some() {
+        CampaignRunner::from_env()
+    } else {
+        CampaignRunner::with_workers(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    };
+    let result = runner.run(campaign, &mut store);
     if let Some(path) = store.csv_path() {
         eprintln!(
             "campaign '{}': {} cells ({} executed, {} resumed), checksum {} -> {}",
@@ -272,13 +258,13 @@ pub fn run_campaign(args: &HarnessArgs, campaign: &Campaign) -> CampaignResult {
 }
 
 /// Prints the §6-style method-comparison table for one workload of a
-/// protocol campaign and returns the per-arm summaries in arm order.
-/// Exits with an error if a cell group has no payloads to summarize.
+/// protocol campaign, in the workload's metric unit, and returns the
+/// per-arm summaries in arm order. Exits with an error if a cell group
+/// has no payloads to summarize.
 pub fn campaign_method_table(
     campaign: &Campaign,
     result: &CampaignResult,
     workload: usize,
-    unit: &str,
 ) -> Vec<(String, MethodSummary)> {
     let entries: Vec<(String, MethodSummary)> = campaign
         .arms
@@ -295,8 +281,23 @@ pub fn campaign_method_table(
         })
         .collect();
     let refs: Vec<(&str, MethodSummary)> = entries.iter().map(|(n, s)| (n.as_str(), *s)).collect();
+    let unit = campaign.workloads[workload].metric.unit();
     println!("{}", method_comparison_table(unit, &refs));
     entries
+}
+
+/// The summary of the arm labeled `label` in [`campaign_method_table`]'s
+/// entries.
+///
+/// # Panics
+///
+/// Panics if no entry carries `label`.
+pub fn arm(entries: &[(String, MethodSummary)], label: &str) -> MethodSummary {
+    entries
+        .iter()
+        .find(|(l, _)| l == label)
+        .map(|(_, s)| *s)
+        .unwrap_or_else(|| panic!("no arm labeled {label:?}"))
 }
 
 #[cfg(test)]
@@ -344,21 +345,30 @@ mod tests {
             "7",
             "--quick",
             "--store",
-            "out/c.csv",
+            "out",
             "--pattern",
             "diurnal",
+            "--only",
+            "fig12",
+            "fig20",
         ]))
         .unwrap();
         assert_eq!(a.runs, Some(4));
         assert_eq!(a.rounds, Some(9));
         assert_eq!(a.seed, 7);
         assert!(a.quick && !a.full);
-        assert_eq!(a.store.as_deref(), Some("out/c.csv"));
+        assert_eq!(a.store.as_deref(), Some("out"));
         assert_eq!(a.pattern.as_deref(), Some("diurnal"));
+        assert_eq!(a.only, ["fig12", "fig20"]);
+        // `--only` IDs end at the next flag.
+        let o = HarnessArgs::parse_from(&argv(&["--only", "table1", "--quick"])).unwrap();
+        assert_eq!(o.only, ["table1"]);
+        assert!(o.quick);
         let d = HarnessArgs::parse_from(&[]).unwrap();
         assert_eq!(d.seed, 42);
         assert_eq!(d.store, None);
         assert_eq!(d.pattern, None);
+        assert!(d.only.is_empty());
     }
 
     #[test]
@@ -375,6 +385,24 @@ mod tests {
         // A flag value that is itself flag-shaped parses as a value miss.
         let e = HarnessArgs::parse_from(&argv(&["--seed", "--quick"])).unwrap_err();
         assert!(e.contains("--seed requires a number"), "{e}");
+        // Unknown figure IDs are refused with the known ones listed.
+        let e = HarnessArgs::parse_from(&argv(&["--only", "fig12", "fig07"])).unwrap_err();
+        assert!(e.contains("unknown figure 'fig07'"), "{e}");
+        assert!(
+            e.contains("fig02, fig03") && e.contains("arena_solvers"),
+            "{e}"
+        );
+        let e = HarnessArgs::parse_from(&argv(&["--only", "--quick"])).unwrap_err();
+        assert!(e.contains("--only requires at least one figure ID"), "{e}");
+    }
+
+    #[test]
+    fn figure_ids_are_unique() {
+        let mut ids: Vec<&str> = figures::FIGURES.iter().map(|f| f.id).collect();
+        assert_eq!(ids.len(), 22);
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), figures::FIGURES.len());
     }
 
     #[test]
@@ -416,15 +444,5 @@ mod tests {
     fn mean_pm_std_handles_empty() {
         assert_eq!(mean_pm_std(&[]), "n=0");
         assert_eq!(mean_pm_std(&[2.0, 4.0]), "3.0 ± 1.4");
-    }
-
-    #[test]
-    fn compare_methods_rejects_empty_grids() {
-        let exp = tuna_core::experiment::Experiment::quick_demo();
-        let err = compare_methods(&exp, &[tuna_core::experiment::Method::DefaultConfig], 0, 1)
-            .unwrap_err();
-        assert!(err.contains("--runs 0"), "{err}");
-        let err = compare_methods(&exp, &[], 1, 1).unwrap_err();
-        assert!(err.contains("no methods"), "{err}");
     }
 }

@@ -112,6 +112,16 @@ impl VmSku {
     pub fn is_burstable(&self) -> bool {
         self.burstable.is_some()
     }
+
+    /// Every built-in SKU, in a fixed order.
+    pub fn all() -> Vec<VmSku> {
+        vec![VmSku::d8s_v5(), VmSku::b8ms(), VmSku::c220g5()]
+    }
+
+    /// Looks up a built-in SKU by its [`VmSku::name`].
+    pub fn by_name(name: &str) -> Option<VmSku> {
+        VmSku::all().into_iter().find(|s| s.name == name)
+    }
 }
 
 #[cfg(test)]
@@ -155,6 +165,14 @@ mod tests {
         for c in [Component::Memory, Component::Cache, Component::Os] {
             assert!(bm.get(c) < vm.get(c), "{c} louder on bare metal");
         }
+    }
+
+    #[test]
+    fn by_name_round_trips() {
+        for sku in VmSku::all() {
+            assert_eq!(VmSku::by_name(&sku.name), Some(sku.clone()));
+        }
+        assert_eq!(VmSku::by_name("d8s_v5"), None);
     }
 
     #[test]

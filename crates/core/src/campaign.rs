@@ -59,7 +59,7 @@ use crate::executor::ExecutionMode;
 use crate::experiment::{Experiment, Method, RunSummary, SolverId};
 use crate::pipeline::{TunaConfig, TunaPipeline, TuningResult};
 use crate::report::{summarize_method, MethodSummary};
-use tuna_cloudsim::{Cluster, Region};
+use tuna_cloudsim::{Cluster, Region, VmSku};
 use tuna_obs::CellTrace;
 use tuna_optimizer::multifidelity::LadderParams;
 use tuna_stats::fnv::Checksum;
@@ -196,7 +196,7 @@ pub enum Recipe {
     /// deploy the winner on fresh VMs. The per-run seed is
     /// `hash_combine(campaign.seed, run)`, or
     /// `hash_combine(hash_combine(campaign.seed, salt), run)` when a salt
-    /// is pinned — exactly [`Experiment::run_many`]'s derivation.
+    /// is pinned.
     Protocol {
         /// Sampling methodology.
         method: Method,
@@ -294,9 +294,20 @@ pub struct Campaign {
     pub workloads: Vec<Workload>,
     /// Method axis.
     pub arms: Vec<Arm>,
+    /// Deployment site: the [`VmSku`] name every cell tunes and deploys
+    /// on ([`VmSku::by_name`]). Site names are built-in names, so they
+    /// are `'static` and a fleet of campaigns holds no copies of them.
+    pub sku: &'static str,
+    /// Deployment site: the [`Region`] name ([`Region::by_name`]).
+    /// Arena arms override it per arm.
+    pub region: &'static str,
 }
 
 impl Campaign {
+    /// The paper's deployment site, which [`Campaign::protocol`] and
+    /// [`Campaign::arena`] declare: `Standard_D8s_v5` in `westus2`.
+    pub const PAPER_SITE: (&'static str, &'static str) = ("Standard_D8s_v5", "westus2");
+
     /// A protocol-only campaign over `(label, method)` arms.
     pub fn protocol(
         name: impl Into<String>,
@@ -315,6 +326,8 @@ impl Campaign {
                 .iter()
                 .map(|(label, m)| Arm::new(*label, Recipe::protocol(*m)))
                 .collect(),
+            sku: Self::PAPER_SITE.0,
+            region: Self::PAPER_SITE.1,
         }
     }
 
@@ -354,6 +367,8 @@ impl Campaign {
             optimizer: SolverId::smac(),
             workloads,
             arms,
+            sku: Self::PAPER_SITE.0,
+            region: Self::PAPER_SITE.1,
         }
     }
 
@@ -373,6 +388,33 @@ impl Campaign {
     pub fn with_optimizer(mut self, optimizer: SolverId) -> Self {
         self.optimizer = optimizer;
         self
+    }
+
+    /// Sets the deployment site by SKU and region name.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sku` or `region` is not a built-in name.
+    pub fn with_site(mut self, sku: &'static str, region: &'static str) -> Self {
+        assert!(
+            VmSku::by_name(sku).is_some(),
+            "campaign: unknown SKU {sku:?}"
+        );
+        assert!(
+            Region::by_name(region).is_some(),
+            "campaign: unknown region {region:?}"
+        );
+        self.sku = sku;
+        self.region = region;
+        self
+    }
+
+    /// Whether the campaign deploys on [`Campaign::PAPER_SITE`]. Only a
+    /// different site enters the digest and the JSON mirror, so
+    /// campaigns declared before the site was part of the declaration
+    /// keep their digests and store bytes.
+    fn paper_site(&self) -> bool {
+        (self.sku, self.region) == Self::PAPER_SITE
     }
 
     /// Total number of grid cells.
@@ -476,15 +518,28 @@ impl Campaign {
                 }
             }
         }
+        if !self.paper_site() {
+            c.push_str(self.sku);
+            c.push_str(self.region);
+        }
         c.hex()
     }
 
     /// The experiment template for one workload (protocol defaults with
-    /// this campaign's rounds/optimizer; trial execution pinned to
-    /// `exec`). Figure binaries read protocol constants (deployment VM
+    /// this campaign's site, rounds and optimizer; trial execution pinned
+    /// to `exec`). Figures read protocol constants (deployment VM
     /// counts, metric orientation) off this template.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the site names are not built in (see
+    /// [`Campaign::with_site`]).
     pub fn experiment(&self, workload: usize, exec: ExecutionMode) -> Experiment {
         let mut exp = Experiment::paper_default(self.workloads[workload].clone());
+        exp.sku = VmSku::by_name(self.sku)
+            .unwrap_or_else(|| panic!("campaign: unknown SKU {:?}", self.sku));
+        exp.region = Region::by_name(self.region)
+            .unwrap_or_else(|| panic!("campaign: unknown region {:?}", self.region));
         exp.rounds = self.rounds;
         exp.optimizer = self.optimizer.clone();
         exp.exec = exec;
@@ -600,8 +655,8 @@ impl CellRecord {
     }
 }
 
-/// In-memory payload of an executed cell — the rich results the figure
-/// binaries post-process (deployment distributions, convergence traces).
+/// In-memory payload of an executed cell — the rich results the
+/// figures post-process (deployment distributions, convergence traces).
 /// Cells restored from a store have no payload.
 #[derive(Debug, Clone)]
 pub enum CellPayload {
@@ -1173,6 +1228,10 @@ impl ResultStore {
         out.push_str(&format!("  \"version\": {STORE_VERSION},\n"));
         out.push_str(&format!("  \"name\": {},\n", json_quote(&campaign.name)));
         out.push_str(&format!("  \"seed\": {},\n", campaign.seed));
+        if !campaign.paper_site() {
+            out.push_str(&format!("  \"sku\": {},\n", json_quote(campaign.sku)));
+            out.push_str(&format!("  \"region\": {},\n", json_quote(campaign.region)));
+        }
         out.push_str(&format!("  \"digest\": \"{}\",\n", self.campaign_digest));
         out.push_str(&format!("  \"cells\": {},\n", campaign.n_cells()));
         out.push_str(&format!("  \"completed\": {},\n", self.records.len()));
@@ -1828,6 +1887,18 @@ mod tests {
             },
         );
         assert_ne!(a.digest(), c.digest());
+        // The paper's site folds nothing: naming it explicitly keeps the
+        // digest pinned before the site was declared; any other site
+        // moves it.
+        let (sku, region) = Campaign::PAPER_SITE;
+        let paper = a.clone().with_site(sku, region);
+        assert_eq!(paper.digest(), a.digest());
+        assert_eq!(paper.digest(), "5f348e931f6df636");
+        let moved = a.clone().with_site(sku, "centralus");
+        assert_ne!(moved.digest(), a.digest());
+        let metal = a.clone().with_site("c220g5", "cloudlab");
+        assert_ne!(metal.digest(), a.digest());
+        assert_ne!(metal.digest(), moved.digest());
     }
 
     #[test]
@@ -1837,19 +1908,21 @@ mod tests {
     }
 
     #[test]
-    fn protocol_cells_match_run_many() {
+    fn protocol_cells_match_direct_runs() {
         let campaign = tiny_campaign("protocol");
         let mut store = ResultStore::in_memory(&campaign);
         let result = CampaignRunner::serial().run(&campaign, &mut store);
         assert!(result.complete);
         assert_eq!(result.executed, 4);
 
-        // Cell (0, arm 0, run 1) must equal Experiment::run_many's second
-        // run bit-for-bit.
+        // Cell (0, arm 0, run r) must equal a direct run seeded
+        // `hash_combine(campaign.seed, r)` bit-for-bit.
         let mut exp = Experiment::paper_default(tuna_workloads::tpcc());
         exp.rounds = 3;
         exp.exec = ExecutionMode::Serial;
-        let direct = exp.run_many(Method::Tuna, 2, 5);
+        let direct: Vec<RunSummary> = (0..2)
+            .map(|r| exp.run(Method::Tuna, hash_combine(5, r)))
+            .collect();
         let summaries = result.run_summaries(0, 0).expect("payloads present");
         assert_eq!(summaries.len(), 2);
         for (got, want) in summaries.iter().zip(&direct) {

@@ -9,7 +9,6 @@
 //! bypassed for them.
 
 use tuna_optimizer::Objective;
-use tuna_stats::online::Welford;
 use tuna_stats::summary::relative_range;
 
 /// Stability classification of a configuration.
@@ -79,15 +78,6 @@ impl OutlierDetector {
         self.stability_of(relative_range(values))
     }
 
-    /// Classifies a config from a streaming [`Welford`] accumulator —
-    /// the O(1)-memory path for callers that never materialize the
-    /// sample window (e.g. the longitudinal-study driver and the
-    /// perf-gate micro-kernels). Matches [`OutlierDetector::classify`]
-    /// run over the same observations up to accumulator rounding.
-    pub fn classify_online(&self, acc: &Welford) -> Stability {
-        self.stability_of(acc.relative_range())
-    }
-
     fn stability_of(&self, rr: f64) -> Stability {
         if rr > self.threshold {
             Stability::Unstable { relative_range: rr }
@@ -153,29 +143,6 @@ mod tests {
         let rr = tuna_stats::summary::relative_range(&vals);
         let s = d.classify(&vals);
         assert_eq!(s.is_unstable(), rr > 0.30);
-    }
-
-    #[test]
-    fn online_classification_matches_batch() {
-        let d = OutlierDetector::default();
-        for values in [
-            &[500.0, 450.0, 530.0][..],
-            &[1000.0, 980.0, 1010.0, 300.0, 990.0][..],
-            &[100.0][..],
-            &[][..],
-        ] {
-            let mut acc = Welford::new();
-            for &v in values {
-                acc.push(v);
-            }
-            let batch = d.classify(values);
-            let online = d.classify_online(&acc);
-            assert_eq!(batch.is_unstable(), online.is_unstable(), "{values:?}");
-            assert!(
-                (batch.relative_range() - online.relative_range()).abs() < 1e-12,
-                "{values:?}"
-            );
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Plain-text reporting for experiment results.
 //!
-//! The bench binaries print the same rows/series the paper's figures plot;
+//! The figures (`tuna figures`) print the same rows/series the paper plots;
 //! these helpers keep their output consistent.
 
 use crate::deploy::DeployStats;

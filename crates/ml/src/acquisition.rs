@@ -33,22 +33,6 @@ pub fn expected_improvement(mean: f64, std: f64, best: f64, xi: f64) -> f64 {
     (gap * normal_cdf(z) + std * normal_pdf(z)).max(0.0)
 }
 
-/// Probability that a Gaussian posterior improves on `best` by at least
-/// `xi`.
-pub fn probability_of_improvement(mean: f64, std: f64, best: f64, xi: f64) -> f64 {
-    let gap = best - mean - xi;
-    if std <= 0.0 {
-        return if gap > 0.0 { 1.0 } else { 0.0 };
-    }
-    normal_cdf(gap / std)
-}
-
-/// Lower confidence bound `mean - kappa * std` (smaller is more promising
-/// under minimization).
-pub fn lower_confidence_bound(mean: f64, std: f64, kappa: f64) -> f64 {
-    mean - kappa * std
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,18 +73,5 @@ mod tests {
         let no_xi = expected_improvement(9.9, 0.5, 10.0, 0.0);
         let with_xi = expected_improvement(9.9, 0.5, 10.0, 0.5);
         assert!(with_xi < no_xi);
-    }
-
-    #[test]
-    fn poi_bounds_and_monotonicity() {
-        let p = probability_of_improvement(9.0, 1.0, 10.0, 0.0);
-        assert!(p > 0.5 && p < 1.0);
-        assert_eq!(probability_of_improvement(9.0, 0.0, 10.0, 0.0), 1.0);
-        assert_eq!(probability_of_improvement(11.0, 0.0, 10.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn lcb_favors_uncertain_points() {
-        assert!(lower_confidence_bound(10.0, 2.0, 1.0) < lower_confidence_bound(10.0, 0.5, 1.0));
     }
 }

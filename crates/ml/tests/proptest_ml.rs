@@ -1,7 +1,7 @@
 //! Property-based tests for the ML crate.
 
 use proptest::prelude::*;
-use tuna_ml::acquisition::{expected_improvement, probability_of_improvement};
+use tuna_ml::acquisition::expected_improvement;
 use tuna_ml::forest::{ForestParams, RandomForest};
 use tuna_ml::linalg::{Cholesky, Matrix};
 use tuna_ml::tree::{RegressionTree, TreeParams};
@@ -79,12 +79,6 @@ proptest! {
         let a = expected_improvement(best - 1.0, std, best, 0.0);
         let b = expected_improvement(best + 1.0, std, best, 0.0);
         prop_assert!(a >= b);
-    }
-
-    #[test]
-    fn poi_is_probability(mean in -100.0f64..100.0, std in 0.0f64..50.0, best in -100.0f64..100.0) {
-        let p = probability_of_improvement(mean, std, best, 0.0);
-        prop_assert!((0.0..=1.0).contains(&p));
     }
 
     #[test]

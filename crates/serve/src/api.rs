@@ -385,19 +385,16 @@ impl StudySpec {
                     .clone()
             })
             .collect();
-        Campaign {
-            name: self.name.clone(),
-            seed: self.seed,
-            runs: self.runs,
-            rounds: self.rounds,
-            optimizer: self.optimizer.clone(),
-            workloads,
-            arms: self
-                .arms
-                .iter()
-                .map(|(label, method)| Arm::new(label.clone(), Recipe::protocol(*method)))
-                .collect(),
-        }
+        let mut campaign = Campaign::protocol(self.name.clone(), self.seed, workloads, &[])
+            .with_runs(self.runs)
+            .with_rounds(self.rounds)
+            .with_optimizer(self.optimizer.clone());
+        campaign.arms = self
+            .arms
+            .iter()
+            .map(|(label, method)| Arm::new(label.clone(), Recipe::protocol(*method)))
+            .collect();
+        campaign
     }
 }
 

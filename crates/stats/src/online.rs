@@ -133,14 +133,6 @@ impl Welford {
             Some(self.max)
         }
     }
-
-    /// Relative range `(max - min)/mean`; `0.0` when undefined.
-    pub fn relative_range(&self) -> f64 {
-        if self.count < 2 || self.mean() == 0.0 {
-            return 0.0;
-        }
-        ((self.max - self.min) / self.mean()).abs()
-    }
 }
 
 /// P²-style online quantile estimator (Jain & Chlamtac, 1985).
@@ -332,7 +324,6 @@ mod tests {
         assert!((w.variance() - summary::variance(&xs)).abs() < 1e-6);
         assert_eq!(w.min().unwrap(), summary::min(&xs).unwrap());
         assert_eq!(w.max().unwrap(), summary::max(&xs).unwrap());
-        assert!((w.relative_range() - summary::relative_range(&xs)).abs() < 1e-9);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! bit-reproducible under any pattern. [`ArrivalPattern::modulate`]
 //! applies a pattern's load factor to a [`Workload`]'s demand vector
 //! (clamped to the simulator's `[0, 1]` utilization domain), which is
-//! how `fig11_postgres_workloads --pattern ...` tunes for the peak hour
+//! how `tuna figures --only fig11 --pattern ...` tunes for the peak hour
 //! instead of the average one.
 
 use crate::Workload;

@@ -2,13 +2,21 @@
 //! the artifact appendix).
 //!
 //! These run the real experiment machinery at reduced budgets, so they
-//! assert *direction and rough magnitude*, not exact numbers. The bench
-//! binaries (`fig02` ... `table1`) run the full-scale versions.
+//! assert *direction and rough magnitude*, not exact numbers.
+//! `tuna figures` runs the full-scale versions.
 
 use tuna_cloudsim::study::{run_study, Lifespan, StudyConfig};
-use tuna_core::experiment::{Experiment, Method};
+use tuna_core::experiment::{Experiment, Method, RunSummary};
 use tuna_core::report::summarize_method;
+use tuna_stats::rng::hash_combine;
 use tuna_stats::summary;
+
+/// `n` independent runs of `method`; run `i` is seeded `hash_combine(seed, i)`.
+fn runs(exp: &Experiment, method: Method, n: usize, seed: u64) -> Vec<RunSummary> {
+    (0..n as u64)
+        .map(|i| exp.run(method, hash_combine(seed, i)))
+        .collect()
+}
 
 /// C2/C3 substrate: the cloud's component noise ordering (the study
 /// motivating §3.2).
@@ -94,8 +102,8 @@ fn claim_tuna_reduces_deployment_variance() {
     let mut exp = Experiment::quick_demo();
     exp.rounds = 45;
     let n = 4;
-    let tuna = summarize_method(&exp.run_many(Method::Tuna, n, 9_001));
-    let trad = summarize_method(&exp.run_many(Method::Traditional, n, 9_001));
+    let tuna = summarize_method(&runs(&exp, Method::Tuna, n, 9_001));
+    let trad = summarize_method(&runs(&exp, Method::Traditional, n, 9_001));
     // Direction: TUNA should not be more volatile than traditional. Allow
     // slack for the small scale.
     assert!(
@@ -105,7 +113,7 @@ fn claim_tuna_reduces_deployment_variance() {
         trad.mean_std
     );
     // And it must comfortably beat the default.
-    let def = summarize_method(&exp.run_many(Method::DefaultConfig, n, 9_001));
+    let def = summarize_method(&runs(&exp, Method::DefaultConfig, n, 9_001));
     assert!(tuna.mean_of_means > def.mean_of_means * 1.2);
 }
 
@@ -115,9 +123,9 @@ fn claim_tuna_avoids_redis_crashes() {
     let mut exp = Experiment::quick_demo();
     exp.workload = tuna_workloads::ycsb_c();
     exp.rounds = 35;
-    let runs = exp.run_many(Method::Tuna, 3, 77);
-    let crashes: usize = runs.iter().map(|r| r.deployment.crashes).sum();
-    let total: usize = runs.len() * exp.deploy_vms * exp.deploy_repeats;
+    let tuna = runs(&exp, Method::Tuna, 3, 77);
+    let crashes: usize = tuna.iter().map(|r| r.deployment.crashes).sum();
+    let total: usize = tuna.len() * exp.deploy_vms * exp.deploy_repeats;
     assert!(
         (crashes as f64) < total as f64 * 0.1,
         "TUNA deployments crash too often: {crashes}/{total}"
@@ -216,8 +224,8 @@ fn claim_outlier_detector_contains_variance() {
     let mut exp = Experiment::quick_demo();
     exp.rounds = 45;
     let n = 4;
-    let with = summarize_method(&exp.run_many(Method::Tuna, n, 31_337));
-    let without = summarize_method(&exp.run_many(Method::TunaNoOutlier, n, 31_337));
+    let with = summarize_method(&runs(&exp, Method::Tuna, n, 31_337));
+    let without = summarize_method(&runs(&exp, Method::TunaNoOutlier, n, 31_337));
     assert!(
         without.mean_std >= with.mean_std * 0.6,
         "detector made things worse: with {:.1} vs without {:.1}",

@@ -141,7 +141,7 @@ fn naive_distributed_baseline_is_mode_invariant() {
 
 /// A small mixed-recipe campaign for the determinism tests below: two
 /// workloads, a protocol arm, a default arm and a pinned sample-budget
-/// arm — every recipe family the figure binaries use except the
+/// arm — every recipe family the figures use except the
 /// convergence pair (covered by the campaign module's own tests).
 fn test_campaign(name: &str) -> Campaign {
     let mut campaign = Campaign::protocol(

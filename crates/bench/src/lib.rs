@@ -32,7 +32,6 @@ use std::path::Path;
 use tuna_core::campaign::{Campaign, CampaignResult, CampaignRunner, ResultStore};
 use tuna_core::experiment::Method;
 use tuna_core::report::{method_comparison_table, MethodSummary};
-use tuna_stats::summary;
 
 pub mod figures;
 pub mod perf;
@@ -203,19 +202,6 @@ pub fn strip_plot(values: &[f64], lo: f64, hi: f64, width: usize) -> String {
             }
         })
         .collect()
-}
-
-/// Mean and std dev formatted as `mean ± std`; `"n=0"` for empty input
-/// instead of `NaN ± NaN`.
-pub fn mean_pm_std(values: &[f64]) -> String {
-    if values.is_empty() {
-        return "n=0".to_string();
-    }
-    format!(
-        "{:.1} ± {:.1}",
-        summary::mean(values),
-        summary::std_dev(values)
-    )
 }
 
 /// Runs a campaign with the harness's standard plumbing: `TUNA_WORKERS`
@@ -438,11 +424,5 @@ mod tests {
         assert_eq!(s, ".....");
         let t = strip_plot(&[0.5], f64::NAN, 1.0, 5);
         assert_ne!(t.chars().nth(2).unwrap(), '.');
-    }
-
-    #[test]
-    fn mean_pm_std_handles_empty() {
-        assert_eq!(mean_pm_std(&[]), "n=0");
-        assert_eq!(mean_pm_std(&[2.0, 4.0]), "3.0 ± 1.4");
     }
 }

@@ -42,8 +42,7 @@ use tuna_optimizer::{Objective, Solver};
 use tuna_serve::manager::{Assignment, StudyManager};
 use tuna_stats::ar1::Ar1;
 use tuna_stats::bootstrap::bootstrap_mean_ci;
-use tuna_stats::corr::{pearson, spearman_with, RankScratch};
-use tuna_stats::online::{P2Quantile, Welford};
+use tuna_stats::online::Welford;
 use tuna_stats::rng::Rng;
 use tuna_stats::summary;
 use tuna_sut::{nginx::Nginx, postgres::Postgres, redis::Redis, SystemUnderTest};
@@ -474,30 +473,6 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
         });
     }
     {
-        let n = 100_000 * k;
-        v.push(ScenarioSpec {
-            name: "stats/p2_quantile_stream",
-            items: n as u64,
-            run: Box::new(move |c| {
-                let mut rng = Rng::seed_from(104);
-                let mut ar = Ar1::new(0.9, 0.1, &mut rng).expect("valid AR(1)");
-                let mut p50 = P2Quantile::new(0.5);
-                let mut p95 = P2Quantile::new(0.95);
-                let mut w = Welford::new();
-                for _ in 0..n {
-                    let x = 1.0 + ar.step(&mut rng);
-                    p50.push(x);
-                    p95.push(x);
-                    w.push(x);
-                }
-                c.push_f64(p50.value());
-                c.push_f64(p95.value());
-                c.push_f64(w.mean());
-                c.push_f64(w.variance());
-            }),
-        });
-    }
-    {
         let reps = 3 * k;
         v.push(ScenarioSpec {
             name: "stats/bootstrap_200x500",
@@ -514,27 +489,6 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
             }),
         });
     }
-    {
-        let reps = 2 * k;
-        v.push(ScenarioSpec {
-            name: "stats/pearson_spearman_5k",
-            items: (reps * 5_000) as u64,
-            run: Box::new(move |c| {
-                let xs = ar1_window(5_000, 106);
-                let mut rng = Rng::seed_from(107);
-                let ys: Vec<f64> = xs
-                    .iter()
-                    .map(|x| 0.6 * x + 0.4 * rng.next_gaussian())
-                    .collect();
-                let mut scratch = RankScratch::default();
-                for _ in 0..reps {
-                    c.push_f64(pearson(&xs, &ys));
-                    c.push_f64(spearman_with(&xs, &ys, &mut scratch));
-                }
-            }),
-        });
-    }
-
     // -- core aggregation hot path ----------------------------------------
     {
         let windows = 6_000 * k;

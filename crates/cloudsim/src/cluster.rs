@@ -17,7 +17,6 @@ pub struct Cluster {
     region: Region,
     root: Rng,
     machines: Vec<Machine>,
-    next_id: u64,
 }
 
 impl Cluster {
@@ -37,7 +36,6 @@ impl Cluster {
             region,
             root,
             machines,
-            next_id: n as u64,
         }
     }
 
@@ -62,11 +60,6 @@ impl Cluster {
     /// Panics if `i` is out of bounds.
     pub fn machine_mut(&mut self, i: usize) -> &mut Machine {
         &mut self.machines[i]
-    }
-
-    /// All machines, mutably.
-    pub fn machines_mut(&mut self) -> &mut [Machine] {
-        &mut self.machines
     }
 
     /// Hands out disjoint mutable lanes for `indices`, in the order given.
@@ -117,14 +110,6 @@ impl Cluster {
         &self.region
     }
 
-    /// Provisions a fresh short-lived VM (new placement draw); the VM is
-    /// *not* added to the cluster.
-    pub fn provision_fresh(&mut self) -> Machine {
-        let id = self.next_id;
-        self.next_id += 1;
-        Machine::provision(id, &self.sku, &self.region, &self.root)
-    }
-
     /// Builds a new cluster of `n` machines with placements decorrelated
     /// from this one (the paper's "deploy on a new set of VMs" step).
     /// `label` distinguishes multiple deployment clusters.
@@ -138,14 +123,6 @@ impl Cluster {
             region: self.region.clone(),
             root,
             machines,
-            next_id: 1_000_000 + n as u64,
-        }
-    }
-
-    /// Advances every machine by `steps` idle epochs.
-    pub fn advance_all(&mut self, steps: usize) {
-        for m in &mut self.machines {
-            m.advance(steps);
         }
     }
 }
@@ -179,16 +156,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn fresh_vms_get_new_ids_and_placements() {
-        let mut c = cluster();
-        let a = c.provision_fresh();
-        let b = c.provision_fresh();
-        assert_ne!(a.id(), b.id());
-        assert_ne!(a.identity(), b.identity());
-        assert!(c.machines().iter().all(|m| m.id() != a.id()));
     }
 
     #[test]
@@ -236,13 +203,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn lanes_mut_rejects_out_of_range() {
         cluster().lanes_mut(&[10]);
-    }
-
-    #[test]
-    fn advance_all_moves_epochs() {
-        let mut c = cluster();
-        c.advance_all(7);
-        assert!(c.machines().iter().all(|m| m.epoch() == 7));
     }
 
     #[test]

@@ -364,18 +364,15 @@ mod tests {
 
     #[test]
     fn arena_tournament_runs_deterministically() {
-        use tuna_optimizer::solver::{SolverParams, SolverRegistry};
+        use tuna_optimizer::solver::{SolverId, SolverParams};
         let run = || {
             let pg = Postgres::new();
             let w = tuna_workloads::tpcc();
-            let solver = SolverRegistry::builtin()
-                .build(
-                    "tournament",
-                    pg.space().clone(),
-                    Objective::Maximize,
-                    &SolverParams::default(),
-                )
-                .unwrap();
+            let solver = SolverId::new("tournament").unwrap().build(
+                pg.space().clone(),
+                Objective::Maximize,
+                &SolverParams::default(),
+            );
             let mut rng = Rng::seed_from(21);
             run_arena(&pg, &w, solver, cluster(21, 1), 32, 2, 1.0, &mut rng)
         };

@@ -60,12 +60,6 @@ pub fn fmt_value(x: f64) -> String {
     }
 }
 
-/// Formats a ratio as a percentage delta ("+27.3%" / "-12.0%").
-pub fn fmt_pct_delta(ratio: f64) -> String {
-    let pct = (ratio - 1.0) * 100.0;
-    format!("{pct:+.1}%")
-}
-
 /// Summarizes deployment stats of many runs of one method: per-run means
 /// and per-run standard deviations averaged, as the paper reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,11 +171,5 @@ mod tests {
         assert_eq!(fmt_value(0.492), "0.492");
         assert_eq!(fmt_value(0.0492), "0.0492");
         assert_eq!(fmt_value(0.0), "0");
-    }
-
-    #[test]
-    fn pct_delta_formatting() {
-        assert_eq!(fmt_pct_delta(1.273), "+27.3%");
-        assert_eq!(fmt_pct_delta(0.88), "-12.0%");
     }
 }

@@ -34,11 +34,6 @@ impl TaskScheduler {
         }
     }
 
-    /// The cluster size.
-    pub fn cluster_size(&self) -> usize {
-        self.cluster_size
-    }
-
     /// Workers already holding samples for `config`.
     pub fn visited(&self, config: ConfigId) -> &[usize] {
         self.visited.get(&config).map(Vec::as_slice).unwrap_or(&[])

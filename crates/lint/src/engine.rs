@@ -57,8 +57,6 @@ pub struct Report {
 
 /// Per-file context handed to rule matchers.
 pub struct FileView<'a> {
-    /// Path relative to the scanned root, `/`-separated.
-    pub rel_path: &'a str,
     /// The blanked code view, split into lines.
     pub code_lines: Vec<&'a str>,
     comment_by_line: BTreeMap<usize, String>,
@@ -226,7 +224,6 @@ impl Engine {
             slot.push_str(text);
         }
         let view = FileView {
-            rel_path,
             code_lines,
             comment_by_line,
         };

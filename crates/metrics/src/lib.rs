@@ -92,11 +92,6 @@ impl MetricVector {
             .position(|&n| n == name)
             .map(|i| self.values[i])
     }
-
-    /// Consumes into the inner vector (feature row for the model).
-    pub fn into_values(self) -> Vec<f64> {
-        self.values
-    }
 }
 
 /// Generates the guest-metric vector for one measurement epoch.
@@ -206,8 +201,21 @@ pub fn generate(
 mod tests {
     use super::*;
     use tuna_cloudsim::{Machine, Region, VmSku};
-    use tuna_stats::corr::pearson;
     use tuna_stats::rng::Rng;
+    use tuna_stats::summary::mean;
+
+    /// Pearson's r of two equal-length samples.
+    fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+        let (mx, my) = (mean(xs), mean(ys));
+        let (mut sxy, mut sxx, mut syy) = (0.0, 0.0, 0.0);
+        for (x, y) in xs.iter().zip(ys) {
+            let (dx, dy) = (x - mx, y - my);
+            sxy += dx * dy;
+            sxx += dx * dx;
+            syy += dy * dy;
+        }
+        sxy / (sxx * syy).sqrt()
+    }
 
     fn machine(seed: u64) -> Machine {
         Machine::provision(

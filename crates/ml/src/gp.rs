@@ -111,11 +111,6 @@ impl GaussianProcess {
         })
     }
 
-    /// Whether the model has been fitted.
-    pub fn is_fitted(&self) -> bool {
-        self.chol.is_some()
-    }
-
     /// The kernel in use.
     pub fn kernel(&self) -> Kernel {
         self.kernel

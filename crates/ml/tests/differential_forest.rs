@@ -38,7 +38,7 @@ fn tie_heavy(seed: u64, n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut row: Vec<f64> = (0..4).map(|k| f64::from(u8::from(k == hot))).collect();
         row.push(rng.below(3) as f64);
         row.push(rng.below(6) as f64 - 2.0);
-        row.push(*rng.choose(&[-0.0, 0.0, 1.0, -1.0]).expect("non-empty"));
+        row.push([-0.0, 0.0, 1.0, -1.0][rng.below(4)]);
         row.push((rng.next_f64() * 8.0).round() / 8.0);
         row.push((rng.next_f64() * 64.0).round() / 64.0);
         // Multiples of 0.1 and 0.3 are inexact in binary, so sums over

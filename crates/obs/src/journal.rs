@@ -186,17 +186,6 @@ impl Journal {
         }
     }
 
-    /// Retro-record a closed span with explicit bounds (used for
-    /// trial-round spans reconstructed from a completed cell's trace).
-    pub fn span_at(&self, parent: Option<SpanId>, name: &str, start: u64, end: u64) -> SpanId {
-        self.push_span(Span {
-            name: name.to_string(),
-            parent,
-            start,
-            end: Some(end),
-        })
-    }
-
     fn push_span(&self, span: Span) -> SpanId {
         let mut state = self.state.lock().expect("journal lock");
         if state.spans.len() >= self.capacity {

@@ -55,11 +55,6 @@ impl GpProposer {
     pub fn new(params: GpParams) -> Self {
         GpProposer { params }
     }
-
-    /// The hyperparameters.
-    pub fn params(&self) -> &GpParams {
-        &self.params
-    }
 }
 
 impl Proposer for GpProposer {

@@ -220,19 +220,18 @@ impl<P: Proposer> Solver for MultiFidelityOptimizer<P> {
     }
 }
 
-/// A [`Proposer`] that samples uniformly at random.
-#[derive(Debug, Clone, Default)]
-pub struct RandomProposer;
-
-impl Proposer for RandomProposer {
-    fn propose(&mut self, _history: &History, space: &ConfigSpace, rng: &mut Rng) -> Config {
-        space.sample(rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Samples uniformly at random: drives the ladder without a model.
+    struct RandomProposer;
+
+    impl Proposer for RandomProposer {
+        fn propose(&mut self, _history: &History, space: &ConfigSpace, rng: &mut Rng) -> Config {
+            space.sample(rng)
+        }
+    }
 
     fn space() -> ConfigSpace {
         ConfigSpace::builder().float("x", 0.0, 1.0).build()

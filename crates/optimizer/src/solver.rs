@@ -180,23 +180,6 @@ impl SolverRegistry {
     pub fn get(&self, name: &str) -> Option<&SolverEntry> {
         self.entries.iter().find(|e| e.name == name)
     }
-
-    /// Builds a solver by name, or an error listing the known names.
-    pub fn build(
-        &self,
-        name: &str,
-        space: ConfigSpace,
-        objective: Objective,
-        params: &SolverParams,
-    ) -> Result<Box<dyn Solver>, String> {
-        match self.get(name) {
-            Some(entry) => Ok(entry.build(space, objective, params)),
-            None => Err(format!(
-                "unknown solver {name:?}; registered: {}",
-                self.names().join(", ")
-            )),
-        }
-    }
 }
 
 /// A validated solver registry name — the declarative handle arms use.
@@ -298,25 +281,17 @@ mod tests {
     fn unknown_name_lists_registered() {
         let err = SolverId::new("adam").unwrap_err();
         assert!(err.contains("unknown solver"), "{err}");
-        assert!(err.contains("tournament"), "{err}");
-        let err2 = SolverRegistry::builtin()
-            .build(
-                "adam",
-                space(),
-                Objective::Minimize,
-                &SolverParams::default(),
-            )
-            .map(|_| ())
-            .unwrap_err();
-        assert!(err2.contains("random, smac, gp, tournament"), "{err2}");
+        assert!(err.contains("random, smac, gp, tournament"), "{err}");
     }
 
     #[test]
     fn every_registered_solver_builds_and_runs() {
         for name in SolverRegistry::builtin().names() {
-            let mut solver = SolverRegistry::builtin()
-                .build(name, space(), Objective::Minimize, &SolverParams::default())
-                .unwrap();
+            let mut solver = SolverId::new(name).unwrap().build(
+                space(),
+                Objective::Minimize,
+                &SolverParams::default(),
+            );
             let mut rng = Rng::seed_from(1);
             for _ in 0..20 {
                 let s = solver.ask(&mut rng);

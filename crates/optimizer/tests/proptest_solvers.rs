@@ -7,7 +7,7 @@
 //! streams even with non-finite tells in the middle.
 
 use proptest::prelude::*;
-use tuna_optimizer::solver::{SolverParams, SolverRegistry};
+use tuna_optimizer::solver::{SolverId, SolverParams, SolverRegistry};
 use tuna_optimizer::Objective;
 use tuna_space::ConfigSpace;
 use tuna_stats::rng::Rng;
@@ -43,9 +43,11 @@ fn drive(
     values: &[f64],
     seed: u64,
 ) -> (Vec<(u64, usize)>, Option<f64>, usize) {
-    let mut solver = SolverRegistry::builtin()
-        .build(name, space(), objective, &SolverParams::default())
-        .expect("registered name");
+    let mut solver = SolverId::new(name).expect("registered name").build(
+        space(),
+        objective,
+        &SolverParams::default(),
+    );
     let mut rng = Rng::seed_from(seed);
     let mut stream = Vec::with_capacity(values.len());
     for &raw in values {

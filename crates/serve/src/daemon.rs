@@ -36,7 +36,7 @@
 //! shedding) lives in [`crate::engine`]; this module is the pure
 //! request→response function the engine dispatches through.
 
-use crate::api::{self, StudySpec};
+use crate::api::StudySpec;
 use crate::http::{parse_request_bytes, Request, Response};
 use crate::manager::{Refusal, Study, StudyManager};
 
@@ -149,16 +149,6 @@ pub fn route_bytes(mgr: &mut StudyManager, raw: &[u8]) -> Response {
 /// raw response bytes.
 pub fn handle_bytes(mgr: &mut StudyManager, raw: &[u8]) -> Vec<u8> {
     route_bytes(mgr, raw).to_bytes()
-}
-
-/// Validates a study-spec body the way `POST /v1/studies` will, without
-/// touching a manager — used by `tuna-ctl` for client-side feedback.
-///
-/// # Errors
-///
-/// Returns the validation message.
-pub fn validate_spec(body: &str) -> Result<StudySpec, String> {
-    api::StudySpec::parse(body)
 }
 
 #[cfg(test)]

@@ -438,11 +438,6 @@ impl Engine {
             .is_some_and(|c| c.close_after_flush && c.pending.is_empty() && c.out.is_empty())
     }
 
-    /// Whether `id` is a live connection slot.
-    pub fn is_open(&self, id: usize) -> bool {
-        self.conns.get(id).and_then(Option::as_ref).is_some()
-    }
-
     /// Whether the connection accepts further input (false once an
     /// error was answered, a budget blew, or EOF arrived).
     pub fn accepts_input(&self, id: usize) -> bool {
@@ -460,11 +455,6 @@ impl Engine {
                 self.free.push(id);
             }
         }
-    }
-
-    /// Open connection count.
-    pub fn open_connections(&self) -> usize {
-        self.open
     }
 
     /// Drains the recorded decode-to-dispatch latencies (clock units).

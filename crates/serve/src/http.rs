@@ -23,8 +23,6 @@
 //! simulator and the fuzz tests all drive the exact same byte-level
 //! code path — a socket is just one more byte source.
 
-use std::io::Write;
-
 /// Longest accepted request/header line, in bytes.
 pub const MAX_LINE_BYTES: usize = 8 * 1024;
 /// Most headers accepted per request.
@@ -61,10 +59,6 @@ pub enum HttpError {
     PayloadTooLarge(String),
     /// The peer closed the connection before sending a full request.
     Truncated(String),
-    /// The peer stalled mid-request past its time budget.
-    Timeout(String),
-    /// Transport error underneath the parser.
-    Io(String),
 }
 
 impl HttpError {
@@ -74,19 +68,13 @@ impl HttpError {
             HttpError::BadRequest(_) => 400,
             HttpError::PayloadTooLarge(_) => 413,
             HttpError::Truncated(_) => 400,
-            HttpError::Timeout(_) => 408,
-            HttpError::Io(_) => 400,
         }
     }
 
     /// The error detail.
     pub fn message(&self) -> &str {
         match self {
-            HttpError::BadRequest(m)
-            | HttpError::PayloadTooLarge(m)
-            | HttpError::Truncated(m)
-            | HttpError::Timeout(m)
-            | HttpError::Io(m) => m,
+            HttpError::BadRequest(m) | HttpError::PayloadTooLarge(m) | HttpError::Truncated(m) => m,
         }
     }
 }
@@ -134,11 +122,6 @@ impl RequestParser {
     /// idle close).
     pub fn mid_request(&self) -> bool {
         !self.dead && (self.head.is_some() || !self.buf.is_empty())
-    }
-
-    /// Bytes currently buffered but not yet consumed.
-    pub fn buffered(&self) -> usize {
-        self.buf.len()
     }
 
     /// Pulls the next complete request out of the buffer.
@@ -466,15 +449,6 @@ impl Response {
     /// the historical one-request-per-connection framing.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.to_wire(false)
-    }
-
-    /// Writes the response to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport failures.
-    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        w.write_all(&self.to_bytes())
     }
 }
 

@@ -879,11 +879,6 @@ impl StudyManager {
             .any(|s| !s.cancelled && !s.pending.is_empty())
     }
 
-    /// Whether any cell is currently executing.
-    pub fn has_in_flight(&self) -> bool {
-        self.studies.values().any(|s| !s.in_flight.is_empty())
-    }
-
     /// Weighted fair-share scheduling (see the module docs): picks the
     /// candidate tenant with the least virtual time, then that tenant's
     /// study by the pre-tenant policy, respecting per-study worker caps
@@ -1207,12 +1202,6 @@ impl StudyManager {
     /// quarantine, engine, store repair).
     pub fn metrics_text(&self) -> String {
         MetricsRegistry::render_many(&[&self.obs.registry, tuna_obs::global()])
-    }
-
-    /// The span/event journal's deterministic plain-text rendering
-    /// (tests and diagnostics; not a wire surface).
-    pub fn journal_render(&self) -> String {
-        self.obs.journal.render()
     }
 
     /// The manager's journal (assertions on counts/events).
@@ -1601,7 +1590,7 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("cannot append"), "{err}");
         assert_eq!(mgr.journal().count(EventKind::JournalAppendFailed), 1);
-        assert!(mgr.journal_render().contains(&format!(
+        assert!(mgr.journal().render().contains(&format!(
             "journal-append-failed span=- default/s cell {}",
             a.cell
         )));

@@ -105,23 +105,6 @@ impl ParamValue {
             other => panic!("expected Bool, got {other:?}"),
         }
     }
-
-    /// A numeric view of the value, independent of its type. Used when
-    /// hashing and for debug output; *not* the model encoding.
-    pub fn as_f64_lossy(&self) -> f64 {
-        match self {
-            ParamValue::Int(v) => *v as f64,
-            ParamValue::Float(v) => *v,
-            ParamValue::Cat(v) => *v as f64,
-            ParamValue::Bool(v) => {
-                if *v {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for ParamValue {
@@ -151,13 +134,6 @@ mod tests {
     #[should_panic(expected = "expected Int")]
     fn wrong_accessor_panics() {
         ParamValue::Float(1.0).as_int();
-    }
-
-    #[test]
-    fn lossy_f64_views() {
-        assert_eq!(ParamValue::Int(3).as_f64_lossy(), 3.0);
-        assert_eq!(ParamValue::Bool(false).as_f64_lossy(), 0.0);
-        assert_eq!(ParamValue::Cat(4).as_f64_lossy(), 4.0);
     }
 
     #[test]

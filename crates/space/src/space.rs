@@ -13,8 +13,6 @@ pub enum SpaceError {
     TypeMismatch { param: String },
     /// Value is outside the declared bounds.
     OutOfBounds { param: String, value: String },
-    /// Two parameters share a name.
-    DuplicateName(String),
 }
 
 impl std::fmt::Display for SpaceError {
@@ -27,7 +25,6 @@ impl std::fmt::Display for SpaceError {
             SpaceError::OutOfBounds { param, value } => {
                 write!(f, "value {value} out of bounds for '{param}'")
             }
-            SpaceError::DuplicateName(name) => write!(f, "duplicate parameter name '{name}'"),
         }
     }
 }

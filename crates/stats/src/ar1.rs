@@ -72,15 +72,6 @@ impl Ar1 {
         self.state
     }
 
-    /// Advances `n` steps, returning the final state (used to fast-forward
-    /// a machine's interference between widely spaced measurements).
-    pub fn step_n(&mut self, n: usize, rng: &mut Rng) -> f64 {
-        for _ in 0..n {
-            self.step(rng);
-        }
-        self.state
-    }
-
     /// Current state without advancing.
     pub fn state(&self) -> f64 {
         self.state
@@ -109,7 +100,9 @@ mod tests {
         let mut p = Ar1::new(0.8, 0.1, &mut rng).unwrap();
         let mut w = Welford::new();
         // Burn in, then sample.
-        p.step_n(1_000, &mut rng);
+        for _ in 0..1_000 {
+            p.step(&mut rng);
+        }
         for _ in 0..200_000 {
             w.push(p.step(&mut rng));
         }
@@ -122,7 +115,9 @@ mod tests {
         let mut rng = Rng::seed_from(43);
         let phi = 0.9;
         let mut p = Ar1::new(phi, 1.0, &mut rng).unwrap();
-        p.step_n(1_000, &mut rng);
+        for _ in 0..1_000 {
+            p.step(&mut rng);
+        }
         let xs: Vec<f64> = (0..100_000).map(|_| p.step(&mut rng)).collect();
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var: f64 = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>();

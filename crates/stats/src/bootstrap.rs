@@ -87,16 +87,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{Distribution, Normal};
+    use crate::rng::normal_samples;
 
     #[test]
     fn ci_brackets_true_mean_usually() {
-        let d = Normal::new(50.0, 5.0).unwrap();
         let mut rng = Rng::seed_from(100);
         let mut covered = 0;
         let trials = 100;
         for _ in 0..trials {
-            let xs = d.sample_n(&mut rng, 50);
+            let xs = normal_samples(&mut rng, 50.0, 5.0, 50);
             let ci = bootstrap_mean_ci(&xs, 0.95, 300, &mut rng);
             if ci.lo <= 50.0 && 50.0 <= ci.hi {
                 covered += 1;
@@ -108,9 +107,7 @@ mod tests {
 
     #[test]
     fn wider_level_gives_wider_interval() {
-        let d = Normal::new(0.0, 1.0).unwrap();
-        let mut rng = Rng::seed_from(101);
-        let xs = d.sample_n(&mut rng, 200);
+        let xs = normal_samples(&mut Rng::seed_from(101), 0.0, 1.0, 200);
         let narrow = bootstrap_mean_ci(&xs, 0.80, 500, &mut Rng::seed_from(7));
         let wide = bootstrap_mean_ci(&xs, 0.99, 500, &mut Rng::seed_from(7));
         assert!(wide.hi - wide.lo > narrow.hi - narrow.lo);

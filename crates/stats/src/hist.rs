@@ -195,8 +195,7 @@ impl Kde {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{Distribution, Normal};
-    use crate::rng::Rng;
+    use crate::rng::{normal_samples, Rng};
 
     #[test]
     fn histogram_counts_and_density() {
@@ -231,8 +230,7 @@ mod tests {
 
     #[test]
     fn kde_integrates_to_one() {
-        let d = Normal::new(0.0, 1.0).unwrap();
-        let xs = d.sample_n(&mut Rng::seed_from(5), 500);
+        let xs = normal_samples(&mut Rng::seed_from(5), 0.0, 1.0, 500);
         let kde = Kde::fit(&xs);
         let grid = kde.grid(-6.0, 6.0, 600);
         let step = 12.0 / 599.0;
@@ -242,8 +240,7 @@ mod tests {
 
     #[test]
     fn kde_peaks_near_mode() {
-        let d = Normal::new(3.0, 0.5).unwrap();
-        let xs = d.sample_n(&mut Rng::seed_from(6), 1_000);
+        let xs = normal_samples(&mut Rng::seed_from(6), 3.0, 0.5, 1_000);
         let kde = Kde::fit(&xs);
         assert!(kde.density(3.0) > kde.density(1.0));
         assert!(kde.density(3.0) > kde.density(5.0));
@@ -251,11 +248,9 @@ mod tests {
 
     #[test]
     fn trough_found_between_bimodal_peaks() {
-        let a = Normal::new(0.1, 0.03).unwrap();
-        let b = Normal::new(0.8, 0.1).unwrap();
         let mut rng = Rng::seed_from(7);
-        let mut xs = a.sample_n(&mut rng, 600);
-        xs.extend(b.sample_n(&mut rng, 400));
+        let mut xs = normal_samples(&mut rng, 0.1, 0.03, 600);
+        xs.extend(normal_samples(&mut rng, 0.8, 0.1, 400));
         let kde = Kde::fit(&xs);
         let trough = kde.trough(0.0, 1.2, 400).expect("bimodal data has trough");
         assert!(
@@ -266,8 +261,7 @@ mod tests {
 
     #[test]
     fn trough_none_for_unimodal() {
-        let d = Normal::new(0.0, 1.0).unwrap();
-        let xs = d.sample_n(&mut Rng::seed_from(8), 2_000);
+        let xs = normal_samples(&mut Rng::seed_from(8), 0.0, 1.0, 2_000);
         let kde = Kde::fit(&xs);
         // Evaluate on a coarse grid within one sigma: monotone around mode
         // still yields either none or a shallow artifact; accept none or a

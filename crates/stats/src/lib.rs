@@ -6,11 +6,8 @@
 //! - [`rng`]: a deterministic, fork-able pseudo-random number generator
 //!   (xoshiro256++ seeded via SplitMix64) so that every experiment in the
 //!   repository is reproducible bit-for-bit from a single `u64` seed.
-//! - [`dist`]: sampling distributions (normal, log-normal, Zipf, Pareto, ...)
-//!   used by the cloud simulator and the workload models.
 //! - [`online`]: Welford-style online accumulators for streaming mean /
-//!   variance and min/max tracking, plus the P²-style
-//!   [`online::P2Quantile`] streaming quantile estimator.
+//!   variance and min/max tracking.
 //! - [`summary`]: batch statistics over slices — mean, variance, quantiles,
 //!   coefficient of variation and the paper's *relative range* heuristic.
 //!   Order statistics run by selection with reusable scratch buffers; the
@@ -19,12 +16,11 @@
 //! - [`bootstrap`]: percentile bootstrap confidence intervals.
 //! - [`hist`]: histograms and Gaussian kernel density estimates (used to
 //!   regenerate the Figure 8 density plot).
-//! - [`special`]: special functions (`erf`, normal CDF/PDF/quantile) needed
+//! - [`special`]: special functions (`erf`, normal CDF/PDF) needed
 //!   by the expected-improvement acquisition function.
 //! - [`scaler`]: per-column standardization for ML pipelines.
 //! - [`ar1`]: first-order autoregressive processes modelling temporally
 //!   correlated cloud interference ("noisy neighbors").
-//! - [`corr`]: Pearson / Spearman correlation.
 //! - [`fnv`]: order-sensitive FNV-1a checksums used by the perf-gate and
 //!   the campaign engine to pin deterministic results bit-for-bit.
 //! - [`json`]: the shared hand-rolled JSON writer/parser (the workspace
@@ -36,19 +32,15 @@
 //!
 //! ```
 //! use tuna_stats::rng::Rng;
-//! use tuna_stats::dist::{Distribution, Normal};
 //! use tuna_stats::summary::relative_range;
 //!
 //! let mut rng = Rng::seed_from(42);
-//! let noise = Normal::new(1.0, 0.05).unwrap();
-//! let samples: Vec<f64> = (0..100).map(|_| noise.sample(&mut rng)).collect();
+//! let samples: Vec<f64> = (0..100).map(|_| 1.0 + 0.05 * rng.next_gaussian()).collect();
 //! assert!(relative_range(&samples) < 0.8);
 //! ```
 
 pub mod ar1;
 pub mod bootstrap;
-pub mod corr;
-pub mod dist;
 pub mod fnv;
 pub mod hist;
 pub mod json;
@@ -58,8 +50,7 @@ pub mod scaler;
 pub mod special;
 pub mod summary;
 
-pub use dist::Distribution;
-pub use online::{P2Quantile, Welford};
+pub use online::Welford;
 pub use rng::Rng;
 pub use summary::{coefficient_of_variation, mean, quantile, relative_range, std_dev};
 

@@ -207,15 +207,6 @@ impl Rng {
         }
     }
 
-    /// Picks a uniformly random element of `xs`, or `None` if empty.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> Option<&'a T> {
-        if xs.is_empty() {
-            None
-        } else {
-            Some(&xs[self.below(xs.len())])
-        }
-    }
-
     /// Samples `k` distinct indices from `0..n` (a uniform k-subset).
     ///
     /// Uses Floyd's algorithm; the returned order is randomized.
@@ -249,6 +240,12 @@ impl Rng {
             }
         }
     }
+}
+
+/// `n` draws from N(`mean`, `std`²), for tests that need Gaussian data.
+#[cfg(test)]
+pub(crate) fn normal_samples(rng: &mut Rng, mean: f64, std: f64, n: usize) -> Vec<f64> {
+    (0..n).map(|_| mean + std * rng.next_gaussian()).collect()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 //! The expected-improvement acquisition function and the GP optimizer need
 //! the standard-normal PDF/CDF; we implement `erf` with the
 //! Abramowitz–Stegun 7.1.26 rational approximation (|error| < 1.5e-7, ample
-//! for acquisition ranking) and the quantile with Acklam's algorithm.
+//! for acquisition ranking).
 
 /// Error function approximation (Abramowitz & Stegun 7.1.26).
 ///
@@ -48,64 +48,6 @@ pub fn normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
-/// Standard normal quantile (inverse CDF) via Acklam's algorithm.
-///
-/// Relative error below 1.15e-9 on `(0, 1)`.
-///
-/// # Panics
-///
-/// Panics if `p` is outside the open interval `(0, 1)`.
-pub fn normal_quantile(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "quantile level {p} outside (0,1)");
-
-    const A: [f64; 6] = [
-        -39.696_830_286_653_76,
-        220.946_098_424_520_9,
-        -275.928_510_446_969_,
-        138.357_751_867_269_2,
-        -30.664_798_066_147_16,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -54.476_098_798_224_06,
-        161.585_836_858_040_9,
-        -155.698_979_859_886_6,
-        66.801_311_887_719_72,
-        -13.280_681_552_885_72,
-    ];
-    const C: [f64; 6] = [
-        -0.007_784_894_002_430_293,
-        -0.322_396_458_041_136_4,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        0.007_784_695_709_041_462,
-        0.322_467_129_070_039_8,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.024_25;
-    const P_HIGH: f64 = 1.0 - P_LOW;
-
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= P_HIGH {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,26 +90,5 @@ mod tests {
     fn pdf_peak_at_zero() {
         assert!(normal_pdf(0.0) > normal_pdf(0.1));
         assert!((normal_pdf(0.0) - 0.3989423).abs() < 1e-6);
-    }
-
-    #[test]
-    fn quantile_round_trips_cdf() {
-        for p in [0.001, 0.025, 0.2, 0.5, 0.8, 0.975, 0.999] {
-            let x = normal_quantile(p);
-            assert!((normal_cdf(x) - p).abs() < 1e-5, "p={p}, x={x}");
-        }
-    }
-
-    #[test]
-    fn quantile_known_values() {
-        assert!(normal_quantile(0.5).abs() < 1e-8);
-        assert!((normal_quantile(0.975) - 1.959_964).abs() < 1e-4);
-        assert!((normal_quantile(0.995) - 2.575_829).abs() < 1e-4);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside (0,1)")]
-    fn quantile_rejects_zero() {
-        normal_quantile(0.0);
     }
 }

@@ -33,9 +33,9 @@ use std::cmp::Ordering;
 /// These are the original clone-and-sort (or two-pass) code paths the
 /// streaming/selection rewrites replaced. They are kept public — not
 /// `#[cfg(test)]` — because the differential property tests live in the
-/// crate's integration-test tree and the `bench_stats` microbenchmarks
-/// compare against them from another crate. Do not call them from
-/// production code.
+/// crate's integration-test tree and the `stats/naive_median_mad_10k`
+/// perfgate scenario times them from another crate. Do not call them
+/// from production code.
 pub mod naive {
     /// Sort-based linear-interpolation quantile (the pre-streaming
     /// implementation of [`super::quantile`]).

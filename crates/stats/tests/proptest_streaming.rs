@@ -3,16 +3,15 @@
 //!
 //! The perf-gate rewrite replaced the clone-and-sort order statistics
 //! with selection over scratch buffers (contract: **bit-identical**),
-//! and the two-pass moment/correlation estimators with single-pass
-//! streaming updates (contract: within a pinned 1e-12 tolerance). Each
+//! and the two-pass moment estimators with single-pass streaming
+//! updates (contract: within a pinned 1e-12 tolerance). Each
 //! property here drives one such pair over adversarial inputs —
 //! constant windows, sorted windows, NaN-free extreme magnitudes, and
 //! temporally correlated AR(1) streams from `tuna_stats::ar1`.
 
 use proptest::prelude::*;
 use tuna_stats::ar1::Ar1;
-use tuna_stats::corr;
-use tuna_stats::online::{P2Quantile, Welford};
+use tuna_stats::online::Welford;
 use tuna_stats::rng::Rng;
 use tuna_stats::summary::{self, FiveNumber};
 
@@ -129,32 +128,6 @@ proptest! {
         prop_assert_eq!(w.max(), summary::max(&xs));
     }
 
-    #[test]
-    fn streaming_pearson_matches_naive(
-        xs in prop::collection::vec(-1e6f64..1e6, 2..64),
-        seed in any::<u64>()
-    ) {
-        // Correlate against a noisy linear response so the oracle sees
-        // both strong and weak correlations.
-        let mut rng = Rng::seed_from(seed);
-        let ys: Vec<f64> = xs.iter().map(|x| 0.5 * x + 1e3 * rng.next_gaussian()).collect();
-        let fast = corr::pearson(&xs, &ys);
-        let slow = corr::naive::pearson(&xs, &ys);
-        // Correlations live in [-1, 1]; 1e-12 is absolute here.
-        prop_assert!((fast - slow).abs() < 1e-12, "{fast} vs {slow}");
-    }
-
-    #[test]
-    fn spearman_scratch_matches_allocating_path(xs in finite_vec(32), seed in any::<u64>()) {
-        let mut rng = Rng::seed_from(seed);
-        let ys: Vec<f64> = xs.iter().map(|_| rng.next_gaussian()).collect();
-        let mut scratch = corr::RankScratch::default();
-        prop_assert_eq!(
-            corr::spearman_with(&xs, &ys, &mut scratch).to_bits(),
-            corr::spearman(&xs, &ys).to_bits()
-        );
-    }
-
     // ---- AR(1) streams: the pipeline's actual workload -------------------
 
     #[test]
@@ -179,63 +152,5 @@ proptest! {
         }
         prop_assert!(close(w.mean(), summary::mean(&xs), 1.0));
         prop_assert!(close(w.variance(), summary::variance(&xs), 1.0));
-    }
-
-    #[test]
-    fn p2_extreme_levels_match_sorted_oracle_exactly(xs in finite_vec(256)) {
-        // p = 0 and p = 1 are pinned, not approximated: the outer P²
-        // markers are the running min/max, so the estimate must equal the
-        // sort-based oracle bit-for-bit at any stream length.
-        for (level, oracle) in [(0.0, summary::naive::quantile(&xs, 0.0)),
-                                (1.0, summary::naive::quantile(&xs, 1.0))] {
-            let mut p2 = P2Quantile::new(level);
-            for &x in &xs {
-                p2.push(x);
-            }
-            prop_assert_eq!(p2.value().to_bits(), oracle.to_bits(), "level {}", level);
-        }
-    }
-
-    #[test]
-    fn p2_ignores_non_finite_observations(
-        xs in finite_vec(128),
-        polluted_every in 1usize..8,
-        level in 0.0f64..=1.0
-    ) {
-        // A stream polluted with NaN/±∞ must behave exactly like the
-        // filtered stream — same count, same estimate.
-        let mut clean = P2Quantile::new(level);
-        let mut dirty = P2Quantile::new(level);
-        for (i, &x) in xs.iter().enumerate() {
-            clean.push(x);
-            dirty.push(x);
-            if i % polluted_every == 0 {
-                dirty.push(f64::NAN);
-                dirty.push(f64::INFINITY);
-                dirty.push(f64::NEG_INFINITY);
-            }
-        }
-        prop_assert_eq!(clean.count(), dirty.count());
-        prop_assert_eq!(clean.value().to_bits(), dirty.value().to_bits());
-    }
-
-    #[test]
-    fn p2_quantile_tracks_naive_on_ar1_streams(seed in any::<u64>(), phi in -0.9f64..0.9) {
-        // P² is an approximation: on a 4k-sample smooth AR(1) stream the
-        // estimate must land near the sort-based oracle. The stationary
-        // std is 0.1, so 0.05 absolute is a tight-but-safe band.
-        let xs = ar1_window(seed, phi, 4096);
-        for level in [0.25, 0.5, 0.75, 0.95] {
-            let mut p2 = P2Quantile::new(level);
-            for &x in &xs {
-                p2.push(x);
-            }
-            let exact = summary::naive::quantile(&xs, level);
-            prop_assert!(
-                (p2.value() - exact).abs() < 0.05,
-                "level {level}: p2 {} vs exact {exact}",
-                p2.value()
-            );
-        }
     }
 }

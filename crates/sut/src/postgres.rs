@@ -406,7 +406,7 @@ impl SystemUnderTest for Postgres {
         let scale = machine.sku().component_scale;
 
         let (d, seq_io) = Self::demands(&knobs, workload, memory_mb);
-        let (d0, seq_io0) = Self::demands(&PgKnobs::defaults(), workload, memory_mb);
+        let (d0, _) = Self::demands(&PgKnobs::defaults(), workload, memory_mb);
 
         // Observe the machine under this config's utilization profile.
         let util = d.map(|x| x.clamp(0.0, 1.0));
@@ -428,7 +428,6 @@ impl SystemUnderTest for Postgres {
         // Azure* machine (unit speeds, unit scales), so cross-SKU absolute
         // differences flow through the scales.
         let norm = d0.sum();
-        let _ = seq_io0;
         let total = sum(&d, seq_io, &snap.speeds);
         let ratio = norm / total.max(1e-9);
 

@@ -16,8 +16,8 @@
 //!   index, so the series is reproducible without threading an RNG).
 //!
 //! Generators are pure functions of `(pattern, epoch)`; campaigns stay
-//! bit-reproducible under any pattern. [`ArrivalPattern::modulate`]
-//! applies a pattern's load factor to a [`Workload`]'s demand vector
+//! bit-reproducible under any pattern. [`ArrivalPattern::modulate_peak`]
+//! applies a pattern's peak load factor to a [`Workload`]'s demand vector
 //! (clamped to the simulator's `[0, 1]` utilization domain), which is
 //! how `tuna figures --only fig11 --pattern ...` tunes for the peak hour
 //! instead of the average one.
@@ -134,17 +134,12 @@ impl ArrivalPattern {
             .fold(0.0f64, |acc, x| acc.max(x))
     }
 
-    /// A copy of `workload` under this pattern's load at `epoch`: every
-    /// demand component is scaled by the load factor and clamped to the
-    /// simulator's `[0, 1]` utilization domain. The workload keeps its
-    /// name — callers that persist results should fold the pattern into
-    /// their campaign name instead.
-    pub fn modulate(&self, workload: &Workload, epoch: usize) -> Workload {
-        self.scale(workload, self.load_factor(epoch))
-    }
-
-    /// [`ArrivalPattern::modulate`] at the pattern's peak — tuning for
-    /// the worst hour of the day rather than the average one.
+    /// A copy of `workload` under this pattern's peak load
+    /// ([`ArrivalPattern::peak_factor`]) — tuning for the worst hour of
+    /// the day rather than the average one. Every demand component is
+    /// scaled and clamped to the simulator's `[0, 1]` utilization
+    /// domain. The workload keeps its name — callers that persist
+    /// results should fold the pattern into their campaign name instead.
     pub fn modulate_peak(&self, workload: &Workload) -> Workload {
         self.scale(workload, self.peak_factor())
     }
@@ -229,7 +224,7 @@ mod tests {
         assert!((peak.demand.cpu - 0.55 * 1.4).abs() < 1e-9);
         assert!(peak.demand.iter().all(|(_, v)| (0.0..=1.0).contains(&v)));
         // Steady modulation is the identity.
-        assert_eq!(ArrivalPattern::Steady.modulate(&w, 7), w);
+        assert_eq!(ArrivalPattern::Steady.modulate_peak(&w), w);
         // Name survives so stores stay compatible with the base naming.
         assert_eq!(peak.name, w.name);
     }

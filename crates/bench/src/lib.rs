@@ -204,8 +204,8 @@ pub fn strip_plot(values: &[f64], lo: f64, hi: f64, width: usize) -> String {
         .collect()
 }
 
-/// Runs a campaign with the harness's standard plumbing: `TUNA_WORKERS`
-/// cell-level workers, or one per core when it is unset (results do not
+/// Runs a campaign with the harness's standard plumbing:
+/// [`CampaignRunner::from_env`]'s cell-level workers (results do not
 /// depend on the count); the store `--store DIR/<campaign name>.csv`
 /// (resume included) when given; and a stderr note about where results
 /// were persisted. Exits with a usage error when the grid is empty or
@@ -223,12 +223,7 @@ pub fn run_campaign(args: &HarnessArgs, campaign: &Campaign) -> CampaignResult {
             ResultStore::open(path, campaign).unwrap_or_else(|e| fail(&e))
         }
     };
-    let runner = if std::env::var_os("TUNA_WORKERS").is_some() {
-        CampaignRunner::from_env()
-    } else {
-        CampaignRunner::with_workers(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    };
-    let result = runner.run(campaign, &mut store);
+    let result = CampaignRunner::from_env().run(campaign, &mut store);
     if let Some(path) = store.csv_path() {
         eprintln!(
             "campaign '{}': {} cells ({} executed, {} resumed), checksum {} -> {}",

@@ -13,10 +13,11 @@
 //!   No RNG state flows between cells, so execution order cannot matter.
 //! - **Work-stealing over cells.** The runner reuses the executor's
 //!   [`ExecutionMode`] vocabulary but parallelizes at the *cell* level:
-//!   worker threads claim whole cells from a shared cursor (the same
-//!   idiom as [`crate::executor`]'s lane pool). Trials inside a campaign
-//!   cell always run serially — the scaling axis is the grid itself, and
-//!   results are bit-identical for any worker count either way.
+//!   whole cells fan out through [`tuna_stats::pool::map`], the same pool
+//!   [`crate::executor`] runs its machine lanes on. Trials inside a
+//!   campaign cell always run serially — the scaling axis is the grid
+//!   itself, and results are bit-identical for any worker count either
+//!   way.
 //! - **A checksummed, resumable [`ResultStore`].** Every finished cell is
 //!   appended to a CSV journal with an FNV-1a digest over its rows;
 //!   [`ResultStore::finalize`] rewrites the file in cell order and emits a
@@ -49,7 +50,6 @@
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::aggregate::AggregationPolicy;
@@ -1395,8 +1395,8 @@ fn parse_csv_row(line: &str) -> Result<(usize, CellRow, String), String> {
 pub struct CampaignRunner {
     /// Cell-level execution mode: [`ExecutionMode::Serial`] runs cells in
     /// grid order on the calling thread; `Parallel { workers }` lets up to
-    /// `workers` threads claim cells from a shared cursor. Results and
-    /// store contents are bit-identical either way.
+    /// `workers` pool threads claim cells one at a time. Results and store
+    /// contents are bit-identical either way.
     pub mode: ExecutionMode,
     /// Stop after this many *newly executed* cells (checkpointing /
     /// interrupt simulation). `None` runs the whole grid.
@@ -1414,12 +1414,13 @@ impl CampaignRunner {
 
     /// A runner whose cell-level worker count comes from `TUNA_WORKERS`
     /// (the same knob the trial executor reads; campaigns scale across
-    /// cells instead of within rounds).
+    /// cells instead of within rounds), or one worker per core when it is
+    /// unset. Results do not depend on the count.
     pub fn from_env() -> Self {
-        CampaignRunner {
-            mode: ExecutionMode::from_env(),
-            cell_limit: None,
-        }
+        Self::with_workers(match std::env::var_os("TUNA_WORKERS") {
+            Some(_) => ExecutionMode::from_env().workers(),
+            None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        })
     }
 
     /// A runner with an explicit worker count.
@@ -1456,77 +1457,38 @@ impl CampaignRunner {
             "store was opened for a different campaign declaration"
         );
         let n_cells = campaign.n_cells();
-        let pending: Vec<usize> = (0..n_cells).filter(|i| store.get(*i).is_none()).collect();
-        let to_run: Vec<usize> = match self.cell_limit {
-            Some(limit) => pending.iter().copied().take(limit).collect(),
-            None => pending,
-        };
+        let to_run: Vec<usize> = (0..n_cells)
+            .filter(|i| store.get(*i).is_none())
+            .take(self.cell_limit.unwrap_or(usize::MAX))
+            .collect();
         let resumed_before = store.len();
 
-        // Trials inside campaign cells always execute serially: the
-        // campaign's scaling axis is the grid, and the executor's
-        // serial-equivalence contract makes this numerically irrelevant.
-        let inner = ExecutionMode::Serial;
-        let workers = self.mode.workers().min(to_run.len().max(1));
-        let executed: Vec<(usize, CellRecord, CellPayload)> = if workers <= 1 {
-            let mut out = Vec::with_capacity(to_run.len());
-            for &cell in &to_run {
-                let (record, payload) = execute_cell(campaign, cell, inner);
-                store
-                    .record(campaign, record.clone())
-                    .unwrap_or_else(|e| panic!("campaign '{}': {e}", campaign.name));
-                out.push((cell, record, payload));
-            }
-            out
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let shared_store = Mutex::new(&mut *store);
-            let mut harvests: Vec<Vec<(usize, CellRecord, CellPayload)>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            let cursor = &cursor;
-                            let to_run = &to_run;
-                            let shared_store = &shared_store;
-                            scope.spawn(move || {
-                                let mut produced = Vec::new();
-                                loop {
-                                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                    let Some(&cell) = to_run.get(i) else {
-                                        break;
-                                    };
-                                    let (record, payload) = execute_cell(campaign, cell, inner);
-                                    // The guard drops before a failure
-                                    // panics, so the mutex is not poisoned.
-                                    let recorded = shared_store
-                                        .lock()
-                                        .expect("store mutex poisoned")
-                                        .record(campaign, record.clone());
-                                    recorded.unwrap_or_else(|e| {
-                                        panic!("campaign '{}': {e}", campaign.name)
-                                    });
-                                    produced.push((cell, record, payload));
-                                }
-                                produced
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                        .collect()
-                });
-            let mut out: Vec<(usize, CellRecord, CellPayload)> = Vec::with_capacity(to_run.len());
-            for harvest in &mut harvests {
-                out.append(harvest);
-            }
-            out
-        };
-        let executed_count = executed.len();
-        let mut payloads: BTreeMap<usize, CellPayload> = BTreeMap::new();
-        for (cell, _, payload) in executed {
-            payloads.insert(cell, payload);
-        }
+        // Each cell is recorded as it finishes, so a kill loses only the
+        // cells that were running.
+        let shared_store = Mutex::new(&mut *store);
+        let mut payloads: BTreeMap<usize, CellPayload> = tuna_stats::pool::map(
+            self.mode.workers(),
+            to_run,
+            |_| (),
+            |_, cell| {
+                // Trials inside campaign cells always execute serially: the
+                // campaign's scaling axis is the grid, and the executor's
+                // serial-equivalence contract makes this numerically
+                // irrelevant.
+                let (record, payload) = execute_cell(campaign, cell, ExecutionMode::Serial);
+                // The guard drops before a failure panics, so the mutex is
+                // not poisoned.
+                let recorded = shared_store
+                    .lock()
+                    .expect("store mutex poisoned")
+                    .record(campaign, record);
+                recorded.unwrap_or_else(|e| panic!("campaign '{}': {e}", campaign.name));
+                (cell, payload)
+            },
+        )
+        .into_iter()
+        .collect();
+        let executed_count = payloads.len();
 
         if let Err(e) = store.finalize(campaign) {
             eprintln!("campaign '{}': store finalize failed: {e}", campaign.name);

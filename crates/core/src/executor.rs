@@ -3,11 +3,11 @@
 //! TUNA's detection guarantee rests on sampling each configuration on
 //! *distinct* nodes of the worker cluster (§4.1, Figure 9), which makes the
 //! runs of one scheduling round independent by construction: each run
-//! touches exactly one [`Machine`] and no machine appears twice in a batch
-//! for the same config. This module exploits that independence to execute a
-//! round's `(config, machine)` assignments concurrently — one *lane* per
-//! simulated worker — while producing **bit-identical** results to serial
-//! execution.
+//! touches exactly one [`Machine`](tuna_cloudsim::machine::Machine) and
+//! no machine appears twice in a batch for the same config. This module
+//! exploits that independence to execute a round's `(config, machine)`
+//! assignments concurrently — one *lane* per simulated worker — while
+//! producing **bit-identical** results to serial execution.
 //!
 //! Two disciplines make the equivalence hold:
 //!
@@ -22,16 +22,14 @@
 //!    lane executes its runs in plan order, so every machine observes the
 //!    exact same sequence of measurement epochs as under serial execution.
 //!
-//! The engine is a scoped-thread worker pool (`std::thread::scope`, no
-//! external dependencies): worker threads claim lanes from a shared queue,
-//! execute them, and scatter outcomes back into plan order. Per-lane
-//! wall-clock is recorded in [`BatchStats`] so speedup is measurable.
+//! The lanes fan out through the workspace's one worker pool,
+//! [`tuna_stats::pool::map`]: worker threads claim lanes one at a time and
+//! the outcomes are put back into plan order. Per-lane wall-clock is
+//! recorded in [`BatchStats`] so speedup is measurable.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
-use tuna_cloudsim::machine::Machine;
 use tuna_cloudsim::Cluster;
 use tuna_stats::rng::Rng;
 use tuna_sut::{RunOutcome, SystemUnderTest};
@@ -195,13 +193,6 @@ fn exec_metrics() -> &'static ExecMetrics {
     })
 }
 
-/// A lane: one machine plus the (plan-ordered) request indices it runs.
-struct Lane<'a> {
-    machine_idx: usize,
-    machine: &'a mut Machine,
-    requests: Vec<usize>,
-}
-
 /// Executes a batch of trial runs and returns the outcomes in plan order
 /// plus wall-clock accounting.
 ///
@@ -212,8 +203,8 @@ struct Lane<'a> {
 ///
 /// # Panics
 ///
-/// Panics if a request's machine index is out of bounds, or (propagated)
-/// if the SuT panics.
+/// Panics if a request's machine index is out of bounds, or (propagated,
+/// with its original payload) if the SuT panics.
 pub fn execute_batch(
     mode: ExecutionMode,
     sut: &dyn SystemUnderTest,
@@ -242,29 +233,48 @@ pub fn execute_batch(
 
     let workers = mode.workers().min(machine_order.len());
     let batch_start = Instant::now();
-    let (mut outcomes, lanes, steals) = if workers <= 1 {
-        let (outcomes, lanes) = execute_lanes_serial(
-            sut,
-            workload,
-            cluster,
-            base,
-            requests,
-            &machine_order,
-            &lane_requests,
-        );
-        (outcomes, lanes, 0)
-    } else {
-        execute_lanes_parallel(
-            sut,
-            workload,
-            cluster,
-            base,
-            requests,
-            &machine_order,
-            lane_requests,
-            workers,
-        )
-    };
+    // Worker `w` tags the lanes it ran with `w`: a lane run by any worker
+    // but the first would have queued behind it on a single thread — that
+    // is the "stolen" work the steal counter sees.
+    let ran = tuna_stats::pool::map(
+        workers,
+        cluster
+            .lanes_mut(&machine_order)
+            .into_iter()
+            .zip(machine_order.iter().copied().zip(lane_requests))
+            .collect(),
+        |w| w,
+        |&mut w, (lane, (machine, reqs))| {
+            let start = Instant::now();
+            let outcomes: Vec<(usize, RunOutcome)> = reqs
+                .iter()
+                .map(|&i| {
+                    let req = &requests[i];
+                    let mut rng = base.fork(req.stream);
+                    (i, sut.run(req.config, workload, lane, &mut rng))
+                })
+                .collect();
+            let stats = LaneStats {
+                machine,
+                runs: reqs.len(),
+                nanos: start.elapsed().as_nanos(),
+            };
+            (stats, outcomes, w != 0)
+        },
+    );
+
+    let mut outcomes: Vec<(usize, RunOutcome)> = Vec::with_capacity(requests.len());
+    let mut lanes: Vec<LaneStats> = Vec::with_capacity(ran.len());
+    let mut steals: u64 = 0;
+    for (stats, lane_outcomes, stolen) in ran {
+        outcomes.extend(lane_outcomes);
+        lanes.push(stats);
+        steals += u64::from(stolen);
+    }
+    // Plan order for outcomes, machine order for lanes: deterministic
+    // regardless of which worker ran what.
+    outcomes.sort_unstable_by_key(|&(i, _)| i);
+    lanes.sort_by_key(|l| l.machine);
     let stats = BatchStats {
         wall_nanos: batch_start.elapsed().as_nanos(),
         lanes,
@@ -281,155 +291,7 @@ pub fn execute_batch(
         metrics.occupancy.set(u64::try_from(pct).unwrap_or(100));
     }
 
-    let ordered: Vec<RunOutcome> = outcomes
-        .iter_mut()
-        .map(|slot| slot.take().expect("every request produces an outcome"))
-        .collect();
-    (ordered, stats)
-}
-
-/// Runs one request with its forked generator.
-fn run_one(
-    sut: &dyn SystemUnderTest,
-    workload: &Workload,
-    machine: &mut Machine,
-    base: &Rng,
-    req: &RunRequest<'_>,
-) -> RunOutcome {
-    let mut rng = base.fork(req.stream);
-    sut.run(req.config, workload, machine, &mut rng)
-}
-
-fn execute_lanes_serial(
-    sut: &dyn SystemUnderTest,
-    workload: &Workload,
-    cluster: &mut Cluster,
-    base: &Rng,
-    requests: &[RunRequest<'_>],
-    machine_order: &[usize],
-    lane_requests: &[Vec<usize>],
-) -> (Vec<Option<RunOutcome>>, Vec<LaneStats>) {
-    let mut outcomes: Vec<Option<RunOutcome>> = requests.iter().map(|_| None).collect();
-    // Lane by lane, each lane's requests in plan order — the exact
-    // per-machine sequence the parallel path executes.
-    let mut lanes: Vec<LaneStats> = machine_order
-        .iter()
-        .zip(lane_requests)
-        .map(|(&machine, reqs)| {
-            let start = Instant::now();
-            for &i in reqs {
-                let req = &requests[i];
-                outcomes[i] = Some(run_one(
-                    sut,
-                    workload,
-                    cluster.machine_mut(machine),
-                    base,
-                    req,
-                ));
-            }
-            LaneStats {
-                machine,
-                runs: reqs.len(),
-                nanos: start.elapsed().as_nanos(),
-            }
-        })
-        .collect();
-    lanes.sort_by_key(|l| l.machine);
-    (outcomes, lanes)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_lanes_parallel(
-    sut: &dyn SystemUnderTest,
-    workload: &Workload,
-    cluster: &mut Cluster,
-    base: &Rng,
-    requests: &[RunRequest<'_>],
-    machine_order: &[usize],
-    lane_requests: Vec<Vec<usize>>,
-    workers: usize,
-) -> (Vec<Option<RunOutcome>>, Vec<LaneStats>, u64) {
-    let machines = cluster.lanes_mut(machine_order);
-    let mut lanes: Vec<Lane<'_>> = machines
-        .into_iter()
-        .zip(machine_order.iter().zip(lane_requests))
-        .map(|(machine, (&machine_idx, reqs))| Lane {
-            machine_idx,
-            machine,
-            requests: reqs,
-        })
-        .collect();
-    let n_lanes = lanes.len();
-
-    // Workers claim lanes through an atomic cursor over a locked slot
-    // vector; each lane is claimed exactly once, so the locks are
-    // uncontended and exist only to move the `&mut Machine` across
-    // threads safely.
-    let slots: Vec<Mutex<Option<Lane<'_>>>> =
-        lanes.drain(..).map(|l| Mutex::new(Some(l))).collect();
-    let cursor = AtomicUsize::new(0);
-
-    // What one worker thread brings home: outcomes tagged with their
-    // lane index, plus per-lane timing.
-    type WorkerHarvest = (Vec<(usize, RunOutcome)>, Vec<LaneStats>, u64);
-    let mut per_worker: Vec<WorkerHarvest> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|wi| {
-                let slots = &slots;
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut produced: Vec<(usize, RunOutcome)> = Vec::new();
-                    let mut lane_stats: Vec<LaneStats> = Vec::new();
-                    let mut claimed: u64 = 0;
-                    loop {
-                        let l = cursor.fetch_add(1, Ordering::Relaxed);
-                        if l >= n_lanes {
-                            break;
-                        }
-                        claimed += 1;
-                        let lane = slots[l]
-                            .lock()
-                            .expect("lane mutex poisoned")
-                            .take()
-                            .expect("lane claimed twice");
-                        let start = Instant::now();
-                        for &i in &lane.requests {
-                            let req = &requests[i];
-                            let outcome = run_one(sut, workload, lane.machine, base, req);
-                            produced.push((i, outcome));
-                        }
-                        lane_stats.push(LaneStats {
-                            machine: lane.machine_idx,
-                            runs: lane.requests.len(),
-                            nanos: start.elapsed().as_nanos(),
-                        });
-                    }
-                    // A lane run by any thread but the first would have
-                    // serialized behind it in a single-threaded pool —
-                    // that is the "stolen" work the steal counter sees.
-                    (produced, lane_stats, if wi == 0 { 0 } else { claimed })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("executor worker panicked"))
-            .collect()
-    });
-
-    let mut outcomes: Vec<Option<RunOutcome>> = requests.iter().map(|_| None).collect();
-    let mut lane_stats: Vec<LaneStats> = Vec::with_capacity(n_lanes);
-    let mut steals: u64 = 0;
-    for (produced, stats, stolen) in &mut per_worker {
-        for (i, outcome) in produced.drain(..) {
-            outcomes[i] = Some(outcome);
-        }
-        lane_stats.append(stats);
-        steals += *stolen;
-    }
-    // Deterministic reporting order regardless of which worker ran what.
-    lane_stats.sort_by_key(|l| l.machine);
-    (outcomes, lane_stats, steals)
+    (outcomes.into_iter().map(|(_, o)| o).collect(), stats)
 }
 
 #[cfg(test)]
@@ -495,6 +357,72 @@ mod tests {
                 let par = run_plan(ExecutionMode::Parallel { workers }, seed);
                 assert_eq!(serial, par, "workers={workers} seed={seed} diverged");
             }
+        }
+    }
+
+    /// Postgres, except that a run on one chosen machine panics.
+    struct PanicsOn {
+        inner: Postgres,
+        machine: tuna_cloudsim::machine::MachineId,
+    }
+
+    impl SystemUnderTest for PanicsOn {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn space(&self) -> &tuna_space::ConfigSpace {
+            self.inner.space()
+        }
+        fn default_config(&self) -> Config {
+            self.inner.default_config()
+        }
+        fn supports(&self, workload: &Workload) -> bool {
+            self.inner.supports(workload)
+        }
+        fn run(
+            &self,
+            config: &Config,
+            workload: &Workload,
+            machine: &mut tuna_cloudsim::machine::Machine,
+            rng: &mut Rng,
+        ) -> RunOutcome {
+            if machine.id() == self.machine {
+                panic!("sut failed on the chosen machine");
+            }
+            self.inner.run(config, workload, machine, rng)
+        }
+    }
+
+    #[test]
+    fn sut_panic_keeps_its_message_at_any_worker_count() {
+        let workload = tuna_workloads::tpcc();
+        for mode in [
+            ExecutionMode::Serial,
+            ExecutionMode::Parallel { workers: 4 },
+        ] {
+            let mut c = cluster(4, 11);
+            let sut = PanicsOn {
+                inner: Postgres::new(),
+                machine: c.machine(2).id(),
+            };
+            let cfg = sut.default_config();
+            let requests: Vec<RunRequest<'_>> = (0..4)
+                .map(|m| RunRequest {
+                    config: &cfg,
+                    machine: m,
+                    stream: m as u64,
+                })
+                .collect();
+            let base = Rng::seed_from(11);
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                execute_batch(mode, &sut, &workload, &mut c, &base, &requests)
+            }))
+            .expect_err("the SuT panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"sut failed on the chosen machine"),
+                "{mode:?}"
+            );
         }
     }
 

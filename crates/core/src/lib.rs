@@ -17,8 +17,8 @@
 //! 4. [`aggregate`] — the min (worst-case) aggregation policy (§4.4).
 //!
 //! [`executor`] turns each round's `(config, machine)` plan into trial
-//! runs — serially or on a scoped-thread worker pool with one lane per
-//! simulated worker, bit-identically (forked per-run RNGs, disjoint
+//! runs — serially or on the workspace pool ([`tuna_stats::pool`]) with
+//! one lane per simulated worker, bit-identically (forked per-run RNGs, disjoint
 //! machine lanes). [`pipeline`] wires these into the ask/run/tell loop of
 //! Figure 7/10,
 //! [`baselines`] implements the paper's comparison points (traditional

@@ -117,6 +117,15 @@ fn unordered_iteration(view: &FileView, out: &mut Vec<(usize, String)>) {
     );
 }
 
+fn thread_fanout(view: &FileView, out: &mut Vec<(usize, String)>) {
+    needle_rule(
+        view,
+        out,
+        &["thread::scope", "thread::spawn", "thread::Builder"],
+        "fans work out on a private thread pool",
+    );
+}
+
 /// Lines of lookahead after a `partial_cmp` before `unwrap`/`expect`
 /// stops counting as part of the same expression.
 const FLOAT_LOOKAHEAD: usize = 2;
@@ -229,6 +238,25 @@ pub fn builtin() -> Vec<Rule> {
             allow_paths: &[],
             skip_test_code: false,
             check: undocumented_unsafe,
+        },
+        Rule {
+            id: "thread-fanout",
+            severity: Severity::Deny,
+            summary: "thread::scope/spawn/Builder outside the workspace pool",
+            help: "fan work out through tuna_stats::pool::map, which returns results in \
+                   item order whoever ran them",
+            allow_paths: &[
+                // The one pool.
+                "crates/stats/src/pool.rs",
+                // The daemon's long-lived workers are not a fan-out:
+                // they serve the readiness loop for the process lifetime.
+                "crates/serve/src/bin/tunad.rs",
+                // The repo benchmark's own reconstruction of the campaign
+                // runner, which times the runner's seams from outside.
+                "perfbench/src/campaign.rs",
+            ],
+            skip_test_code: true,
+            check: thread_fanout,
         },
     ]
 }

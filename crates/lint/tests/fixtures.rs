@@ -117,6 +117,20 @@ fn undocumented_unsafe_positive_negative() {
 }
 
 #[test]
+fn thread_fanout_positive_negative() {
+    let bad = include_str!("../fixtures/thread_fanout_bad.rs");
+    let diags = Engine::builtin().check_file(SRC, bad);
+    // `thread::scope`, `thread::spawn` and `thread::Builder`, once each.
+    assert_eq!(diags.len(), 3, "expected 3 thread-fanout hits: {diags:?}");
+    assert!(diags.iter().all(|d| d.rule == "thread-fanout"));
+    // The pool itself is the one place threads may be spawned.
+    assert!(Engine::builtin()
+        .check_file("crates/stats/src/pool.rs", bad)
+        .is_empty());
+    assert_clean(include_str!("../fixtures/thread_fanout_clean.rs"));
+}
+
+#[test]
 fn comment_stripping_regression() {
     let text = include_str!("../fixtures/comment_in_string.rs");
     let diags = Engine::builtin().check_file(SRC, text);

@@ -10,11 +10,11 @@
 //! [`crate::tree`]) and grows every tree on `u32` row indices into it: a
 //! bootstrap resample draws indices, not rows. Tree `t` draws only from
 //! `rng.fork(t)`, so trees can grow on [`ForestParams::threads`] threads
-//! and the forest is bit-identical at any thread count.
+//! of the workspace pool ([`tuna_stats::pool::map`], which returns them in
+//! tree order) and the forest is bit-identical at any thread count.
 
 use crate::tree::{RankedColumns, RegressionTree, SplitScratch, TreeParams};
 use crate::{check_xy, with_scratch, MlError, Regressor};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use tuna_stats::rng::Rng;
 use tuna_stats::scaler::StandardScaler;
 
@@ -54,10 +54,10 @@ pub struct ForestParams {
     pub feature_subsample: FeatureSubsample,
     /// Per-tree parameters.
     pub tree: TreeParams,
-    /// Threads that grow trees concurrently (`0` and `1` both mean the
-    /// calling thread alone). Every tree draws from its own fork of the
-    /// fit's generator, so the fitted forest does not depend on this
-    /// value — it only trades wall-clock for threads.
+    /// Pool threads that grow trees concurrently ([`tuna_stats::pool::map`];
+    /// `0` and `1` both mean the calling thread alone). Every tree draws
+    /// from its own fork of the fit's generator, so the fitted forest does
+    /// not depend on this value — it only trades wall-clock for threads.
     pub threads: usize,
 }
 
@@ -157,55 +157,22 @@ impl RandomForest {
             max_features: self.params.feature_subsample.resolve(data.n_features()),
             ..self.params.tree
         };
-        let bootstrap = self.params.bootstrap;
-        let grow = |t: usize, sample: &mut Vec<u32>, scratch: &mut SplitScratch| {
-            let mut tree_rng = rng.fork(t as u64);
-            sample.clear();
-            if bootstrap {
-                sample.extend((0..rows).map(|_| tree_rng.below(rows) as u32));
-            } else {
-                sample.extend(0..rows as u32);
-            }
-            RegressionTree::grow(data, y, sample, tree_params, &mut tree_rng, scratch)
-        };
-
-        let n_trees = self.params.n_trees;
-        let workers = self.params.threads.clamp(1, n_trees);
         self.n_features = data.n_features();
-        self.trees = if workers == 1 {
-            let (mut sample, mut scratch) = (Vec::new(), SplitScratch::default());
-            (0..n_trees)
-                .map(|t| grow(t, &mut sample, &mut scratch))
-                .collect()
-        } else {
-            // Workers claim tree indices from a shared cursor; the trees
-            // are put back in index order afterwards. The cursor publishes
-            // no data (trees come back through `join`), so `Relaxed`.
-            let next = AtomicUsize::new(0);
-            let mut grown: Vec<(usize, RegressionTree)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let (mut sample, mut scratch) = (Vec::new(), SplitScratch::default());
-                            let mut grown = Vec::new();
-                            loop {
-                                let t = next.fetch_add(1, Ordering::Relaxed);
-                                if t >= n_trees {
-                                    return grown;
-                                }
-                                grown.push((t, grow(t, &mut sample, &mut scratch)));
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect()
-            });
-            grown.sort_unstable_by_key(|&(t, _)| t);
-            grown.into_iter().map(|(_, tree)| tree).collect()
-        };
+        self.trees = tuna_stats::pool::map(
+            self.params.threads,
+            (0..self.params.n_trees).collect(),
+            |_| (Vec::new(), SplitScratch::default()),
+            |(sample, scratch): &mut (Vec<u32>, _), t: usize| {
+                let mut tree_rng = rng.fork(t as u64);
+                sample.clear();
+                if self.params.bootstrap {
+                    sample.extend((0..rows).map(|_| tree_rng.below(rows) as u32));
+                } else {
+                    sample.extend(0..rows as u32);
+                }
+                RegressionTree::grow(data, y, sample, tree_params, &mut tree_rng, scratch)
+            },
+        );
         Ok(())
     }
 }

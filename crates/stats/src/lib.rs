@@ -27,6 +27,8 @@
 //!   builds offline, so every JSON surface — campaign stores,
 //!   `BENCH.json`, the serve wire protocol — goes through this one
 //!   module).
+//! - [`pool`]: the workspace's one worker pool; [`pool::map`] fans items
+//!   out over scoped threads and returns the results in item order.
 //!
 //! # Examples
 //!
@@ -45,6 +47,7 @@ pub mod fnv;
 pub mod hist;
 pub mod json;
 pub mod online;
+pub mod pool;
 pub mod rng;
 pub mod scaler;
 pub mod special;

@@ -3,7 +3,7 @@
 //!
 //! This replaces the old `tests/float_ordering_lint.rs` grep-style
 //! check: `tuna-lint` is token-aware (comments, string/char/raw-string
-//! literals), covers five rules instead of one, and requires every
+//! literals), covers six rules instead of one, and requires every
 //! suppression to carry a written justification. `cargo test` fails on
 //! any diagnostic; the CI `lints` job runs the same engine via the
 //! `tuna-lint` binary.

@@ -6,7 +6,8 @@
 //! flips; larger ones spend more per config for diminishing returns.
 
 use crate::{fail, run_campaign, HarnessArgs};
-use tuna_core::campaign::{Arm, Campaign, ClusterShape, Recipe, SampleBudgetSpec};
+use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
+use tuna_core::experiment::ClusterShape;
 use tuna_core::report::render_table;
 use tuna_optimizer::multifidelity::LadderParams;
 use tuna_stats::summary;

@@ -8,44 +8,11 @@
 //!     averaged over the whole run).
 
 use crate::{paper_vs, HarnessArgs};
-use tuna_cloudsim::Cluster;
-use tuna_core::deploy::default_worst_case_with;
-use tuna_core::experiment::Experiment;
-use tuna_core::pipeline::{ModelErrorRecord, TunaConfig, TunaPipeline};
+use tuna_core::experiment::{Experiment, RunPlan, TunaTweaks, Tuner};
+use tuna_core::pipeline::ModelErrorRecord;
 use tuna_core::report::render_table;
-use tuna_optimizer::multifidelity::LadderParams;
-use tuna_optimizer::smac::SmacOptimizer;
-use tuna_stats::rng::{hash_combine, Rng};
+use tuna_stats::rng::hash_combine;
 use tuna_stats::summary;
-
-fn run_variant(
-    exp: &Experiment,
-    with_model: bool,
-    sample_budget: usize,
-    seed: u64,
-) -> (Vec<f64>, Vec<ModelErrorRecord>) {
-    let sut = exp.make_sut();
-    let base = Cluster::new(exp.cluster_size, exp.sku.clone(), exp.region.clone(), seed);
-    let mut rng = Rng::seed_from(hash_combine(seed, 5));
-    let crash_penalty = default_worst_case_with(exp.exec, sut.as_ref(), &exp.workload, &base, &rng);
-    let cfg = if with_model {
-        TunaConfig::paper_default(crash_penalty)
-    } else {
-        TunaConfig::without_adjuster(crash_penalty)
-    };
-    let optimizer = SmacOptimizer::multi_fidelity(
-        sut.space().clone(),
-        exp.objective(),
-        exp.smac.clone(),
-        LadderParams::paper_default(),
-    );
-    let mut pipeline =
-        TunaPipeline::new(cfg, sut.as_ref(), &exp.workload, Box::new(optimizer), base);
-    pipeline.run_until_samples(sample_budget, &mut rng);
-    let result = pipeline.finish();
-    let curve = super::curve_at(&result.trace, sample_budget, 10);
-    (curve, result.model_errors)
-}
 
 pub fn run(args: &HarnessArgs) {
     let runs = args.runs_or(3, 8, 100);
@@ -57,10 +24,26 @@ pub fn run(args: &HarnessArgs) {
     let mut with_errors: Vec<ModelErrorRecord> = Vec::new();
     let mut speedups = Vec::new();
 
+    // Both variants tune from the run seed's cluster with RNG label 5 and
+    // skip deployment, as the historical driver did.
+    let variant = |without_adjuster, seed| {
+        let tuner = Tuner::Tuna {
+            tweaks: TunaTweaks {
+                without_adjuster,
+                ..TunaTweaks::default()
+            },
+            solver: exp.optimizer.clone(),
+            samples: sample_budget,
+        };
+        let plan = RunPlan::new(seed, hash_combine(seed, 5), None, vec![tuner]);
+        let result = exp.execute(&plan).tunings.remove(0);
+        let curve = super::curve_at(&result.trace, sample_budget, 10);
+        (curve, result.model_errors)
+    };
     for run in 0..runs {
         let seed = hash_combine(args.seed, 500 + run as u64);
-        let (cw, ew) = run_variant(&exp, true, sample_budget, seed);
-        let (co, _) = run_variant(&exp, false, sample_budget, seed);
+        let (cw, ew) = variant(false, seed);
+        let (co, _) = variant(true, seed);
         // Convergence speedup averaged over matched performance levels:
         // for the ablation's level at 50%, 75% and 100% of the budget,
         // how many samples did the full system need to get there?

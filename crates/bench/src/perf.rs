@@ -34,6 +34,7 @@ use tuna_core::aggregate::AggregationPolicy;
 use tuna_core::baselines::run_naive_distributed;
 use tuna_core::campaign::{CellRecord, CellRow};
 use tuna_core::executor::ExecutionMode;
+use tuna_core::experiment::objective_for;
 use tuna_core::outlier::OutlierDetector;
 use tuna_core::pipeline::{TunaConfig, TunaPipeline, TuningResult};
 use tuna_optimizer::multifidelity::LadderParams;
@@ -45,8 +46,8 @@ use tuna_stats::bootstrap::bootstrap_mean_ci;
 use tuna_stats::online::Welford;
 use tuna_stats::rng::Rng;
 use tuna_stats::summary;
-use tuna_sut::{nginx::Nginx, postgres::Postgres, redis::Redis, SystemUnderTest};
-use tuna_workloads::{TargetSystem, Workload};
+use tuna_sut::SystemUnderTest;
+use tuna_workloads::Workload;
 
 /// Name of the calibration scenario used as the cross-machine
 /// throughput normalizer.
@@ -277,22 +278,6 @@ pub fn run_suite(quick: bool, handicap: f64) -> BenchDoc {
     }
 }
 
-fn sut_for(target: TargetSystem) -> Box<dyn SystemUnderTest> {
-    match target {
-        TargetSystem::Postgres => Box::new(Postgres::new()),
-        TargetSystem::Redis => Box::new(Redis::new()),
-        TargetSystem::Nginx => Box::new(Nginx::new()),
-    }
-}
-
-fn objective_for(workload: &Workload) -> Objective {
-    if workload.metric.higher_is_better() {
-        Objective::Maximize
-    } else {
-        Objective::Minimize
-    }
-}
-
 fn smac_for(sut: &dyn SystemUnderTest, objective: Objective) -> Box<dyn Solver> {
     Box::new(SmacOptimizer::multi_fidelity(
         sut.space().clone(),
@@ -324,7 +309,7 @@ fn run_pipeline(
     seed: u64,
     mode: ExecutionMode,
 ) -> TuningResult {
-    let sut = sut_for(workload.target);
+    let sut = tuna_sut::for_target(workload.target);
     let objective = objective_for(workload);
     let cluster = Cluster::new(10, VmSku::d8s_v5(), Region::westus2(), seed);
     let optimizer = smac_for(sut.as_ref(), objective);
@@ -635,7 +620,7 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
             items: budget as u64,
             run: Box::new(move |c| {
                 let workload = tuna_workloads::tpcc();
-                let sut = sut_for(workload.target);
+                let sut = tuna_sut::for_target(workload.target);
                 let objective = objective_for(&workload);
                 let optimizer = smac_for(sut.as_ref(), objective);
                 let cluster = Cluster::new(10, VmSku::d8s_v5(), Region::westus2(), 0xD157);
@@ -1136,7 +1121,9 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
         use tuna_ml::Regressor;
 
         let rows = if quick { 60 } else { 300 };
-        let space = sut_for(tuna_workloads::mssales().target).space().clone();
+        let space = tuna_sut::for_target(tuna_workloads::mssales().target)
+            .space()
+            .clone();
         let mut rng = Rng::seed_from(0xF0_4E57);
         let encode = |rng: &mut Rng| space.encode(&space.sample(rng));
         let x: Vec<Vec<f64>> = (0..rows).map(|_| encode(&mut rng)).collect();

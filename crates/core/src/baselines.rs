@@ -33,10 +33,8 @@ pub fn run_traditional(
     rng: &mut Rng,
 ) -> TuningResult {
     let mut trace = Vec::with_capacity(samples);
-    let mut n_configs = 0;
     for round in 0..samples {
         let suggestion = optimizer.ask(rng);
-        n_configs += 1;
         let mut run_rng = rng.fork(hash_combine(round as u64, suggestion.config.id().0));
         let outcome = sut.run(
             &suggestion.config,
@@ -62,16 +60,7 @@ pub fn run_traditional(
             model_error: None,
         });
     }
-    let (best_config, best_value) = optimizer.best().expect("at least one sample");
-    TuningResult {
-        best_config,
-        best_value,
-        trace,
-        total_samples: samples,
-        n_unstable_configs: 0,
-        n_configs,
-        model_errors: Vec::new(),
-    }
+    baseline_result(optimizer.as_ref(), trace)
 }
 
 /// Naive distributed sampling: every suggestion runs on *all* workers
@@ -95,10 +84,8 @@ pub fn run_naive_distributed(
     let mut trace = Vec::new();
     let mut total = 0usize;
     let mut round = 0usize;
-    let mut n_configs = 0usize;
     while total + n <= sample_budget {
         let suggestion = optimizer.ask(rng);
-        n_configs += 1;
         let id = suggestion.config.id();
         let requests: Vec<RunRequest<'_>> = (0..n)
             .map(|i| RunRequest {
@@ -130,16 +117,7 @@ pub fn run_naive_distributed(
             model_error: None,
         });
     }
-    let (best_config, best_value) = optimizer.best().expect("at least one round");
-    TuningResult {
-        best_config,
-        best_value,
-        trace,
-        total_samples: total,
-        n_unstable_configs: 0,
-        n_configs,
-        model_errors: Vec::new(),
-    }
+    baseline_result(optimizer.as_ref(), trace)
 }
 
 /// Domain salt for the per-round shared noise stream of [`run_arena`].
@@ -175,10 +153,8 @@ pub fn run_arena(
     let mut trace = Vec::with_capacity(samples);
     let mut total = 0usize;
     let mut round = 0usize;
-    let mut n_configs = 0usize;
     while total + match_size <= samples {
         let group: Vec<Suggestion> = (0..match_size).map(|_| solver.ask(rng)).collect();
-        n_configs += group.len();
         let shared_rng = rng.fork(hash_combine(round as u64, ARENA_STREAM_SALT));
         let snapshot = cluster.machine(0).clone();
         for suggestion in &group {
@@ -213,14 +189,21 @@ pub fn run_arena(
         }
         round += 1;
     }
+    baseline_result(solver.as_ref(), trace)
+}
+
+/// The [`TuningResult`] every baseline ends with: the solver's best and
+/// the trace, which holds one record per config asked, with no unstable
+/// configs and no model errors.
+fn baseline_result(solver: &dyn Solver, trace: Vec<IterationRecord>) -> TuningResult {
     let (best_config, best_value) = solver.best().expect("at least one finite sample");
     TuningResult {
         best_config,
         best_value,
+        total_samples: trace.last().map_or(0, |r| r.cumulative_samples),
+        n_configs: trace.len(),
         trace,
-        total_samples: total,
         n_unstable_configs: 0,
-        n_configs,
         model_errors: Vec::new(),
     }
 }

@@ -11,6 +11,11 @@
 //!   derived by `hash_combine` exactly as the pre-campaign binaries did,
 //!   so migrated figures reproduce their historical output bit-for-bit).
 //!   No RNG state flows between cells, so execution order cannot matter.
+//! - **One driver.** [`execute_cell`] lowers every [`Recipe`] to a
+//!   [`RunPlan`] and runs it with [`Experiment::execute`], the driver
+//!   [`Experiment::run`] uses too. A recipe's historical quirks (which
+//!   seed labels it derives, whether it deploys, which solver its TUNA
+//!   arm uses) are plan data, not code paths.
 //! - **Work-stealing over cells.** The runner reuses the executor's
 //!   [`ExecutionMode`] vocabulary but parallelizes at the *cell* level:
 //!   whole cells fan out through [`tuna_stats::pool::map`], the same pool
@@ -53,17 +58,16 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::aggregate::AggregationPolicy;
-use crate::baselines::{run_arena, run_naive_distributed};
-use crate::deploy::{default_worst_case_with, evaluate_deployment_with};
 use crate::executor::ExecutionMode;
-use crate::experiment::{Experiment, Method, RunSummary, SolverId};
-use crate::pipeline::{TunaConfig, TunaPipeline, TuningResult};
+use crate::experiment::{
+    ClusterShape, Experiment, Method, RunPlan, RunSummary, SolverId, TunaTweaks, Tuner,
+};
+use crate::pipeline::TuningResult;
 use crate::report::{summarize_method, MethodSummary};
-use tuna_cloudsim::{Cluster, Region, VmSku};
+use tuna_cloudsim::{Region, VmSku};
 use tuna_obs::CellTrace;
-use tuna_optimizer::multifidelity::LadderParams;
 use tuna_stats::fnv::Checksum;
-use tuna_stats::rng::{hash_combine, Rng};
+use tuna_stats::rng::hash_combine;
 use tuna_workloads::Workload;
 
 /// Store format version (first CSV header line and JSON `version`).
@@ -72,16 +76,6 @@ pub const STORE_VERSION: u64 = 1;
 // ---------------------------------------------------------------------------
 // Campaign declaration
 // ---------------------------------------------------------------------------
-
-/// A tuning-cluster shape override for pinned recipes: size plus the
-/// budget ladder that fits it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterShape {
-    /// Worker-cluster size.
-    pub size: usize,
-    /// Budget ladder whose max rung fits the cluster.
-    pub ladder: LadderParams,
-}
 
 /// A pinned TUNA pipeline run on an explicit sample budget (the §6.5
 /// equal-cost basis and the ablation studies). The seed labels are part
@@ -95,7 +89,8 @@ pub struct SampleBudgetSpec {
     pub seed_salt: u64,
     /// Pipeline RNG label: `Rng::seed_from(hash_combine(seed, rng_label))`.
     pub rng_label: u64,
-    /// Deployment derivation label.
+    /// Deployment derivation label, used as-is (not combined with the
+    /// per-run seed).
     pub deploy_label: u64,
     /// Aggregation-policy override (§4.4 ablation).
     pub aggregation: Option<AggregationPolicy>,
@@ -135,13 +130,15 @@ pub struct ConvergenceSpec {
 }
 
 /// A head-to-head arena cell: one (noise regime × solver) point of an
-/// arena grid. Registry solvers tune through [`run_arena`], which hands
-/// every member of a match group the *same* machine snapshot and noise
-/// draw ([`tuna_optimizer::solver::Capabilities::match_size`] sets the
-/// group width — 2 for the tournament solver's matches). The sentinel
-/// solver name [`ArenaSpec::TUNA`] runs the full TUNA pipeline instead,
-/// so the grid can compare TUNA's noise-filtering against match-based
-/// noise cancellation under each regime.
+/// arena grid. Registry solvers tune through
+/// [`crate::baselines::run_arena`], which hands every member of a match
+/// group the *same* machine snapshot and noise draw
+/// ([`tuna_optimizer::solver::Capabilities::match_size`] sets the group
+/// width — 2 for the tournament solver's matches). The sentinel
+/// solver name [`ArenaSpec::TUNA`] runs the full TUNA pipeline on SMAC,
+/// whatever the campaign's optimizer, so the grid can compare TUNA's
+/// noise-filtering against match-based noise cancellation under each
+/// regime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArenaSpec {
     /// Solver registry name, or [`ArenaSpec::TUNA`] for the pipeline.
@@ -192,9 +189,9 @@ impl ArenaSpec {
 /// How one arm of the grid evaluates a cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Recipe {
-    /// The full §6 protocol via [`Experiment::run`]: tune with `method`,
-    /// deploy the winner on fresh VMs. The per-run seed is
-    /// `hash_combine(campaign.seed, run)`, or
+    /// The full §6 protocol, lowered to the plan [`Experiment::run`]
+    /// executes: tune with `method`, deploy the winner on fresh VMs. The
+    /// per-run seed is `hash_combine(campaign.seed, run)`, or
     /// `hash_combine(hash_combine(campaign.seed, salt), run)` when a salt
     /// is pinned.
     Protocol {
@@ -204,11 +201,14 @@ pub enum Recipe {
         /// per-arm seeds when mixing protocol and pinned arms).
         seed_salt: Option<u64>,
     },
-    /// A pinned sample-budget TUNA pipeline plus deployment.
+    /// A pinned sample-budget TUNA pipeline plus deployment; its base
+    /// cluster takes the per-run seed itself.
     SampleBudget(SampleBudgetSpec),
-    /// A TUNA + naive-distributed convergence pair.
+    /// A TUNA + naive-distributed convergence pair with no deployment:
+    /// the naive run continues the pipeline's RNG stream.
     Convergence(ConvergenceSpec),
-    /// A head-to-head arena run (noise regime × solver).
+    /// A head-to-head arena run (noise regime × solver) plus deployment,
+    /// with the region overridden and a fixed deploy label.
     Arena(ArenaSpec),
 }
 
@@ -1449,7 +1449,8 @@ impl CampaignRunner {
     ///
     /// Panics if a cell's recipe is inconsistent with the grid (e.g. a
     /// ladder that exceeds its cluster), (propagated) if a SuT panics,
-    /// or with the store's message if a journal append fails.
+    /// or with the store's message if a journal append or the final
+    /// rewrite of the store files fails.
     pub fn run(&self, campaign: &Campaign, store: &mut ResultStore) -> CampaignResult {
         assert_eq!(
             store.campaign_digest,
@@ -1490,9 +1491,9 @@ impl CampaignRunner {
         .collect();
         let executed_count = payloads.len();
 
-        if let Err(e) = store.finalize(campaign) {
-            eprintln!("campaign '{}': store finalize failed: {e}", campaign.name);
-        }
+        store
+            .finalize(campaign)
+            .unwrap_or_else(|e| panic!("campaign '{}': {e}", campaign.name));
 
         let mut cells = Vec::with_capacity(store.len());
         for (&cell, record) in &store.records {
@@ -1539,42 +1540,104 @@ pub fn execute_cell(
     let (w, a, run) = campaign.coords(cell);
     let arm = &campaign.arms[a];
     let exp = campaign.experiment(w, inner);
-    match &arm.recipe {
+    let tuna = |solver, samples| Tuner::Tuna {
+        tweaks: TunaTweaks::default(),
+        solver,
+        samples,
+    };
+    // Each recipe lowers to (per-run seed, RunSummary method label or
+    // `None` for a convergence pair, run plan).
+    let (seed, method, plan) = match &arm.recipe {
         Recipe::Protocol { method, seed_salt } => {
             let base = match seed_salt {
                 None => campaign.seed,
                 Some(salt) => hash_combine(campaign.seed, *salt),
             };
             let seed = hash_combine(base, run as u64);
-            let summary = exp.run(*method, seed);
-            let rows = vec![CellRow::of_summary(&arm.label, seed, &summary)];
-            (CellRecord::new(cell, rows), CellPayload::Run(summary))
+            (seed, Some(method.name()), exp.plan(*method, seed))
         }
         Recipe::SampleBudget(spec) => {
             let seed = hash_combine(campaign.seed, spec.seed_salt + run as u64);
-            let summary = run_sample_budget(&exp, spec, seed, inner);
-            let rows = vec![CellRow::of_summary(&arm.label, seed, &summary)];
-            (CellRecord::new(cell, rows), CellPayload::Run(summary))
+            let tuner = Tuner::Tuna {
+                tweaks: TunaTweaks {
+                    aggregation: spec.aggregation,
+                    outlier_threshold: spec.outlier_threshold,
+                    ..TunaTweaks::default()
+                },
+                solver: exp.optimizer.clone(),
+                samples: spec.samples,
+            };
+            let plan = RunPlan {
+                cluster: spec.cluster.clone(),
+                ..RunPlan::new(
+                    seed,
+                    hash_combine(seed, spec.rng_label),
+                    Some(spec.deploy_label),
+                    vec![tuner],
+                )
+            };
+            (seed, Some("campaign"), plan)
         }
         Recipe::Convergence(spec) => {
             let seed = hash_combine(campaign.seed, spec.seed_salt + run as u64);
-            let (tuna, naive) = run_convergence(&exp, spec, seed, inner);
+            // The naive run continues the pipeline's RNG stream.
+            let tuners = vec![
+                tuna(exp.optimizer.clone(), spec.samples),
+                Tuner::NaiveDistributed(spec.samples),
+            ];
+            let plan = RunPlan::new(seed, hash_combine(seed, spec.rng_label), None, tuners);
+            (seed, None, plan)
+        }
+        Recipe::Arena(spec) => {
+            // Cluster, RNG and match streams are labelled 0xA7_0001..3 off
+            // the seed; the deploy label 0xA7_0004 is used as-is. The
+            // sentinel runs the pipeline on SMAC whatever the campaign's
+            // optimizer.
+            let seed = hash_combine(hash_combine(campaign.seed, spec.seed_salt()), run as u64);
+            let tuner = if spec.solver == ArenaSpec::TUNA {
+                tuna(SolverId::smac(), spec.samples)
+            } else {
+                Tuner::Arena {
+                    solver: SolverId::new(&spec.solver)
+                        .unwrap_or_else(|e| panic!("arena cell: {e}")),
+                    samples: spec.samples,
+                    match_seed: hash_combine(seed, 0xA7_0003),
+                }
+            };
+            let plan = RunPlan {
+                region: Some(
+                    Region::by_name(&spec.region)
+                        .unwrap_or_else(|| panic!("arena cell: unknown region {:?}", spec.region)),
+                ),
+                ..RunPlan::new(
+                    hash_combine(seed, 0xA7_0001),
+                    hash_combine(seed, 0xA7_0002),
+                    Some(0xA7_0004),
+                    vec![tuner],
+                )
+            };
+            (seed, Some("arena"), plan)
+        }
+    };
+
+    let outcome = exp.execute(&plan);
+    let (rows, payload) = match method {
+        Some(method) => {
+            let summary = outcome.into_summary(method);
+            let rows = vec![CellRow::of_summary(&arm.label, seed, &summary)];
+            (rows, CellPayload::Run(summary))
+        }
+        None => {
+            let [tuna, naive] = <[TuningResult; 2]>::try_from(outcome.tunings)
+                .expect("a convergence plan runs two tuners");
             let rows = vec![
                 CellRow::of_trace("TUNA", seed, &tuna),
                 CellRow::of_trace("naive", seed, &naive),
             ];
-            (
-                CellRecord::new(cell, rows),
-                CellPayload::Pair { tuna, naive },
-            )
+            (rows, CellPayload::Pair { tuna, naive })
         }
-        Recipe::Arena(spec) => {
-            let seed = hash_combine(hash_combine(campaign.seed, spec.seed_salt()), run as u64);
-            let summary = run_arena_cell(&exp, spec, seed, inner);
-            let rows = vec![CellRow::of_summary(&arm.label, seed, &summary)];
-            (CellRecord::new(cell, rows), CellPayload::Run(summary))
-        }
-    }
+    };
+    (CellRecord::new(cell, rows), payload)
 }
 
 /// Extracts the convergence trace of a freshly executed cell: one
@@ -1617,200 +1680,10 @@ pub fn cell_trace(campaign: &Campaign, cell: usize, payload: &CellPayload) -> Ce
     }
 }
 
-/// The pinned equal-cost/ablation pipeline: the §6.5.1 driver loop with
-/// the spec's overrides applied, then a deployment of the winner.
-fn run_sample_budget(
-    exp: &Experiment,
-    spec: &SampleBudgetSpec,
-    seed: u64,
-    inner: ExecutionMode,
-) -> RunSummary {
-    let sut = exp.make_sut();
-    let cluster_size = spec.cluster.as_ref().map_or(exp.cluster_size, |c| c.size);
-    let ladder = spec
-        .cluster
-        .as_ref()
-        .map_or_else(LadderParams::paper_default, |c| c.ladder.clone());
-    let base = Cluster::new(cluster_size, exp.sku.clone(), exp.region.clone(), seed);
-    let mut rng = Rng::seed_from(hash_combine(seed, spec.rng_label));
-    let crash_penalty = default_worst_case_with(inner, sut.as_ref(), &exp.workload, &base, &rng);
-
-    let mut cfg = TunaConfig::paper_default(crash_penalty);
-    cfg.mode = inner;
-    cfg.cluster_size = cluster_size;
-    cfg.ladder = ladder.clone();
-    if let Some(aggregation) = spec.aggregation {
-        cfg.aggregation = aggregation;
-    }
-    if let Some(threshold) = spec.outlier_threshold {
-        cfg.outlier_threshold = threshold;
-    }
-    let mut params = exp.solver_params(true);
-    params.ladder = ladder;
-    let optimizer = exp
-        .optimizer
-        .build(sut.space().clone(), exp.objective(), &params);
-    let mut pipeline = TunaPipeline::new(cfg, sut.as_ref(), &exp.workload, optimizer, base.clone());
-    pipeline.run_until_samples(spec.samples, &mut rng);
-    let result = pipeline.finish();
-    let deployment = evaluate_deployment_with(
-        inner,
-        sut.as_ref(),
-        &exp.workload,
-        &result.best_config,
-        &base,
-        spec.deploy_label,
-        exp.deploy_vms,
-        exp.deploy_repeats,
-        crash_penalty,
-        &rng,
-    );
-    RunSummary {
-        method: "campaign",
-        best_config: result.best_config.clone(),
-        tuning: Some(result),
-        deployment,
-    }
-}
-
-/// The §6.5.2 convergence pair: a TUNA pipeline and a naive-distributed
-/// run sharing one RNG stream (pipeline first), as the historical
-/// Figure 17 driver derived them.
-fn run_convergence(
-    exp: &Experiment,
-    spec: &ConvergenceSpec,
-    seed: u64,
-    inner: ExecutionMode,
-) -> (TuningResult, TuningResult) {
-    let sut = exp.make_sut();
-    let base = Cluster::new(exp.cluster_size, exp.sku.clone(), exp.region.clone(), seed);
-    let mut rng = Rng::seed_from(hash_combine(seed, spec.rng_label));
-    let crash_penalty = default_worst_case_with(inner, sut.as_ref(), &exp.workload, &base, &rng);
-
-    let optimizer = exp.optimizer.build(
-        sut.space().clone(),
-        exp.objective(),
-        &exp.solver_params(true),
-    );
-    let mut cfg = TunaConfig::paper_default(crash_penalty);
-    cfg.mode = inner;
-    let mut pipeline = TunaPipeline::new(cfg, sut.as_ref(), &exp.workload, optimizer, base.clone());
-    pipeline.run_until_samples(spec.samples, &mut rng);
-    let tuna = pipeline.finish();
-
-    let naive_opt = exp.optimizer.build(
-        sut.space().clone(),
-        exp.objective(),
-        &exp.solver_params(false),
-    );
-    let naive = run_naive_distributed(
-        inner,
-        sut.as_ref(),
-        &exp.workload,
-        naive_opt,
-        base,
-        spec.samples,
-        crash_penalty,
-        &mut rng,
-    );
-    (tuna, naive)
-}
-
-/// One arena cell: region override, then either the full TUNA pipeline
-/// (the [`ArenaSpec::TUNA`] sentinel) or [`run_arena`] with the named
-/// registry solver on a single-machine arena, then a deployment of the
-/// winner — so arena rows carry the same deploy statistics as protocol
-/// rows and land in the same store columns.
-fn run_arena_cell(
-    exp: &Experiment,
-    spec: &ArenaSpec,
-    seed: u64,
-    inner: ExecutionMode,
-) -> RunSummary {
-    // RNG labels for the arena recipe's independent streams.
-    const ARENA_CLUSTER_LABEL: u64 = 0xA7_0001;
-    const ARENA_RNG_LABEL: u64 = 0xA7_0002;
-    const ARENA_MATCH_LABEL: u64 = 0xA7_0003;
-    const ARENA_DEPLOY_LABEL: u64 = 0xA7_0004;
-
-    let mut exp = exp.clone();
-    exp.region = Region::by_name(&spec.region)
-        .unwrap_or_else(|| panic!("arena cell: unknown region {:?}", spec.region));
-    let sut = exp.make_sut();
-    let base = Cluster::new(
-        exp.cluster_size,
-        exp.sku.clone(),
-        exp.region.clone(),
-        hash_combine(seed, ARENA_CLUSTER_LABEL),
-    );
-    let mut rng = Rng::seed_from(hash_combine(seed, ARENA_RNG_LABEL));
-    let crash_penalty = default_worst_case_with(inner, sut.as_ref(), &exp.workload, &base, &rng);
-
-    let (best_config, tuning) = if spec.solver == ArenaSpec::TUNA {
-        let mut cfg = TunaConfig::paper_default(crash_penalty);
-        cfg.mode = inner;
-        cfg.cluster_size = exp.cluster_size;
-        let optimizer = SolverId::smac().build(
-            sut.space().clone(),
-            exp.objective(),
-            &exp.solver_params(true),
-        );
-        let mut pipeline =
-            TunaPipeline::new(cfg, sut.as_ref(), &exp.workload, optimizer, base.clone());
-        pipeline.run_until_samples(spec.samples, &mut rng);
-        let result = pipeline.finish();
-        (result.best_config.clone(), result)
-    } else {
-        let id = SolverId::new(&spec.solver).unwrap_or_else(|e| panic!("arena cell: {e}"));
-        let match_size = id.capabilities().match_size;
-        let solver = id.build(
-            sut.space().clone(),
-            exp.objective(),
-            &exp.solver_params(false),
-        );
-        // Matches play on one machine so both sides share its noise draw.
-        let arena = Cluster::new(
-            1,
-            exp.sku.clone(),
-            exp.region.clone(),
-            hash_combine(seed, ARENA_MATCH_LABEL),
-        );
-        let result = run_arena(
-            sut.as_ref(),
-            &exp.workload,
-            solver,
-            arena,
-            spec.samples,
-            match_size,
-            crash_penalty,
-            &mut rng,
-        );
-        (result.best_config.clone(), result)
-    };
-
-    let deployment = evaluate_deployment_with(
-        inner,
-        sut.as_ref(),
-        &exp.workload,
-        &best_config,
-        &base,
-        ARENA_DEPLOY_LABEL,
-        exp.deploy_vms,
-        exp.deploy_repeats,
-        crash_penalty,
-        &rng,
-    );
-    RunSummary {
-        method: "arena",
-        best_config,
-        tuning: Some(tuning),
-        deployment,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tuna_optimizer::multifidelity::LadderParams;
 
     fn tiny_campaign(name: &str) -> Campaign {
         Campaign::protocol(
@@ -2320,6 +2193,29 @@ mod tests {
     }
 
     #[test]
+    fn runner_panics_with_the_store_message_on_a_failed_finalize() {
+        let campaign = tiny_campaign("blocked-finalize");
+        let dir =
+            std::env::temp_dir().join(format!("tuna-campaign-finalize-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = ResultStore::open(dir.join("store.csv"), &campaign).unwrap();
+        let json = store.json_path().unwrap();
+        std::fs::create_dir(&json).unwrap();
+
+        let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            CampaignRunner::serial().run(&campaign, &mut store)
+        })) else {
+            panic!("a failed finalize must not be dropped");
+        };
+        let message = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            message.contains("blocked-finalize") && message.contains(&json.display().to_string()),
+            "{message}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn json_mirror_escapes_labels() {
         assert_eq!(super::json_quote("plain"), "\"plain\"");
         assert_eq!(super::json_quote("a\"b\\c"), "\"a\\\"b\\\\c\"");
@@ -2427,6 +2323,134 @@ mod tests {
         for (s, p) in serial.cells.iter().zip(&par.cells) {
             assert_eq!(s.record, p.record, "cell {}", s.cell);
         }
+    }
+
+    /// One arm of every recipe kind: Protocol for every [`Method`],
+    /// SampleBudget plain and with each override, a Convergence pair,
+    /// and Arena with the TUNA sentinel and a match-based solver. The
+    /// campaign tunes with `gp`, so the sentinel's fixed SMAC shows.
+    fn recipe_pin_campaign() -> Campaign {
+        let budget = || SampleBudgetSpec::new(60, 100, 2, 3);
+        let arms = vec![
+            Arm::new("tuna", Recipe::protocol(Method::Tuna)),
+            Arm::new("no-outlier", Recipe::protocol(Method::TunaNoOutlier)),
+            Arm::new("no-adjuster", Recipe::protocol(Method::TunaNoAdjuster)),
+            Arm::new("traditional", Recipe::protocol(Method::Traditional)),
+            Arm::new(
+                "extended",
+                Recipe::protocol(Method::TraditionalExtended { samples: 12 }),
+            ),
+            Arm::new(
+                "naive",
+                Recipe::Protocol {
+                    method: Method::NaiveDistributed { samples: 40 },
+                    seed_salt: Some(11),
+                },
+            ),
+            Arm::new("default", Recipe::protocol(Method::DefaultConfig)),
+            Arm::new("budget", Recipe::SampleBudget(budget())),
+            Arm::new(
+                "budget-mean",
+                Recipe::SampleBudget(SampleBudgetSpec {
+                    aggregation: Some(AggregationPolicy::Mean),
+                    ..budget()
+                }),
+            ),
+            Arm::new(
+                "budget-threshold",
+                Recipe::SampleBudget(SampleBudgetSpec {
+                    outlier_threshold: Some(0.05),
+                    ..budget()
+                }),
+            ),
+            Arm::new(
+                "budget-shape",
+                Recipe::SampleBudget(SampleBudgetSpec {
+                    cluster: Some(ClusterShape {
+                        size: 5,
+                        ladder: LadderParams {
+                            budgets: vec![1, 2, 5],
+                            eta: 3,
+                            min_rung_size: 3,
+                        },
+                    }),
+                    ..budget()
+                }),
+            ),
+            Arm::new(
+                "convergence",
+                Recipe::Convergence(ConvergenceSpec {
+                    samples: 40,
+                    seed_salt: 700,
+                    rng_label: 3,
+                }),
+            ),
+            Arm::new(
+                "arena-tuna",
+                Recipe::Arena(ArenaSpec::new(ArenaSpec::TUNA, "centralus", 80)),
+            ),
+            Arm::new(
+                "arena-tournament",
+                Recipe::Arena(ArenaSpec::new("tournament", "westus2", 24)),
+            ),
+        ];
+        Campaign {
+            arms,
+            ..tiny_campaign("recipe-pin")
+        }
+        .with_runs(1)
+        .with_rounds(8)
+        .with_optimizer(SolverId::new("gp").unwrap())
+    }
+
+    /// Pins every recipe's seed labels and tuner wiring: the campaign
+    /// checksum covers each cell's rows, and the trace labels and digest
+    /// cover each tuner's convergence series.
+    #[test]
+    fn every_recipe_kind_reproduces_its_pinned_results() {
+        let campaign = recipe_pin_campaign();
+        let mut store = ResultStore::in_memory(&campaign);
+        let result = CampaignRunner::serial().run(&campaign, &mut store);
+        assert!(result.complete);
+        let mut series = Checksum::new();
+        let labels: Vec<Vec<String>> = result
+            .cells
+            .iter()
+            .map(|c| {
+                let payload = c.payload.as_ref().expect("freshly executed");
+                let trace = cell_trace(&campaign, c.cell, payload);
+                trace
+                    .arms
+                    .into_iter()
+                    .map(|arm| {
+                        for (round, best) in &arm.series {
+                            series.push_u64(*round);
+                            series.push_f64(*best);
+                        }
+                        arm.label
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(result.checksum, "16082da4d548b30c");
+        assert_eq!(series.value(), 0x9d6c_0fb7_20c6_2f23);
+        let want: Vec<Vec<&str>> = vec![
+            vec!["TUNA"],
+            vec!["TUNA w/o outlier detector"],
+            vec!["TUNA w/o noise adjuster"],
+            vec!["Traditional"],
+            vec!["Traditional (equal cost)"],
+            vec!["Naive distributed"],
+            vec![],
+            vec!["campaign"],
+            vec!["campaign"],
+            vec!["campaign"],
+            vec!["campaign"],
+            vec!["TUNA", "naive"],
+            vec!["arena"],
+            vec!["arena"],
+        ];
+        assert_eq!(labels, want);
     }
 
     #[test]

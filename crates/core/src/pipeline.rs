@@ -76,22 +76,6 @@ impl TunaConfig {
             mode: ExecutionMode::from_env(),
         }
     }
-
-    /// Ablation: outlier detector removed (Figure 20).
-    pub fn without_outlier(crash_penalty: f64) -> Self {
-        TunaConfig {
-            outlier_enabled: false,
-            ..Self::paper_default(crash_penalty)
-        }
-    }
-
-    /// Ablation: noise adjuster removed (Figure 19).
-    pub fn without_adjuster(crash_penalty: f64) -> Self {
-        TunaConfig {
-            adjuster_enabled: false,
-            ..Self::paper_default(crash_penalty)
-        }
-    }
 }
 
 /// Model accuracy bookkeeping for Figure 19b.

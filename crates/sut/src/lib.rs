@@ -44,7 +44,7 @@ use tuna_cloudsim::machine::{Machine, Snapshot};
 use tuna_metrics::MetricVector;
 use tuna_space::{Config, ConfigSpace};
 use tuna_stats::rng::Rng;
-use tuna_workloads::Workload;
+use tuna_workloads::{TargetSystem, Workload};
 
 /// Result of evaluating one configuration for one measurement epoch.
 #[derive(Debug, Clone)]
@@ -97,6 +97,15 @@ pub trait SystemUnderTest: Send + Sync {
         machine: &mut Machine,
         rng: &mut Rng,
     ) -> RunOutcome;
+}
+
+/// Builds the SuT a workload's [`TargetSystem`] names.
+pub fn for_target(target: TargetSystem) -> Box<dyn SystemUnderTest> {
+    match target {
+        TargetSystem::Postgres => Box::new(postgres::Postgres::new()),
+        TargetSystem::Redis => Box::new(redis::Redis::new()),
+        TargetSystem::Nginx => Box::new(nginx::Nginx::new()),
+    }
 }
 
 /// Converts a metric value to "higher is better" orientation for internal

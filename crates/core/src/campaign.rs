@@ -63,7 +63,7 @@ use crate::experiment::{
     ClusterShape, Experiment, Method, RunPlan, RunSummary, SolverId, TunaTweaks, Tuner,
 };
 use crate::pipeline::TuningResult;
-use crate::report::{summarize_method, MethodSummary};
+use crate::report::MethodSummary;
 use tuna_cloudsim::{Region, VmSku};
 use tuna_obs::CellTrace;
 use tuna_stats::fnv::Checksum;
@@ -741,16 +741,12 @@ impl CampaignResult {
             .collect()
     }
 
-    /// [`summarize_method`] over a cell group. Computed from payloads when
-    /// the cells ran in-process; falls back to the stored rows (which
-    /// serialize floats losslessly) for resumed cells, so a fully resumed
-    /// protocol campaign prints bit-identical tables.
+    /// The [`crate::report::summarize_method`] summary of a cell group,
+    /// folded from its rows: they carry each run's deployment mean, std,
+    /// min, max and crashes, and serialize floats losslessly, so fresh
+    /// and resumed cells print bit-identical tables through this one
+    /// path. `None` for an empty group or one without deployment rows.
     pub fn method_summary(&self, workload: usize, arm: usize) -> Option<MethodSummary> {
-        if let Some(runs) = self.run_summaries(workload, arm) {
-            return Some(summarize_method(
-                &runs.into_iter().cloned().collect::<Vec<_>>(),
-            ));
-        }
         let rows = self.group_rows(workload, arm);
         if rows.is_empty() {
             return None;
@@ -826,7 +822,6 @@ pub struct ResultStore {
     traces: Vec<CellTrace>,
     campaign_digest: String,
     header: String,
-    repaired: bool,
 }
 
 impl ResultStore {
@@ -838,14 +833,7 @@ impl ResultStore {
             traces: Vec::new(),
             campaign_digest: campaign.digest(),
             header: Self::header_line(campaign),
-            repaired: false,
         }
-    }
-
-    /// Whether [`ResultStore::open`] dropped (and rewrote away) a torn
-    /// tail. Observability only — the repair itself is already done.
-    pub fn repaired(&self) -> bool {
-        self.repaired
     }
 
     fn header_line(campaign: &Campaign) -> String {
@@ -886,14 +874,12 @@ impl ResultStore {
             traces: Vec::new(),
             campaign_digest: campaign.digest(),
             header: Self::header_line(campaign),
-            repaired: false,
         };
         if path.exists() {
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
             if store.load(&text, campaign)? {
                 store.rewrite_journal(campaign)?;
-                store.repaired = true;
                 tuna_obs::global()
                     .counter(
                         "tuna_store_repairs_total",
@@ -1827,6 +1813,12 @@ mod tests {
         assert_eq!(replay.executed, 0);
         assert_eq!(replay.checksum, reference.checksum);
         assert!(replay.cells.iter().all(|c| c.resumed));
+        // ...and prints the same tables as the fresh run.
+        for arm in 0..campaign.arms.len() {
+            let fresh = reference.method_summary(0, arm);
+            assert!(fresh.is_some(), "arm {arm}");
+            assert_eq!(replay.method_summary(0, arm), fresh, "arm {arm}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

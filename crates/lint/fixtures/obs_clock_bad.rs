@@ -4,13 +4,13 @@
 // allowlisted wall.rs — the rule must still fire there.
 use std::time::Instant;
 
-pub struct EagerJournal {
+pub struct EagerRecorder {
     origin: Instant,
 }
 
-impl EagerJournal {
+impl EagerRecorder {
     pub fn stamp(&self) -> u64 {
-        // A journal stamping itself from the wall clock renders
+        // A recorder stamping itself from the wall clock renders
         // differently every run — exactly what the seam prevents.
         self.origin.elapsed().as_nanos() as u64
     }

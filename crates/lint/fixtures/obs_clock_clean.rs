@@ -6,11 +6,11 @@ pub trait Clock {
     fn now(&self) -> u64;
 }
 
-pub struct SeamedJournal<C: Clock> {
+pub struct SeamedRecorder<C: Clock> {
     clock: C,
 }
 
-impl<C: Clock> SeamedJournal<C> {
+impl<C: Clock> SeamedRecorder<C> {
     pub fn stamp(&self) -> u64 {
         self.clock.now()
     }

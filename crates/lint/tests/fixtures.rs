@@ -54,7 +54,7 @@ fn obs_two_clock_rule() {
     // same text trips `wall-clock` at any other obs path...
     let bad = include_str!("../fixtures/obs_clock_bad.rs");
     assert_eq!(
-        rules_hit("crates/obs/src/journal.rs", bad),
+        rules_hit("crates/obs/src/metrics.rs", bad),
         vec!["wall-clock".to_string()],
         "wall-clock must fire inside crates/obs outside wall.rs"
     );
@@ -70,7 +70,7 @@ fn obs_two_clock_rule() {
     );
     // The seamed twin is clean everywhere.
     assert!(rules_hit(
-        "crates/obs/src/journal.rs",
+        "crates/obs/src/metrics.rs",
         include_str!("../fixtures/obs_clock_clean.rs")
     )
     .is_empty());

@@ -4,9 +4,11 @@
 //!
 //! Two implementations exist. [`TickClock`] (here) is the deterministic
 //! one: it only moves when the surrounding state machine advances it,
-//! so under it a journal is a pure function of the event sequence.
-//! [`crate::wall::WallClock`] is the real-time one, legal only where
-//! the `wall-clock` lint allows it (the daemon and its client).
+//! so every reading taken from it is a pure function of the event
+//! sequence. [`crate::wall::WallClock`] is the real-time one, legal
+//! only where the `wall-clock` lint allows it (the daemon and its
+//! client). Neither has a caller yet; the seam is kept for the
+//! per-layer `Stopwatch` planned in ROADMAP item 8.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,7 +38,8 @@ impl TickClock {
         Self::default()
     }
 
-    /// A shared clock at tick 0, ready to hand to a [`crate::Journal`].
+    /// A shared clock at tick 0, ready to hand to any `Arc<dyn Clock>`
+    /// consumer.
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::new())
     }

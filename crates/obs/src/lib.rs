@@ -5,19 +5,14 @@
 //! without ever perturbing the results it observes. Three layers:
 //!
 //! - [`clock`] / [`wall`]: the **two-clock rule**. Every telemetry
-//!   timestamp flows through the [`clock::Clock`] seam. Deterministic
-//!   paths (the simulator, campaign execution, the serve state machine)
-//!   use [`clock::TickClock`], whose readings are a pure function of
-//!   the event sequence — so journals are byte-identical across
-//!   `TUNA_WORKERS` and kill/restart. Only the daemon's readiness loop
-//!   may use [`wall::WallClock`]; `crates/obs/src/wall.rs` is the one
-//!   file in this crate on the `wall-clock` lint allowlist
-//!   (see `docs/LINTS.md`).
-//! - [`journal`]: hierarchical study → cell → trial-round **spans**
-//!   plus discrete **events** (scheduled, shed{408,429,503},
-//!   quarantined-NaN, journal-repaired, journal-append-failed,
-//!   preempted, admission-refused), bounded in memory, rendered
-//!   deterministically.
+//!   timestamp is to flow through the [`clock::Clock`] seam:
+//!   deterministic paths (the simulator, campaign execution, the serve
+//!   state machine) take [`clock::TickClock`], whose readings are a
+//!   pure function of the event sequence, and only the daemon may take
+//!   [`wall::WallClock`]; `crates/obs/src/wall.rs` is the one file in
+//!   this crate on the `wall-clock` lint allowlist (see
+//!   `docs/LINTS.md`). Neither clock has a caller yet: the seam is kept
+//!   for the per-layer `Stopwatch` that ROADMAP item 8 builds on it.
 //! - [`metrics`]: a registry of named counters, gauges and fixed-bucket
 //!   histograms over atomics — hot paths never take a lock to record —
 //!   rendered in Prometheus text exposition format with p50/p99
@@ -30,20 +25,18 @@
 //! # The observer effect, pinned
 //!
 //! Instrumentation must not change what it measures. Every hook in the
-//! workspace is an atomic side channel: metrics and journal writes
-//! never feed scheduling decisions, response bytes, or results. The
-//! perf gate's `obs/overhead` scenario enforces the cost (< 3% on the
-//! `serve/c10k` path) and every pre-existing scenario checksum pins
-//! that behaviour is bit-unchanged.
+//! workspace is an atomic side channel: metric writes never feed
+//! scheduling decisions, response bytes, or results. The perf gate's
+//! `obs/overhead` scenario enforces the cost (< 3% on the `serve/c10k`
+//! path) and every pre-existing scenario checksum pins that behaviour
+//! is bit-unchanged.
 
 pub mod clock;
-pub mod journal;
 pub mod metrics;
 pub mod trace;
 pub mod wall;
 
 pub use clock::{Clock, TickClock};
-pub use journal::{Event, EventKind, Journal, Span, SpanId};
 pub use metrics::{global, Counter, Gauge, Histogram, MetricsRegistry};
 pub use trace::{ArmTrace, CellTrace, StudyTrace};
 pub use wall::WallClock;

@@ -6,9 +6,10 @@
 //! tree-wide with a short allowlist, and this file is the sole obs
 //! entry on it. Everything else in the crate takes time through the
 //! [`Clock`] seam, so the choice of clock is made exactly once, at the
-//! composition root: `tunad` hands its journal a [`WallClock`], the
-//! simulator hands its journal a [`crate::TickClock`], and no other
-//! code can tell the difference.
+//! composition root: `tunad` is to hand its instrumentation a
+//! [`WallClock`], the simulator a [`crate::TickClock`], and no other
+//! code can tell the difference. No composition root does so yet —
+//! the seam waits for the per-layer `Stopwatch` of ROADMAP item 8.
 
 use std::time::Instant;
 
@@ -16,8 +17,8 @@ use crate::clock::Clock;
 
 /// Real elapsed time, in nanoseconds since the clock was created.
 ///
-/// Readings are relative (a span *duration* is meaningful, an absolute
-/// value is not), which keeps rendered journals free of wall-time
+/// Readings are relative (a *duration* is meaningful, an absolute
+/// value is not), which keeps rendered telemetry free of wall-time
 /// epochs that would differ run-to-run even on identical hardware.
 #[derive(Debug)]
 pub struct WallClock {

@@ -351,12 +351,7 @@ impl Engine {
                         let close = req.close || conn.served >= self.cfg.max_requests_per_conn;
                         (daemon::handle(mgr, &req), close)
                     }
-                    PendingItem::Terminal(resp) => {
-                        if self.cfg.instrument {
-                            mgr.note_shed(resp.status);
-                        }
-                        (resp, true)
-                    }
+                    PendingItem::Terminal(resp) => (resp, true),
                 };
                 let keep = !close && !conn.close_after_flush;
                 conn.out.extend_from_slice(&resp.to_wire(keep));

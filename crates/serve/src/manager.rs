@@ -68,6 +68,20 @@
 //! sidecar left by the older two-journal layout is folded into the
 //! journal on load and removed.
 //!
+//! # Observability
+//!
+//! Every scheduling fact is a counter or gauge in the manager's own
+//! metrics registry, served with the process-global one by
+//! [`StudyManager::metrics_text`] (`GET /metrics`): grants
+//! (`tuna_cells_assigned_total`), completions
+//! (`tuna_cells_completed_total`), interactive preemptions
+//! (`tuna_preempted_total`), admission refusals by reason
+//! (`tuna_admission_refused_total{reason=…}`) and each active tenant's
+//! fair-share lag (`tuna_tenant_vtime_lag{tenant=…}`, reset to 0 when
+//! the tenant leaves the active set). Store repairs and failed appends
+//! are counted by the [`ResultStore`] itself. The counters are a side
+//! channel: nothing reads them back into a scheduling decision.
+//!
 //! # Examples
 //!
 //! ```
@@ -100,9 +114,7 @@ use std::sync::Arc;
 use crate::api::{Lane, StudySpec};
 use crate::tenant::{self, TenantRegistry, TenantUsage, DEFAULT_TENANT};
 use tuna_core::campaign::{write_atomic, Campaign, CellRecord, ResultStore};
-use tuna_obs::{
-    CellTrace, Clock, EventKind, Journal, MetricsRegistry, SpanId, StudyTrace, TickClock,
-};
+use tuna_obs::{CellTrace, MetricsRegistry, StudyTrace};
 
 /// File (under the data dir) holding the persisted per-tenant usage
 /// counters.
@@ -172,20 +184,10 @@ pub struct Study {
     cancelled: bool,
     /// Scheduler clock value of the last assignment from this study.
     last_scheduled: u64,
-    /// The study's span in the manager's journal.
-    span: SpanId,
-    /// Open spans of in-flight cells, by cell index.
-    cell_spans: BTreeMap<usize, SpanId>,
 }
 
 impl Study {
-    fn new(
-        spec: StudySpec,
-        campaign: Arc<Campaign>,
-        store: ResultStore,
-        cancelled: bool,
-        span: SpanId,
-    ) -> Self {
+    fn new(spec: StudySpec, campaign: Arc<Campaign>, store: ResultStore, cancelled: bool) -> Self {
         let pending = if cancelled {
             VecDeque::new()
         } else {
@@ -201,8 +203,6 @@ impl Study {
             in_flight: Vec::new(),
             cancelled,
             last_scheduled: 0,
-            span,
-            cell_spans: BTreeMap::new(),
         }
     }
 
@@ -318,15 +318,19 @@ fn fold_sidecar(path: &Path, store: &mut ResultStore, campaign: &Campaign) -> Re
     std::fs::remove_file(path).map_err(|e| format!("cannot remove {}: {e}", path.display()))
 }
 
-/// The manager's observability rig: a deterministic tick clock (kept
-/// in lockstep with the scheduler clock), the span/event journal, the
-/// manager-owned metrics registry, and cached handles for the hot
-/// paths. Purely a side channel — nothing here feeds back into
-/// scheduling decisions.
+/// A tenant's `tuna_tenant_vtime_lag` gauge in the manager's registry.
+fn vtime_lag_gauge(registry: &MetricsRegistry, tenant: &str) -> tuna_obs::Gauge {
+    registry.gauge(
+        &format!("tuna_tenant_vtime_lag{{tenant=\"{tenant}\"}}"),
+        "fair-share virtual-time lag behind the active minimum, x1000",
+    )
+}
+
+/// The manager's observability rig: the manager-owned metrics
+/// registry and cached handles for the hot paths. Purely a side
+/// channel — nothing here feeds back into scheduling decisions.
 struct Obs {
     registry: MetricsRegistry,
-    tick: Arc<TickClock>,
-    journal: Journal,
     assigned: tuna_obs::Counter,
     completed: tuna_obs::Counter,
     preempted: tuna_obs::Counter,
@@ -336,8 +340,6 @@ struct Obs {
 impl Obs {
     fn new() -> Self {
         let registry = MetricsRegistry::new();
-        let tick = TickClock::shared();
-        let journal = Journal::new(tick.clone() as Arc<dyn Clock>);
         let assigned = registry.counter("tuna_cells_assigned_total", "cells handed to workers");
         let completed = registry.counter("tuna_cells_completed_total", "cell results recorded");
         let preempted = registry.counter(
@@ -347,8 +349,6 @@ impl Obs {
         let studies_gauge = registry.gauge("tuna_studies", "studies under management");
         Obs {
             registry,
-            tick,
-            journal,
             assigned,
             completed,
             preempted,
@@ -603,20 +603,8 @@ impl StudyManager {
                 .finalize(&campaign)
                 .map_err(|e| format!("study '{}': finalize on attach failed: {e}", spec.name))?;
         }
-        if store.repaired() {
-            self.obs.journal.event(
-                None,
-                EventKind::JournalRepaired,
-                &format!("{}: result journal tail dropped", spec.name),
-            );
-        }
-
-        let span = self
-            .obs
-            .journal
-            .begin_span(None, &format!("study:{}", spec.name));
         let key = (tenant, spec.name.clone());
-        let study = Study::new(spec, campaign, store, cancelled, span);
+        let study = Study::new(spec, campaign, store, cancelled);
         self.studies.insert(key.clone(), study);
         self.obs.studies_gauge.set(self.studies.len() as u64);
         Ok(self.studies.get(&key).expect("just inserted"))
@@ -738,14 +726,9 @@ impl StudyManager {
         Ok((self.studies.get(&key).expect("just attached"), true))
     }
 
-    /// Records a refusal in the journal and the per-reason counter,
-    /// then hands it back unchanged (used as `Err(self.refused(..))`).
+    /// Counts a refusal under its reason, then hands it back unchanged
+    /// (used as `Err(self.refused(..))`).
     fn refused(&self, r: Refusal) -> Refusal {
-        self.obs.journal.event(
-            None,
-            EventKind::AdmissionRefused,
-            &format!("{} {}", r.status, r.reason),
-        );
         self.obs
             .registry
             .counter(
@@ -754,23 +737,6 @@ impl StudyManager {
             )
             .inc();
         r
-    }
-
-    /// Records a connection-engine shed (408/429/503) in the journal.
-    /// Other statuses (framing errors) are not shed events and are
-    /// ignored. The per-class counters live in the engine itself; this
-    /// hook exists so the discrete events land in the same journal as
-    /// scheduling, with the same clock.
-    pub fn note_shed(&self, status: u16) {
-        let kind = match status {
-            408 => EventKind::Shed408,
-            429 => EventKind::Shed429,
-            503 => EventKind::Shed503,
-            _ => return,
-        };
-        self.obs
-            .journal
-            .event(None, kind, &format!("status={status}"));
     }
 
     /// Running studies of a tenant.
@@ -899,9 +865,10 @@ impl StudyManager {
         }
 
         // Tenants with no work at all (pending or in flight) leave the
-        // active set and their deficit resets. Judged on the unfiltered
-        // study state, so a lane-suppressed or cap-limited tenant keeps
-        // its deficit while it waits.
+        // active set, their deficit resets and their lag gauge reads 0
+        // (they are owed nothing). Judged on the unfiltered study state,
+        // so a lane-suppressed or cap-limited tenant keeps its deficit
+        // while it waits.
         let mut busy: BTreeSet<&str> = BTreeSet::new();
         for ((tenant, _), s) in &self.studies {
             if (!s.cancelled && !s.pending.is_empty()) || !s.in_flight.is_empty() {
@@ -912,6 +879,7 @@ impl StudyManager {
             if ts.active && !busy.contains(name.as_str()) {
                 ts.active = false;
                 ts.scheduled = 0;
+                vtime_lag_gauge(&self.obs.registry, name).set(0);
             }
         }
 
@@ -926,11 +894,6 @@ impl StudyManager {
             let deferred = (before - cands.len()) as u64;
             if deferred > 0 {
                 self.obs.preempted.add(deferred);
-                self.obs.journal.event(
-                    None,
-                    EventKind::Preempted,
-                    &format!("{deferred} batch candidates deferred"),
-                );
             }
         }
 
@@ -987,9 +950,6 @@ impl StudyManager {
 
         self.clock += 1;
         let clock = self.clock;
-        // The journal's tick clock shadows the scheduler clock: one
-        // tick per grant, deterministic at any worker count.
-        self.obs.tick.set_at_least(clock);
         let ts = self.tenants.get_mut(&tenant).expect("selected tenant");
         ts.scheduled += 1;
         ts.last_scheduled = clock;
@@ -1000,17 +960,7 @@ impl StudyManager {
         let cell = study.pending.pop_front().expect("selected study has work");
         study.in_flight.push(cell);
         study.last_scheduled = clock;
-        let span = self
-            .obs
-            .journal
-            .begin_span(Some(study.span), &format!("cell:{cell}"));
-        study.cell_spans.insert(cell, span);
         let campaign = Arc::clone(&study.campaign);
-        self.obs.journal.event(
-            Some(span),
-            EventKind::Scheduled,
-            &format!("{tenant}/{name}"),
-        );
         self.obs.assigned.inc();
         self.update_vtime_lag();
         Some(Assignment {
@@ -1037,13 +987,7 @@ impl StudyManager {
             return;
         };
         for (name, v) in scaled {
-            self.obs
-                .registry
-                .gauge(
-                    &format!("tuna_tenant_vtime_lag{{tenant=\"{name}\"}}"),
-                    "fair-share virtual-time lag behind the active minimum, x1000",
-                )
-                .set(v - min);
+            vtime_lag_gauge(&self.obs.registry, name).set(v - min);
         }
     }
 
@@ -1061,11 +1005,11 @@ impl StudyManager {
     /// # Errors
     ///
     /// Returns an error for unknown studies and cells that were never
-    /// assigned (double completion). A journal append failure records a
-    /// `journal-append-failed` event and abandons the cell
-    /// ([`StudyManager::abandon`]) before it is returned, so the study
-    /// is cancelled instead of wedged with a cell that is neither in
-    /// flight nor pending.
+    /// assigned (double completion). A journal append failure (counted
+    /// by the store as `tuna_store_append_failures_total`) abandons the
+    /// cell ([`StudyManager::abandon`]) before it is returned, so the
+    /// study is cancelled instead of wedged with a cell that is neither
+    /// in flight nor pending.
     pub fn complete_traced(
         &mut self,
         tenant: &str,
@@ -1088,11 +1032,6 @@ impl StudyManager {
 
         let cell_idx = record.cell;
         if let Err(e) = s.store.record_traced(&s.campaign, record, trace) {
-            self.obs.journal.event(
-                None,
-                EventKind::JournalAppendFailed,
-                &format!("{tenant}/{study} cell {cell_idx}"),
-            );
             self.abandon(tenant, study, cell_idx)?;
             return Err(format!("study '{study}': {e}"));
         }
@@ -1101,17 +1040,6 @@ impl StudyManager {
             s.store
                 .finalize(&s.campaign)
                 .map_err(|e| format!("study '{study}': finalize failed: {e}"))?;
-        }
-        if let Some(span) = s.cell_spans.remove(&cell_idx) {
-            self.obs.journal.end_span(span);
-        }
-        self.obs.journal.event(
-            None,
-            EventKind::Completed,
-            &format!("{tenant}/{study} cell {cell_idx}"),
-        );
-        if s.store.len() == s.campaign.n_cells() {
-            self.obs.journal.end_span(s.span);
         }
         self.obs.completed.inc();
         let ts = self
@@ -1203,11 +1131,6 @@ impl StudyManager {
     pub fn metrics_text(&self) -> String {
         MetricsRegistry::render_many(&[&self.obs.registry, tuna_obs::global()])
     }
-
-    /// The manager's journal (assertions on counts/events).
-    pub fn journal(&self) -> &Journal {
-        &self.obs.journal
-    }
 }
 
 fn is_spec_path(p: &std::path::Path) -> bool {
@@ -1263,6 +1186,16 @@ mod tests {
             mgr.complete_traced(&a.tenant, &a.study, record, 0, None)
                 .unwrap();
         }
+    }
+
+    /// The value of one sample (`name` with its labels) in `/metrics`.
+    fn metric(mgr: &StudyManager, name: &str) -> u64 {
+        let text = mgr.metrics_text();
+        text.lines()
+            .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no sample {name} in:\n{text}"))
+            .parse()
+            .unwrap()
     }
 
     #[test]
@@ -1341,6 +1274,19 @@ mod tests {
     }
 
     #[test]
+    fn drained_tenant_lag_gauge_reads_zero() {
+        let mut mgr = StudyManager::new(None, two_tenant_registry()).unwrap();
+        mgr.submit(tenant_spec("alice", "quick", 1, "")).unwrap();
+        mgr.submit(tenant_spec("bob", "long", 4, "")).unwrap();
+        // Alice wins the first grant (tie broken by name) and drains;
+        // bob then runs alone. A tenant that left the active set is owed
+        // nothing, so its gauge must not keep its last lag.
+        drain(&mut mgr);
+        assert_eq!(metric(&mgr, "tuna_tenant_vtime_lag{tenant=\"alice\"}"), 0);
+        assert_eq!(metric(&mgr, "tuna_tenant_vtime_lag{tenant=\"bob\"}"), 0);
+    }
+
+    #[test]
     fn interactive_lane_preempts_batch_at_cell_boundaries() {
         let mut mgr = StudyManager::new(None, two_tenant_registry()).unwrap();
         mgr.submit(tenant_spec("alice", "campaign", 6, "")).unwrap();
@@ -1358,6 +1304,8 @@ mod tests {
             .unwrap();
         // Probe exhausted (both cells in flight): batch resumes.
         assert_eq!(mgr.next_assignment().unwrap().study, "campaign");
+        // The batch candidate was deferred once per probe grant.
+        assert_eq!(metric(&mgr, "tuna_preempted_total"), 2);
     }
 
     #[test]
@@ -1401,6 +1349,13 @@ mod tests {
         assert_eq!((r.status, r.reason), (429, "cell-budget"));
         assert!(r.message.contains("8 cells"), "{}", r.message);
         mgr.submit(tenant_spec("alice", "four", 4, "")).unwrap();
+        let refused = |reason: &str| {
+            metric(
+                &mgr,
+                &format!("tuna_admission_refused_total{{reason=\"{reason}\"}}"),
+            )
+        };
+        assert_eq!((refused("study-budget"), refused("cell-budget")), (1, 1));
     }
 
     #[test]
@@ -1504,6 +1459,8 @@ mod tests {
             .results_json(DEFAULT_TENANT, "s")
             .unwrap()
             .contains("\"completed\": 2"));
+        assert_eq!(metric(&mgr, "tuna_cells_assigned_total"), 2);
+        assert_eq!(metric(&mgr, "tuna_cells_completed_total"), 2);
     }
 
     #[test]
@@ -1585,15 +1542,13 @@ mod tests {
         std::fs::create_dir(&journal).unwrap();
         let a = mgr.next_assignment().unwrap();
         let (record, _) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
+        let failures = tuna_obs::global().counter("tuna_store_append_failures_total", "");
+        let before = failures.get();
         let err = mgr
             .complete_traced(&a.tenant, &a.study, record, 0, None)
             .unwrap_err();
         assert!(err.contains("cannot append"), "{err}");
-        assert_eq!(mgr.journal().count(EventKind::JournalAppendFailed), 1);
-        assert!(mgr.journal().render().contains(&format!(
-            "journal-append-failed span=- default/s cell {}",
-            a.cell
-        )));
+        assert!(failures.get() > before, "the failed append is counted");
         assert!(mgr
             .metrics_text()
             .contains("# TYPE tuna_store_append_failures_total counter"));

@@ -38,6 +38,7 @@ use tuna_core::experiment::objective_for;
 use tuna_core::outlier::OutlierDetector;
 use tuna_core::pipeline::{TunaConfig, TunaPipeline, TuningResult};
 use tuna_optimizer::multifidelity::LadderParams;
+use tuna_optimizer::random::RandomSearch;
 use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
 use tuna_optimizer::{Objective, Solver};
 use tuna_serve::manager::{Assignment, StudyManager};
@@ -302,17 +303,19 @@ fn checksum_result(c: &mut Checksum, result: &TuningResult) {
 }
 
 /// One full-pipeline tuning run: `rounds` rounds of the TUNA sampling
-/// pipeline on a 10-worker cluster under `mode`.
+/// pipeline driving the `solver` it builds, on a 10-worker cluster under
+/// `mode`.
 fn run_pipeline(
     workload: &Workload,
     rounds: usize,
     seed: u64,
     mode: ExecutionMode,
+    solver: fn(&dyn SystemUnderTest, Objective) -> Box<dyn Solver>,
 ) -> TuningResult {
     let sut = tuna_sut::for_target(workload.target);
     let objective = objective_for(workload);
     let cluster = Cluster::new(10, VmSku::d8s_v5(), Region::westus2(), seed);
-    let optimizer = smac_for(sut.as_ref(), objective);
+    let optimizer = solver(sut.as_ref(), objective);
     // Fixed, orientation-appropriate crash penalty: the scenario must be
     // deterministic and cheap, not paper-faithful.
     let crash_penalty = match objective {
@@ -606,8 +609,43 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
             name,
             items: rounds as u64,
             run: Box::new(move |c| {
-                let result = run_pipeline(&workload, rounds, 0xBEEF, ExecutionMode::Serial);
+                let result =
+                    run_pipeline(&workload, rounds, 0xBEEF, ExecutionMode::Serial, smac_for);
                 checksum_result(c, &result);
+            }),
+        });
+    }
+
+    // -- the TUNA step at paper scale ---------------------------------------
+    // Paper-budget runs (96 rounds x 10 nodes = 960 budget-1 steps each)
+    // with random search, which trains neither a surrogate nor the
+    // adjuster: what is timed is the per-step bookkeeping and the
+    // simulator. A step whose cost grows with the history shows here as
+    // superlinear time, which the 48-80-round scenarios above are too
+    // short to show. One run takes a few ms, too short to time on a
+    // shared box, so the scenario runs 16 of them on different seeds. The
+    // checksum folds every step's `best_so_far`.
+    {
+        let (steps, runs) = if quick { (96, 1) } else { (960, 16) };
+        v.push(ScenarioSpec {
+            name: "pipeline/tuna_random_paper",
+            items: (steps * runs) as u64,
+            run: Box::new(move |c| {
+                for seed in (0x7A9E..).take(runs) {
+                    let result = run_pipeline(
+                        &tuna_workloads::tpcc(),
+                        steps,
+                        seed,
+                        ExecutionMode::Serial,
+                        |sut, objective| {
+                            Box::new(RandomSearch::new(sut.space().clone(), objective, 1))
+                        },
+                    );
+                    checksum_result(c, &result);
+                    for rec in &result.trace {
+                        c.push_f64(rec.best_so_far.unwrap_or(f64::NAN));
+                    }
+                }
             }),
         });
     }
@@ -938,12 +976,14 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
             items: (rounds * 2) as u64,
             run: Box::new(move |c| {
                 let workload = tuna_workloads::tpcc();
-                let serial = run_pipeline(&workload, rounds, 0xE4EC, ExecutionMode::Serial);
+                let serial =
+                    run_pipeline(&workload, rounds, 0xE4EC, ExecutionMode::Serial, smac_for);
                 let parallel = run_pipeline(
                     &workload,
                     rounds,
                     0xE4EC,
                     ExecutionMode::Parallel { workers: 4 },
+                    smac_for,
                 );
                 assert_eq!(
                     serial, parallel,

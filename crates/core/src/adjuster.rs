@@ -115,8 +115,9 @@ impl NoiseAdjuster {
             self.train_x.push(row);
             self.train_y.push(s.raw / mean - 1.0);
         }
-        // Retraining a forest is cheap: rebuild on every new data point
-        // as the paper does.
+        // Rebuild from scratch on every new config, as the paper does.
+        // This is not cheap: the refits are about half of a TUNA run's
+        // time, so any incremental fit must stay bit-identical to it.
         let mut model = StandardizedRegressor::new(RandomForest::new(self.config.forest));
         if model
             .fit(

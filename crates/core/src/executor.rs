@@ -360,6 +360,52 @@ mod tests {
         }
     }
 
+    #[test]
+    fn one_request_batch_matches_its_run_in_a_larger_plan() {
+        let pg = Postgres::new();
+        let workload = tuna_workloads::tpcc();
+        let base = Rng::seed_from(21);
+        let mut sample_rng = Rng::seed_from(22);
+        let configs: Vec<Config> = (0..4).map(|_| pg.space().sample(&mut sample_rng)).collect();
+        let requests: Vec<RunRequest<'_>> = configs
+            .iter()
+            .enumerate()
+            .map(|(m, cfg)| RunRequest {
+                config: cfg,
+                machine: m,
+                stream: hash_combine(cfg.id().0, m as u64),
+            })
+            .collect();
+        let bits = |o: &RunOutcome| {
+            let mut v = vec![o.value.to_bits(), u64::from(o.crashed)];
+            v.extend(o.metrics.values().iter().map(|x| x.to_bits()));
+            v
+        };
+        for mode in [
+            ExecutionMode::Serial,
+            ExecutionMode::Parallel { workers: 4 },
+        ] {
+            let (full, _) =
+                execute_batch(mode, &pg, &workload, &mut cluster(4, 21), &base, &requests);
+            for (req, expected) in requests.iter().zip(&full) {
+                let (alone, stats) = execute_batch(
+                    mode,
+                    &pg,
+                    &workload,
+                    &mut cluster(4, 21),
+                    &base,
+                    std::slice::from_ref(req),
+                );
+                assert_eq!(alone.len(), 1);
+                assert_eq!(bits(&alone[0]), bits(expected), "{mode:?}");
+                assert_eq!(stats.lanes.len(), 1, "{mode:?}");
+                assert_eq!(stats.lanes[0].machine, req.machine);
+                assert_eq!(stats.lanes[0].runs, 1);
+                assert!(stats.busy_nanos() <= stats.wall_nanos, "{mode:?}");
+            }
+        }
+    }
+
     /// Postgres, except that a run on one chosen machine panics.
     struct PanicsOn {
         inner: Postgres,

@@ -20,6 +20,7 @@
 //! set (inference happens before training, so no leakage — §6.6).
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::adjuster::{AdjusterConfig, NoiseAdjuster};
 use crate::aggregate::AggregationPolicy;
@@ -141,6 +142,39 @@ pub struct TuningResult {
     pub model_errors: Vec<ModelErrorRecord>,
 }
 
+/// Everything the pipeline keeps about one suggested config.
+#[derive(Debug, Default)]
+struct ConfigState {
+    /// One sample per visited worker, in schedule order.
+    samples: Vec<Sample>,
+    /// Classified unstable at least once.
+    unstable: bool,
+    /// Already fed to the noise adjuster.
+    trained: bool,
+}
+
+/// Cached handles for the pipeline's fleet-wide counters, so a step
+/// costs a relaxed atomic add instead of a registry lookup.
+/// Observability only: counters never feed back into tuning.
+struct PipelineMetrics {
+    rounds: tuna_obs::Counter,
+    unstable: tuna_obs::Counter,
+}
+
+fn pipeline_metrics() -> &'static PipelineMetrics {
+    static METRICS: OnceLock<PipelineMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = tuna_obs::global();
+        PipelineMetrics {
+            rounds: reg.counter("tuna_pipeline_rounds_total", "tuning rounds executed"),
+            unstable: reg.counter(
+                "tuna_pipeline_unstable_total",
+                "rounds whose config was classified unstable",
+            ),
+        }
+    })
+}
+
 /// The TUNA sampling pipeline.
 pub struct TunaPipeline<'a> {
     config: TunaConfig,
@@ -151,10 +185,7 @@ pub struct TunaPipeline<'a> {
     scheduler: TaskScheduler,
     detector: OutlierDetector,
     adjuster: NoiseAdjuster,
-    samples: BTreeMap<ConfigId, Vec<Sample>>,
-    configs: BTreeMap<ConfigId, Config>,
-    unstable_seen: BTreeMap<ConfigId, bool>,
-    trained_configs: BTreeMap<ConfigId, bool>,
+    configs: BTreeMap<ConfigId, ConfigState>,
     trace: Vec<IterationRecord>,
     round: usize,
     exec: ExecStats,
@@ -193,10 +224,7 @@ impl<'a> TunaPipeline<'a> {
             scheduler,
             detector,
             adjuster,
-            samples: BTreeMap::new(),
             configs: BTreeMap::new(),
-            unstable_seen: BTreeMap::new(),
-            trained_configs: BTreeMap::new(),
             trace: Vec::new(),
             round: 0,
             exec: ExecStats::default(),
@@ -213,9 +241,7 @@ impl<'a> TunaPipeline<'a> {
     pub fn step(&mut self, rng: &mut Rng) {
         let suggestion = self.optimizer.ask(rng);
         let id = suggestion.config.id();
-        self.configs
-            .entry(id)
-            .or_insert_with(|| suggestion.config.clone());
+        let state = self.configs.entry(id).or_default();
 
         // Schedule new runs on unvisited, least-loaded workers and execute
         // them through the trial engine — one lane per worker. Run-level
@@ -249,7 +275,7 @@ impl<'a> TunaPipeline<'a> {
             } else {
                 outcome.value
             };
-            self.samples.entry(id).or_default().push(Sample::new(
+            state.samples.push(Sample::new(
                 machine_idx,
                 raw,
                 outcome.metrics,
@@ -257,11 +283,7 @@ impl<'a> TunaPipeline<'a> {
             ));
         }
 
-        // Take the config's samples out of the map for this round — the
-        // old path cloned the whole `Vec<Sample>` (metric vectors
-        // included) every iteration; moving it out and back costs
-        // nothing and keeps the borrows disjoint.
-        let samples = self.samples.remove(&id).unwrap_or_default();
+        let samples = &state.samples;
         if samples.is_empty() {
             return; // Nothing to report (degenerate suggestion).
         }
@@ -273,16 +295,12 @@ impl<'a> TunaPipeline<'a> {
         // min/max/mean pass).
         let unstable =
             self.config.outlier_enabled && self.detector.classify(&scratch.raws).is_unstable();
-        if unstable {
-            self.unstable_seen.insert(id, true);
-        } else {
-            self.unstable_seen.entry(id).or_insert(false);
-        }
+        state.unstable |= unstable;
 
         // Noise adjustment (bypassed for unstable configs and crashes).
         scratch.values.clear();
         if self.config.adjuster_enabled {
-            for s in &samples {
+            for s in samples {
                 scratch.values.push(self.adjuster.adjust(s, unstable));
             }
         } else {
@@ -302,11 +320,12 @@ impl<'a> TunaPipeline<'a> {
             .tell(&suggestion.config, reported, suggestion.budget);
 
         // Max-budget completions feed the model (inference above happened
-        // with the pre-update model: no leakage).
+        // with the pre-update model: no leakage). A config holds one
+        // sample per visited worker, so its sample count is its budget.
         let mut model_error = None;
-        let at_max = self.scheduler.visited(id).len() >= self.config.ladder.max_budget();
-        if at_max && !unstable && !self.trained_configs.contains_key(&id) {
-            self.trained_configs.insert(id, true);
+        let at_max = samples.len() >= self.config.ladder.max_budget();
+        if at_max && !unstable && !state.trained {
+            state.trained = true;
             let clean: Vec<&Sample> = samples.iter().filter(|s| !s.crashed).collect();
             if clean.len() >= 2 {
                 // Inline mean over the clean raws (same left-to-right
@@ -331,26 +350,16 @@ impl<'a> TunaPipeline<'a> {
                 }
             }
             if self.config.adjuster_enabled {
-                self.adjuster.train_on_config(&samples, rng);
+                self.adjuster.train_on_config(samples, rng);
             }
         }
-        self.samples.insert(id, samples);
 
         self.round += 1;
-        // Observability side channel: fleet-wide round/unstable totals.
-        // Counters never feed back into tuning.
-        tuna_obs::global()
-            .counter("tuna_pipeline_rounds_total", "tuning rounds executed")
-            .inc();
+        let metrics = pipeline_metrics();
+        metrics.rounds.inc();
         if unstable {
-            tuna_obs::global()
-                .counter(
-                    "tuna_pipeline_unstable_total",
-                    "rounds whose config was classified unstable",
-                )
-                .inc();
+            metrics.unstable.inc();
         }
-        let best_so_far = self.optimizer.best().map(|(_, v)| v);
         self.trace.push(IterationRecord {
             round: self.round,
             config_id: id,
@@ -358,7 +367,7 @@ impl<'a> TunaPipeline<'a> {
             new_samples,
             reported,
             unstable,
-            best_so_far,
+            best_so_far: self.optimizer.best().map(|(_, v)| v),
             cumulative_samples: self.scheduler.total_assigned() as usize,
             model_error,
         });
@@ -392,7 +401,7 @@ impl<'a> TunaPipeline<'a> {
             .optimizer
             .best()
             .expect("finish() before any iteration");
-        let n_unstable = self.unstable_seen.values().filter(|&&u| u).count();
+        let n_unstable = self.configs.values().filter(|c| c.unstable).count();
         let model_errors = self
             .trace
             .iter()

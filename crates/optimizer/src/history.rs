@@ -30,17 +30,6 @@ pub fn cost_cmp(a: f64, b: f64) -> Ordering {
     }
 }
 
-/// One reported evaluation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Observation {
-    /// The evaluated configuration.
-    pub config: Config,
-    /// Cost (already converted so smaller is better).
-    pub cost: f64,
-    /// Budget (number of nodes) the value was produced at.
-    pub budget: usize,
-}
-
 /// Per-config rollup: the latest cost at the highest budget seen.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfigRecord {
@@ -52,7 +41,8 @@ pub struct ConfigRecord {
     pub cost: f64,
 }
 
-/// Append-only store of observations with per-config rollups.
+/// Store of observations rolled up per config, with the incumbent kept
+/// current on every push.
 ///
 /// Rollups live in an insertion-ordered `Vec` (with a `BTreeMap` used
 /// only as an index), so surrogate training data and tie-breaking are
@@ -60,9 +50,11 @@ pub struct ConfigRecord {
 /// randomize model fits between identical runs.
 #[derive(Debug, Clone, Default)]
 pub struct History {
-    observations: Vec<Observation>,
+    pushes: usize,
     record_order: Vec<ConfigRecord>,
     index: BTreeMap<ConfigId, usize>,
+    /// Position of [`History::best`] in `record_order`.
+    best: Option<usize>,
 }
 
 impl History {
@@ -83,44 +75,60 @@ impl History {
                 )
                 .inc();
         }
+        self.pushes += 1;
         let id = config.id();
-        self.observations.push(Observation {
-            config: config.clone(),
-            cost,
-            budget,
-        });
-        match self.index.get(&id) {
+        let i = match self.index.get(&id) {
             Some(&i) => {
                 let entry = &mut self.record_order[i];
-                if budget >= entry.max_budget {
-                    entry.max_budget = budget;
-                    entry.cost = cost;
+                if budget < entry.max_budget {
+                    return; // Lower budget: the rollup ignores it.
                 }
+                entry.max_budget = budget;
+                entry.cost = cost;
+                i
             }
             None => {
-                self.index.insert(id, self.record_order.len());
+                let i = self.record_order.len();
+                self.index.insert(id, i);
                 self.record_order.push(ConfigRecord {
                     config,
                     max_budget: budget,
                     cost,
                 });
+                i
             }
+        };
+        if self.best == Some(i) {
+            // Only the incumbent's own record can get worse: rescan.
+            self.best = (0..self.record_order.len())
+                .filter(|&j| self.record_order[j].cost.is_finite())
+                .min_by(|&a, &b| self.rank(a, b));
+        } else if self.record_order[i].cost.is_finite()
+            && self.best.is_none_or(|b| self.rank(i, b).is_lt())
+        {
+            self.best = Some(i);
         }
     }
 
-    /// All raw observations in arrival order.
-    pub fn observations(&self) -> &[Observation] {
-        &self.observations
+    /// Incumbent order of the rollups at positions `a` and `b`: the higher
+    /// budget tier first, then the lower cost under [`cost_cmp`], then the
+    /// first seen.
+    fn rank(&self, a: usize, b: usize) -> Ordering {
+        let (ra, rb) = (&self.record_order[a], &self.record_order[b]);
+        rb.max_budget
+            .cmp(&ra.max_budget)
+            .then(cost_cmp(ra.cost, rb.cost))
+            .then(a.cmp(&b))
     }
 
-    /// Number of observations.
+    /// Number of observations pushed, non-finite ones included.
     pub fn len(&self) -> usize {
-        self.observations.len()
+        self.pushes
     }
 
     /// Whether no observations exist.
     pub fn is_empty(&self) -> bool {
-        self.observations.is_empty()
+        self.pushes == 0
     }
 
     /// Rollup for a config, if seen.
@@ -141,22 +149,16 @@ impl History {
     /// The best (lowest-cost) rollup, preferring the highest budget tier
     /// that has any record: a config measured on 10 nodes at cost c beats a
     /// config measured on 1 node at cost c - eps, because only high-budget
-    /// measurements are trustworthy under cloud noise.
+    /// measurements are trustworthy under cloud noise. Among equal costs
+    /// the first-seen config wins.
     ///
     /// Non-finite rollups (NaN/±inf from diverged runs) are quarantined:
     /// they never win, the budget tier is chosen among finite records
     /// only, and `None` is returned if no finite record exists.
+    ///
+    /// Constant time: [`History::push`] keeps the incumbent current.
     pub fn best(&self) -> Option<&ConfigRecord> {
-        let top_budget = self
-            .record_order
-            .iter()
-            .filter(|r| r.cost.is_finite())
-            .map(|r| r.max_budget)
-            .max()?;
-        self.record_order
-            .iter()
-            .filter(|r| r.max_budget == top_budget && r.cost.is_finite())
-            .min_by(|a, b| cost_cmp(a.cost, b.cost))
+        self.best.map(|i| &self.record_order[i])
     }
 
     /// Training matrix for a surrogate: one row per distinct config (its
@@ -193,9 +195,28 @@ impl History {
     }
 }
 
+/// The two-pass incumbent scan [`History::best`] replaced, kept as the
+/// oracle its property test compares against.
+#[cfg(test)]
+mod naive {
+    use super::{cost_cmp, ConfigRecord, History};
+
+    pub fn best(h: &History) -> Option<&ConfigRecord> {
+        let top_budget = h
+            .records()
+            .filter(|r| r.cost.is_finite())
+            .map(|r| r.max_budget)
+            .max()?;
+        h.records()
+            .filter(|r| r.max_budget == top_budget && r.cost.is_finite())
+            .min_by(|a, b| cost_cmp(a.cost, b.cost))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tuna_space::ParamValue;
 
     fn cfg(v: i64) -> Config {
@@ -223,6 +244,63 @@ mod tests {
         h.push(cfg(3), 7.0, 10);
         let best = h.best().unwrap();
         assert_eq!(best.config, cfg(2));
+    }
+
+    /// Costs drawn from a small palette so that exact ties, signed zeros
+    /// and every non-finite kind recur within one sequence.
+    const PALETTE: [f64; 10] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        1.0,
+        1.0,
+        2.0,
+        -1.0,
+        5.0,
+    ];
+
+    proptest! {
+        #[test]
+        fn incremental_best_is_the_full_scan(
+            ops in prop::collection::vec((0u8..6, 0i64..6, 0usize..3, 0usize..10), 1..80)
+        ) {
+            let mut h = History::new();
+            for (kind, config, budget, cost) in ops {
+                let cost = PALETTE[cost];
+                match h.best() {
+                    // Re-tell the incumbent at its own budget, so the
+                    // rollup takes the new cost (often a worse one).
+                    Some(best) if kind == 0 => {
+                        let (config, budget) = (best.config.clone(), best.max_budget);
+                        h.push(config, cost, budget);
+                    }
+                    _ => h.push(cfg(config), cost, [1, 3, 10][budget]),
+                }
+                let fast = h.best().map(|r| r as *const ConfigRecord);
+                let slow = naive::best(&h).map(|r| r as *const ConfigRecord);
+                prop_assert_eq!(fast, slow, "incumbent differs from the full scan");
+            }
+        }
+    }
+
+    #[test]
+    fn equal_costs_keep_the_first_seen_incumbent() {
+        let mut h = History::new();
+        h.push(cfg(1), 0.0, 1);
+        h.push(cfg(2), -0.0, 1);
+        h.push(cfg(3), 0.0, 1);
+        assert_eq!(h.best().unwrap().config, cfg(1));
+        // The incumbent gets worse: the next first-seen tie takes over.
+        h.push(cfg(1), 4.0, 1);
+        assert_eq!(h.best().unwrap().config, cfg(2));
+        // A lower-budget re-tell leaves the rollup, and the incumbent, alone.
+        h.push(cfg(3), 9.0, 3);
+        h.push(cfg(3), -9.0, 1);
+        assert_eq!(h.best().unwrap().config, cfg(3));
+        assert_eq!(h.best().unwrap().cost, 9.0);
+        assert_eq!(h.len(), 6);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod smac;
 pub mod solver;
 pub mod tournament;
 
-pub use history::{cost_cmp, History, Observation};
+pub use history::{cost_cmp, History};
 pub use solver::{Capabilities, SolverId, SolverParams, SolverRegistry};
 
 use tuna_space::{Config, ConfigSpace};

@@ -1195,6 +1195,56 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
             }),
         });
     }
+    // SMAC's surrogate on the history a real run builds. Uniform samples
+    // (above) give each column ~300 distinct values; a tuned history
+    // repeats incumbent values through its neighbourhood search, so its
+    // columns are tie-heavy, which is what the per-node sorts see in a
+    // TUNA run. Paper-default multi-fidelity SMAC tunes mssales on one
+    // simulated VM until its history holds ~300 configs (untimed), then
+    // one 48-tree fit is timed and its predictions on every training row
+    // checksummed.
+    {
+        use tuna_ml::forest::{ForestParams, RandomForest};
+        use tuna_ml::Regressor;
+
+        let configs = if quick { 60 } else { 300 };
+        let workload = tuna_workloads::mssales();
+        let sut = tuna_sut::for_target(workload.target);
+        let mut solver = SmacOptimizer::multi_fidelity(
+            sut.space().clone(),
+            objective_for(&workload),
+            SmacParams {
+                n_init: 10,
+                n_random_candidates: 100,
+                ..SmacParams::default()
+            },
+            LadderParams::paper_default(),
+        );
+        let root = Rng::seed_from(0x5AC_4157);
+        let mut machine = Machine::provision(0, &VmSku::d8s_v5(), &Region::westus2(), &root);
+        let mut rng = Rng::seed_from(0x5AC_4158);
+        while solver.history().n_configs() < configs {
+            let s = solver.ask(&mut rng);
+            let outcome = sut.run(&s.config, &workload, &mut machine, &mut rng);
+            solver.tell(&s.config, outcome.value, s.budget);
+        }
+        let (x, y) = solver.history().surrogate_data(sut.space());
+        v.push(ScenarioSpec {
+            name: "ml/forest_fit_smac_history",
+            items: x.len() as u64,
+            run: Box::new(move |c| {
+                let mut forest = RandomForest::new(ForestParams::default());
+                forest
+                    .fit(&x, &y, &mut Rng::seed_from(0x5AC_4159))
+                    .expect("well-formed history");
+                for row in &x {
+                    let (mean, var) = forest.predict_stats(row);
+                    c.push_f64(mean);
+                    c.push_f64(var);
+                }
+            }),
+        });
+    }
     // The noise adjuster's `Standardize ∘ forest`: ~600 samples of 30
     // guest metrics plus a 10-wide one-hot machine id, 32 trees, then
     // every training row predicted back (the adjust pass).

@@ -116,8 +116,10 @@ impl NoiseAdjuster {
             self.train_y.push(s.raw / mean - 1.0);
         }
         // Rebuild from scratch on every new config, as the paper does.
-        // This is not cheap: the refits are about half of a TUNA run's
-        // time, so any incremental fit must stay bit-identical to it.
+        // In a paper-default mssales TUNA run these refits are ~20-30% of
+        // the forest-fit time, which is nearly all of the run (SMAC's
+        // per-propose surrogate refits are the rest). Any incremental fit
+        // must stay bit-identical to this one.
         let mut model = StandardizedRegressor::new(RandomForest::new(self.config.forest));
         if model
             .fit(

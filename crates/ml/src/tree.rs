@@ -22,12 +22,30 @@
 //! result: the order of the keys `(rank, position)`, where `position` is
 //! the row's place in the sequence being sorted. Equal ranks are exactly
 //! the `total_cmp` ties, and the position breaks them as stability does.
-//! Wide nodes get that order from a counting sort over the ranks, narrow
-//! ones from an unstable sort of the distinct `u64` keys
-//! `(rank << 32) | position`. The split scan still compares the real
-//! values (`xn <= xv`, threshold `0.5 * (xv + xn)`), so `-0.0` and
-//! `+0.0`, which rank apart but compare equal, stay unsplittable as
-//! before.
+//! Every sort path produces that order, each from a different property:
+//!
+//! - *Small nodes* (at most 64 rows, every rank below `2^25`): the keys
+//!   `(rank << 6) | position` are distinct and fit an `i32`, so each row's
+//!   place is the number of keys below its own. That count has no
+//!   data-dependent branch.
+//! - *Counting sort* (at most twice as many distinct values as rows): rows
+//!   are scattered in the order they arrive, so equal ranks keep their
+//!   relative order. A node whose rows share one rank is already sorted.
+//! - *Otherwise*: an unstable sort of the distinct `u64` keys
+//!   `(rank << 32) | position`. Distinct keys leave the sort no choice.
+//!
+//! The split is the first candidate feature's sort only when that feature
+//! wins; otherwise the node's arrival order is sorted again by the split
+//! feature, as the original builder did. A candidate whose sorted rows
+//! share one rank (and are not NaN) has no split and is not scanned.
+//!
+//! The split scan still compares the real values, so `-0.0` and `+0.0`,
+//! which rank apart but compare equal, stay unsplittable as before. It
+//! computes every position's gain with the original expression and takes
+//! it unless `xn <= xv`, the original builder's tie test. That is not
+//! `xn > xv`: a NaN neighbour fails both, and it separates. The running
+//! sums keep their original order, and row counts enter as `f64`
+//! integers, which are exact.
 
 use crate::{check_xy, MlError};
 use tuna_stats::rng::Rng;
@@ -162,9 +180,22 @@ impl RankedColumns {
 /// Buffers one tree's build reuses across its nodes.
 #[derive(Default)]
 pub(crate) struct SplitScratch {
+    /// The node's rows in arrival order, kept while `rows` holds the
+    /// first candidate's sort.
+    arrival: Vec<u32>,
+    /// The rows as later candidates sort them, each from the previous.
     order: Vec<u32>,
+    features: Vec<usize>,
     sorter: RankSorter,
 }
+
+/// Nodes of at most this many rows take the small-node sort.
+const SMALL_NODE: usize = 64;
+/// Low bits of a small-node key that hold the row's position.
+const POS_BITS: u32 = SMALL_NODE.trailing_zeros();
+/// Columns with more distinct values than this never take the small-node
+/// sort: its keys `(rank << POS_BITS) | position` must fit an `i32`.
+const SMALL_RANKS: usize = 1 << (31 - POS_BITS);
 
 /// Stable sorts of row indices by rank (see the module docs).
 #[derive(Default)]
@@ -177,39 +208,104 @@ struct RankSorter {
 impl RankSorter {
     /// Stable-sorts `rows` by `rank`, a column with `distinct` ranks.
     ///
-    /// A counting sort when the rank range is small next to the node, an
-    /// unstable sort of distinct `(rank, position)` keys otherwise; both
+    /// A rank-by-counting sort of `i32` keys on nodes of up to
+    /// [`SMALL_NODE`] rows, a counting sort when the rank range is small
+    /// next to the node, and an unstable sort of `u64` keys otherwise; all
     /// give the one stable order.
     fn sort(&mut self, rows: &mut [u32], (rank, distinct): (&[u32], usize)) {
-        self.copy.clear();
-        self.copy.extend_from_slice(rows);
-        if distinct <= 2 * rows.len() {
-            self.counts.clear();
-            self.counts.resize(distinct + 1, 0);
-            for &r in &self.copy {
-                self.counts[rank[r as usize] as usize + 1] += 1;
+        let n = rows.len();
+        if n <= SMALL_NODE && distinct <= SMALL_RANKS {
+            match n {
+                0..=8 => small_sort::<8>(rows, rank),
+                9..=16 => small_sort::<16>(rows, rank),
+                17..=32 => small_sort::<32>(rows, rank),
+                _ => small_sort::<SMALL_NODE>(rows, rank),
             }
-            for i in 1..self.counts.len() {
-                self.counts[i] += self.counts[i - 1];
-            }
-            for &r in &self.copy {
-                let slot = &mut self.counts[rank[r as usize] as usize];
-                rows[*slot as usize] = r;
-                *slot += 1;
-            }
+        } else if distinct <= 2 * n {
+            self.count_sort(rows, rank, distinct);
         } else {
-            self.keys.clear();
-            self.keys.extend(
-                rows.iter()
-                    .enumerate()
-                    .map(|(pos, &r)| (u64::from(rank[r as usize]) << 32) | pos as u64),
-            );
-            self.keys.sort_unstable();
-            for (slot, &key) in rows.iter_mut().zip(&self.keys) {
-                *slot = self.copy[key as u32 as usize];
-            }
+            self.key_sort(rows, rank);
         }
     }
+
+    /// Counting sort over the `distinct` rank values. A node whose rows
+    /// all share one rank is already in order and is left untouched.
+    fn count_sort(&mut self, rows: &mut [u32], rank: &[u32], distinct: usize) {
+        let Some(&first) = rows.first() else {
+            return;
+        };
+        self.counts.clear();
+        self.counts.resize(distinct + 1, 0);
+        for &r in rows.iter() {
+            self.counts[rank[r as usize] as usize + 1] += 1;
+        }
+        if self.counts[rank[first as usize] as usize + 1] as usize == rows.len() {
+            return;
+        }
+        for i in 1..self.counts.len() {
+            self.counts[i] += self.counts[i - 1];
+        }
+        self.copy.clear();
+        self.copy.extend_from_slice(rows);
+        for &r in &self.copy {
+            let slot = &mut self.counts[rank[r as usize] as usize];
+            rows[*slot as usize] = r;
+            *slot += 1;
+        }
+    }
+
+    /// Unstable sort of the distinct keys `(rank << 32) | position`.
+    fn key_sort(&mut self, rows: &mut [u32], rank: &[u32]) {
+        self.copy.clear();
+        self.copy.extend_from_slice(rows);
+        self.keys.clear();
+        self.keys.extend(
+            rows.iter()
+                .enumerate()
+                .map(|(pos, &r)| (u64::from(rank[r as usize]) << 32) | pos as u64),
+        );
+        self.keys.sort_unstable();
+        for (slot, &key) in rows.iter_mut().zip(&self.keys) {
+            *slot = self.copy[key as u32 as usize];
+        }
+    }
+}
+
+/// Stable-sorts at most `W <= SMALL_NODE` rows by `rank` (every rank
+/// below [`SMALL_RANKS`]): each row goes to the number of keys below its
+/// own, over the distinct keys `(rank << POS_BITS) | position`. The count
+/// runs over a fixed block of `W` keys padded with `i32::MAX`, which is
+/// never below a key, so it has no data-dependent branch. Rows that all
+/// share one rank are already in order and are left untouched.
+fn small_sort<const W: usize>(rows: &mut [u32], rank: &[u32]) {
+    let Some(&first) = rows.first() else {
+        return;
+    };
+    let first = rank[first as usize];
+    let mut keys = [i32::MAX; W];
+    let mut copy = [0u32; W];
+    let mut mixed = 0;
+    for ((key, slot), (pos, &r)) in keys.iter_mut().zip(&mut copy).zip(rows.iter().enumerate()) {
+        let rank = rank[r as usize];
+        mixed |= rank ^ first;
+        *key = ((rank << POS_BITS) | pos as u32) as i32;
+        *slot = r;
+    }
+    if mixed == 0 {
+        return;
+    }
+    for (&key, &r) in keys.iter().zip(&copy).take(rows.len()) {
+        let dest: u32 = keys.iter().map(|&k| u32::from(k < key)).sum();
+        rows[dest as usize] = r;
+    }
+}
+
+/// The best split found so far across a node's candidate features.
+struct Best {
+    feature: usize,
+    threshold: f64,
+    gain: f64,
+    left_n: usize,
 }
 
 impl RegressionTree {
@@ -269,27 +365,28 @@ impl RegressionTree {
         scratch: &mut SplitScratch,
     ) -> usize {
         let n = rows.len();
-        let total_sum = rows.iter().map(|&i| y[i as usize]).sum::<f64>();
-        let mean = total_sum / n as f64;
+        // One pass; each sum runs in row order from `-0.0`, as `Sum` does.
+        let totals = rows.iter().fold((-0.0, -0.0), |(sum, sq): (f64, f64), &i| {
+            let yi = y[i as usize];
+            (sum + yi, sq + yi * yi)
+        });
+        let mean = totals.0 / n as f64;
 
         let must_leaf = depth >= self.params.max_depth
             || n < self.params.min_samples_split
             || n < 2 * self.params.min_samples_leaf;
         if !must_leaf {
-            if let Some((feature, threshold, gain, split_at)) =
-                self.best_split(data, y, rows, total_sum, rng, scratch)
-            {
-                self.feature_gains[feature] += gain;
-                // Partition rows in place around the found threshold.
-                scratch.sorter.sort(rows, data.rank(feature));
-                let (left_rows, right_rows) = rows.split_at_mut(split_at);
+            if let Some(best) = self.best_split(data, y, rows, totals, rng, scratch) {
+                self.feature_gains[best.feature] += best.gain;
+                // `best_split` left `rows` sorted by the split feature.
+                let (left_rows, right_rows) = rows.split_at_mut(best.left_n);
                 let node_id = self.nodes.len();
                 self.nodes.push(Node::Leaf { value: mean, n }); // Placeholder.
                 let left = self.build(data, y, left_rows, depth + 1, rng, scratch);
                 let right = self.build(data, y, right_rows, depth + 1, rng, scratch);
                 self.nodes[node_id] = Node::Internal {
-                    feature,
-                    threshold,
+                    feature: best.feature,
+                    threshold: best.threshold,
                     left,
                     right,
                 };
@@ -301,21 +398,23 @@ impl RegressionTree {
         node_id
     }
 
-    /// Finds the best (feature, threshold) split by SSE reduction.
+    /// Finds the best (feature, threshold) split by SSE reduction, given
+    /// the node's target sum and sum of squares.
     ///
-    /// Returns `(feature, threshold, gain, left_count)` or `None` when no
-    /// split satisfies the leaf-size constraint or improves the SSE.
+    /// Returns `None` when no split satisfies the leaf-size constraint or
+    /// improves the SSE. On `Some`, `rows` is left stable-sorted by the
+    /// split feature, ready to partition; on `None` its order is
+    /// unspecified.
     fn best_split(
         &self,
         data: &RankedColumns,
         y: &[f64],
-        rows: &[u32],
-        total_sum: f64,
+        rows: &mut [u32],
+        (total_sum, total_sq): (f64, f64),
         rng: &mut Rng,
         scratch: &mut SplitScratch,
-    ) -> Option<(usize, f64, f64, usize)> {
+    ) -> Option<Best> {
         let n = rows.len();
-        let total_sq: f64 = rows.iter().map(|&i| y[i as usize] * y[i as usize]).sum();
         let parent_sse = total_sq - total_sum * total_sum / n as f64;
         if parent_sse <= 1e-12 {
             return None; // Pure node.
@@ -326,44 +425,60 @@ impl RegressionTree {
             .max_features
             .unwrap_or(self.n_features)
             .clamp(1, self.n_features);
-        let features = if k == self.n_features {
-            (0..self.n_features).collect::<Vec<_>>()
+        let SplitScratch {
+            arrival,
+            order,
+            features,
+            sorter,
+        } = scratch;
+        if k == self.n_features {
+            features.clear();
+            features.extend(0..self.n_features);
         } else {
-            rng.sample_indices(self.n_features, k)
-        };
+            rng.sample_indices_into(self.n_features, k, features);
+        }
 
-        let min_leaf = self.params.min_samples_leaf;
-        let mut best: Option<(usize, f64, f64, usize)> = None;
-        let SplitScratch { order, sorter } = scratch;
-        order.clear();
-        order.extend_from_slice(rows);
-        for &f in &features {
-            sorter.sort(order, data.rank(f));
+        // Each child keeps at least `min_samples_leaf` rows, and one row.
+        let min_leaf = self.params.min_samples_leaf.max(1);
+        let positions = (min_leaf - 1, n.saturating_sub(min_leaf));
+        let mut best: Option<Best> = None;
+        arrival.clear();
+        arrival.extend_from_slice(rows);
+        for (i, &f) in features.iter().enumerate() {
+            // Each candidate sorts the order the previous one left. The
+            // first sorts `rows` itself, which is then already partitioned
+            // when that feature wins.
+            if i == 0 {
+                sorter.sort(rows, data.rank(f));
+                order.clear();
+                order.extend_from_slice(rows);
+            } else {
+                sorter.sort(order, data.rank(f));
+            }
+            let (rank, _) = data.rank(f);
             let x = data.column(f);
-            let mut left_sum = 0.0;
-            let mut left_sq = 0.0;
-            for pos in 0..n - 1 {
-                let yi = y[order[pos] as usize];
-                left_sum += yi;
-                left_sq += yi * yi;
-                let left_n = pos + 1;
-                let right_n = n - left_n;
-                if left_n < min_leaf || right_n < min_leaf {
-                    continue;
-                }
-                let xv = x[order[pos] as usize];
-                let xn = x[order[pos + 1] as usize];
-                if xn <= xv {
-                    continue; // Tied feature values cannot separate here.
-                }
-                let right_sum = total_sum - left_sum;
-                let right_sq = total_sq - left_sq;
-                let left_sse = left_sq - left_sum * left_sum / left_n as f64;
-                let right_sse = right_sq - right_sum * right_sum / right_n as f64;
-                let gain = parent_sse - left_sse - right_sse;
-                if gain > best.map_or(1e-12, |b| b.2) {
-                    best = Some((f, 0.5 * (xv + xn), gain, left_n));
-                }
+            // Sorted rows that share their first and last rank share one
+            // value, and only a NaN separates from itself.
+            if rank[order[0] as usize] == rank[order[n - 1] as usize]
+                && !x[order[0] as usize].is_nan()
+            {
+                continue;
+            }
+            let floor = best.as_ref().map_or(1e-12, |b| b.gain);
+            let totals = (total_sum, total_sq, parent_sse);
+            if let Some((gain, pos)) = scan(x, y, order, positions, totals, floor) {
+                best = Some(Best {
+                    feature: f,
+                    threshold: 0.5 * (x[order[pos] as usize] + x[order[pos + 1] as usize]),
+                    gain,
+                    left_n: pos + 1,
+                });
+            }
+        }
+        if let Some(b) = &best {
+            if b.feature != features[0] {
+                rows.copy_from_slice(arrival);
+                sorter.sort(rows, data.rank(b.feature));
             }
         }
         best
@@ -435,6 +550,66 @@ impl RegressionTree {
     pub fn n_features(&self) -> usize {
         self.n_features
     }
+}
+
+/// Scans `order`, stable-sorted by column `x`, for the split with the
+/// highest gain above `floor`, trying the positions `first..end` (a split
+/// after `pos` puts `pos + 1` rows on the left). Returns that gain and
+/// position, or `None` if no split beats `floor`.
+///
+/// Every position in range computes its gain with the original
+/// expression and the running sums in the original order; the tie test
+/// only decides whether the gain counts, so the loop has no
+/// data-dependent branch but the rare improvement.
+fn scan(
+    x: &[f64],
+    y: &[f64],
+    order: &[u32],
+    (first, end): (usize, usize),
+    (total_sum, total_sq, parent_sse): (f64, f64, f64),
+    floor: f64,
+) -> Option<(f64, usize)> {
+    if first >= end {
+        return None;
+    }
+    let n = order.len();
+    let order = &order[..=end];
+    let mut left_sum = 0.0;
+    let mut left_sq = 0.0;
+    for &r in &order[..first] {
+        let yi = y[r as usize];
+        left_sum += yi;
+        left_sq += yi * yi;
+    }
+    // Row counts are integers, exact in `f64`: `left_n` and
+    // `n_f - left_n` equal the original `as f64` conversions.
+    let n_f = n as f64;
+    let mut left_n = first as f64;
+    let mut xv = x[order[first] as usize];
+    let mut best_gain = floor;
+    let mut best_pos = None;
+    for pos in first..end {
+        let yi = y[order[pos] as usize];
+        left_sum += yi;
+        left_sq += yi * yi;
+        left_n += 1.0;
+        let right_n = n_f - left_n;
+        let right_sum = total_sum - left_sum;
+        let right_sq = total_sq - left_sq;
+        let left_sse = left_sq - left_sum * left_sum / left_n;
+        let right_sse = right_sq - right_sum * right_sum / right_n;
+        let gain = parent_sse - left_sse - right_sse;
+        // Tied values cannot separate here, but a NaN neighbour does: the
+        // original builder skips only `xn <= xv`, which no NaN satisfies.
+        let xn = x[order[pos + 1] as usize];
+        let separable = xn > xv || xn.is_nan() || xv.is_nan();
+        xv = xn;
+        if separable & (gain > best_gain) {
+            best_gain = gain;
+            best_pos = Some(pos);
+        }
+    }
+    best_pos.map(|pos| (best_gain, pos))
 }
 
 /// The original builder, retained as an oracle.
@@ -711,5 +886,66 @@ mod tests {
         let t = RegressionTree::fit(&xs, &ys, TreeParams::default(), &mut rng).unwrap();
         assert_eq!(t.node_count(), 1);
         assert!((t.predict(&[1.0]) - 4.5).abs() < 1e-12);
+    }
+
+    /// `rows` stable-sorted by `rank` the standard library's way.
+    fn stable(rows: &[u32], rank: &[u32]) -> Vec<u32> {
+        let mut want = rows.to_vec();
+        want.sort_by_key(|&r| rank[r as usize]);
+        want
+    }
+
+    /// Every path of `RankSorter` against `slice::sort_by_key`, at the
+    /// node sizes around each path's edge and rank ranges on both sides
+    /// of the counting sort's `distinct <= 2n` test. Rows repeat, as in a
+    /// bootstrap resample, so equal ranks are common.
+    #[test]
+    fn rank_sorter_paths_match_a_stable_sort() {
+        let mut rng = Rng::seed_from(10);
+        let mut sorter = RankSorter::default();
+        for n in [0, 1, 2, 7, 8, 9, 16, 17, 31, 32, 33, 63, 64, 65, 200] {
+            for distinct in [1, 2, 3, n.max(1), 2 * n.max(1), 2 * n + 1, 1000] {
+                let rank: Vec<u32> = (0..300).map(|_| rng.below(distinct) as u32).collect();
+                let rows: Vec<u32> = (0..n).map(|_| rng.below(300) as u32).collect();
+                let want = stable(&rows, &rank);
+                let check = |sort: &mut dyn FnMut(&mut [u32])| {
+                    let mut got = rows.clone();
+                    sort(&mut got);
+                    assert_eq!(got, want, "n {n}, distinct {distinct}");
+                };
+                check(&mut |rows| sorter.sort(rows, (&rank, distinct)));
+                check(&mut |rows| sorter.count_sort(rows, &rank, distinct));
+                check(&mut |rows| sorter.key_sort(rows, &rank));
+                if n <= 8 {
+                    check(&mut |rows| small_sort::<8>(rows, &rank));
+                }
+                if n <= 16 {
+                    check(&mut |rows| small_sort::<16>(rows, &rank));
+                }
+                if n <= 32 {
+                    check(&mut |rows| small_sort::<32>(rows, &rank));
+                }
+                if n <= SMALL_NODE {
+                    check(&mut |rows| small_sort::<SMALL_NODE>(rows, &rank));
+                }
+            }
+        }
+    }
+
+    /// Ranks too wide for a small-node key send even a small node to the
+    /// `u64` keys, with no column of that many rows needed.
+    #[test]
+    fn rank_sorter_wide_ranks_fall_back_to_u64_keys() {
+        let mut rng = Rng::seed_from(11);
+        let mut sorter = RankSorter::default();
+        for base in [SMALL_RANKS as u32, 1 << 26, u32::MAX - 8] {
+            let rank: Vec<u32> = (0..40).map(|_| base + rng.below(4) as u32).collect();
+            for n in [2, 9, 32, SMALL_NODE] {
+                let rows: Vec<u32> = (0..n).map(|_| rng.below(40) as u32).collect();
+                let mut got = rows.clone();
+                sorter.sort(&mut got, (&rank, base as usize + 4));
+                assert_eq!(got, stable(&rows, &rank), "base {base}, n {n}");
+            }
+        }
     }
 }

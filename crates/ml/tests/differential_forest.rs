@@ -50,9 +50,33 @@ fn tie_heavy(seed: u64, n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     (xs, ys)
 }
 
+/// [`tie_heavy`] plus two NaN columns: one mixing NaN (both signs) into
+/// a coarse lattice, one all NaN. `NaN <= x` is false, so the original
+/// builder splits next to a NaN, and tied NaNs separate from each other;
+/// a builder that tests `x_next > x` instead would not.
+fn nan_heavy(seed: u64, n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+    let (mut xs, mut ys) = tie_heavy(seed, n);
+    let mut rng = Rng::seed_from(seed ^ 0x4E_414E);
+    for (row, y) in xs.iter_mut().zip(&mut ys) {
+        let v = [f64::NAN, -f64::NAN, 0.0, 1.0, 2.0][rng.below(5)];
+        row.push(v);
+        row.push(f64::NAN);
+        if v.is_nan() {
+            *y += 0.3;
+        }
+    }
+    (xs, ys)
+}
+
 /// Probe rows: every training row plus fresh rows on the same lattice.
 fn probes(xs: &[Vec<f64>], seed: u64) -> Vec<Vec<f64>> {
     let (fresh, _) = tie_heavy(seed ^ 0x9E37, 12);
+    xs.iter().cloned().chain(fresh).collect()
+}
+
+/// [`probes`] for [`nan_heavy`] rows.
+fn nan_probes(xs: &[Vec<f64>], seed: u64) -> Vec<Vec<f64>> {
+    let (fresh, _) = nan_heavy(seed ^ 0x9E37, 12);
     xs.iter().cloned().chain(fresh).collect()
 }
 
@@ -82,6 +106,19 @@ fn assert_same_trees(fast: &[RegressionTree], oracle: &[RegressionTree]) {
     assert_eq!(format!("{fast:?}"), format!("{oracle:?}"));
     for (a, b) in fast.iter().zip(oracle) {
         assert_eq!(bits(a.feature_gains()), bits(b.feature_gains()));
+    }
+}
+
+/// [`assert_same_trees`] for trees that may hold NaN thresholds, which
+/// `PartialEq` never finds equal: the `Debug` rendering, gains and
+/// predictions must still agree bit for bit.
+fn assert_same_nan_trees(fast: &[RegressionTree], oracle: &[RegressionTree], probes: &[Vec<f64>]) {
+    assert_eq!(format!("{fast:?}"), format!("{oracle:?}"));
+    for (a, b) in fast.iter().zip(oracle) {
+        assert_eq!(bits(a.feature_gains()), bits(b.feature_gains()));
+        for row in probes {
+            assert_eq!(a.predict(row).to_bits(), b.predict(row).to_bits());
+        }
     }
 }
 
@@ -161,6 +198,63 @@ proptest! {
                 prop_assert_eq!(fast.predict(&row).to_bits(), oracle.predict_stats(&scaled).0.to_bits());
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Node sizes on both sides of the small-node sort's edges (8, 16, 32
+    /// and 64 rows), with NaN-bearing and all-NaN columns.
+    #[test]
+    fn nan_columns_match_naive_across_node_size_edges(
+        seed in any::<u64>(),
+        n in 20usize..140,
+        k in 0usize..12,
+        leaf in 1usize..3,
+    ) {
+        let (xs, ys) = nan_heavy(seed, n);
+        let params = TreeParams {
+            min_samples_leaf: leaf,
+            max_features: (k > 0).then_some(k),
+            ..TreeParams::default()
+        };
+        let mut fast_rng = Rng::seed_from(seed ^ 2);
+        let mut oracle_rng = fast_rng.clone();
+        let probes = nan_probes(&xs, seed);
+        let fast = RegressionTree::fit(&xs, &ys, params, &mut fast_rng).unwrap();
+        let oracle = tree::naive::fit(&xs, &ys, params, &mut oracle_rng).unwrap();
+        assert_same_nan_trees(std::slice::from_ref(&fast), std::slice::from_ref(&oracle), &probes);
+        prop_assert_eq!(fast_rng, oracle_rng);
+
+        let params = forest_params(true, k % 2 == 0, leaf, 4);
+        let oracle = forest::naive::fit(params, &xs, &ys, &mut Rng::seed_from(seed)).unwrap();
+        let mut fast = RandomForest::new(ForestParams { threads: 2, ..params });
+        fast.fit(&xs, &ys, &mut Rng::seed_from(seed)).unwrap();
+        assert_same_nan_trees(fast.trees(), oracle.trees(), &probes);
+        for row in &probes {
+            prop_assert_eq!(stats_bits(fast.predict_stats(row)), stats_bits(oracle.predict_stats(row)));
+        }
+    }
+}
+
+/// Every row count from 1 to 70 on one seed, so each node-size edge of
+/// the sorts is crossed by the root itself.
+#[test]
+fn every_small_row_count_matches_naive() {
+    for n in 1..=70 {
+        let (xs, ys) = nan_heavy(n as u64, n);
+        let params = TreeParams {
+            max_features: Some(4),
+            ..TreeParams::default()
+        };
+        let fast = RegressionTree::fit(&xs, &ys, params, &mut Rng::seed_from(5)).unwrap();
+        let oracle = tree::naive::fit(&xs, &ys, params, &mut Rng::seed_from(5)).unwrap();
+        assert_same_nan_trees(
+            std::slice::from_ref(&fast),
+            std::slice::from_ref(&oracle),
+            &nan_probes(&xs, n as u64),
+        );
     }
 }
 

@@ -215,18 +215,30 @@ impl Rng {
     ///
     /// Panics if `k > n`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut chosen = Vec::with_capacity(k);
+        self.sample_indices_into(n, k, &mut chosen);
+        chosen
+    }
+
+    /// [`Rng::sample_indices`] into `out`, which is cleared first: the
+    /// same draws and the same result, without allocating once `out` has
+    /// room for `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > n`.
+    pub fn sample_indices_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "cannot sample {k} items from {n}");
-        let mut chosen: Vec<usize> = Vec::with_capacity(k);
+        out.clear();
         for j in (n - k)..n {
             let t = self.below(j + 1);
-            if chosen.contains(&t) {
-                chosen.push(j);
+            if out.contains(&t) {
+                out.push(j);
             } else {
-                chosen.push(t);
+                out.push(t);
             }
         }
-        self.shuffle(&mut chosen);
-        chosen
+        self.shuffle(out);
     }
 
     /// Standard normal draw via the polar Box–Muller method.
@@ -357,6 +369,17 @@ mod tests {
             assert_eq!(sorted.len(), k, "duplicates in {picks:?}");
             assert!(picks.iter().all(|&i| i < 20));
         }
+    }
+
+    #[test]
+    fn sample_indices_into_matches_allocating_form() {
+        let (mut a, mut b) = (Rng::seed_from(19), Rng::seed_from(19));
+        let mut out = vec![99; 7];
+        for k in [0, 1, 3, 8, 20, 5] {
+            b.sample_indices_into(20, k, &mut out);
+            assert_eq!(a.sample_indices(20, k), out);
+        }
+        assert_eq!(a, b);
     }
 
     #[test]

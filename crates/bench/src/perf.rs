@@ -556,6 +556,46 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
         });
     }
     {
+        // Each SuT's `run` over fixed configs and machines, its metrics
+        // never read: what every Traditional, Default and deployment run
+        // pays. The checksum folds each run's value and crash bit.
+        let runs = 2_000 * k;
+        let suts: Vec<(Box<dyn SystemUnderTest>, Workload, Vec<tuna_space::Config>)> = [
+            tuna_workloads::tpcc(),
+            tuna_workloads::ycsb_c(),
+            tuna_workloads::wikipedia(),
+        ]
+        .into_iter()
+        .map(|workload| {
+            let sut = tuna_sut::for_target(workload.target);
+            let mut rng = Rng::seed_from(112);
+            let mut configs = vec![sut.default_config()];
+            configs.extend((0..7).map(|_| sut.space().sample(&mut rng)));
+            (sut, workload, configs)
+        })
+        .collect();
+        v.push(ScenarioSpec {
+            name: "sut/run_unread",
+            items: (suts.len() * runs) as u64,
+            run: Box::new(move |c| {
+                for (sut, workload, configs) in &suts {
+                    let mut cluster = Cluster::new(4, VmSku::d8s_v5(), Region::westus2(), 113);
+                    let mut rng = Rng::seed_from(114);
+                    for i in 0..runs {
+                        let out = sut.run(
+                            &configs[i % configs.len()],
+                            workload,
+                            cluster.machine_mut(i % 4),
+                            &mut rng,
+                        );
+                        c.push_f64(out.value);
+                        c.push_u64(out.crashed as u64);
+                    }
+                }
+            }),
+        });
+    }
+    {
         // 2 regions x 2 SKUs x 7 benches x (3 long VMs x 24 weeks x 6
         // sessions + 24 weeks x 20 short VMs) = 25_536 samples — big
         // enough to time stably, small enough to stay under ~10ms.

@@ -9,6 +9,20 @@
 //! can explain away part of the performance noise — exactly the paper's
 //! mechanism, with a knowable ground truth.
 //!
+//! # Paying on read
+//!
+//! Only the noise adjuster reads guest metrics, yet every simulated run
+//! generates them. So [`generate`] splits the work:
+//!
+//! - it takes every draw when called: one polar-method Gaussian per
+//!   counter, accept/reject loop included. The caller's `rng` therefore
+//!   ends in the same state whether or not the vector is ever read;
+//! - it stores the inputs and the accepted pairs, and
+//!   [`MetricVector::values`] computes the counters (and the `ln` of each
+//!   pair) on first call, in the same buffer;
+//! - the values are bit-for-bit those of an eager computation. The tests
+//!   keep the eager generator as an oracle.
+//!
 //! # Examples
 //!
 //! ```
@@ -25,9 +39,11 @@
 //! assert_eq!(metrics.values().len(), SCHEMA.len());
 //! ```
 
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
 use tuna_cloudsim::components::ComponentVec;
 use tuna_cloudsim::machine::Snapshot;
-use tuna_stats::rng::Rng;
+use tuna_stats::rng::{polar_gaussian, Rng};
 
 /// Names of the generated guest metrics, in vector order.
 pub const SCHEMA: [&str; 30] = [
@@ -63,10 +79,14 @@ pub const SCHEMA: [&str; 30] = [
     "thread_create_us",
 ];
 
-/// A generated guest-metric vector (aligned with [`SCHEMA`]).
-#[derive(Debug, Clone, PartialEq)]
+/// A generated guest-metric vector (aligned with [`SCHEMA`]). One from
+/// [`generate`] computes its values on first read (see the crate docs).
 pub struct MetricVector {
-    values: Vec<f64>,
+    /// The values, set by [`MetricVector::new`] or on first read.
+    values: OnceLock<Vec<f64>>,
+    /// A generated vector's pending buffer (inputs and draws) until the
+    /// first read takes it; empty otherwise.
+    pending: Mutex<Vec<f64>>,
 }
 
 impl MetricVector {
@@ -77,12 +97,19 @@ impl MetricVector {
     /// Panics if `values.len() != SCHEMA.len()`.
     pub fn new(values: Vec<f64>) -> Self {
         assert_eq!(values.len(), SCHEMA.len(), "metric width mismatch");
-        MetricVector { values }
+        MetricVector {
+            values: OnceLock::from(values),
+            pending: Mutex::default(),
+        }
     }
 
     /// The raw values.
     pub fn values(&self) -> &[f64] {
-        &self.values
+        self.values.get_or_init(|| {
+            let mut buf = std::mem::take(&mut *self.pending());
+            materialize(&mut buf);
+            buf
+        })
     }
 
     /// Value of the metric named `name`.
@@ -90,8 +117,77 @@ impl MetricVector {
         SCHEMA
             .iter()
             .position(|&n| n == name)
-            .map(|i| self.values[i])
+            .map(|i| self.values()[i])
     }
+
+    fn pending(&self) -> MutexGuard<'_, Vec<f64>> {
+        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for MetricVector {
+    /// Clones without computing: a clone taken before the first read
+    /// copies the pending buffer.
+    fn clone(&self) -> Self {
+        let pending = self.pending();
+        if pending.is_empty() {
+            // Read already, or being read: the values are (about to be) set.
+            drop(pending);
+            return MetricVector::new(self.values().to_vec());
+        }
+        MetricVector {
+            values: OnceLock::new(),
+            pending: Mutex::new(pending.clone()),
+        }
+    }
+}
+
+impl PartialEq for MetricVector {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl std::fmt::Debug for MetricVector {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MetricVector")
+            .field("values", &self.values())
+            .finish()
+    }
+}
+
+// A pending buffer holds the snapshot's speeds and interference and the
+// demand (five components each), the clamped relative performance, then
+// one accepted polar pair `(u, s)` per counter, in `SCHEMA` order.
+const PERF_AT: usize = 15;
+const PAIRS_AT: usize = 16;
+const PENDING_LEN: usize = PAIRS_AT + 2 * SCHEMA.len();
+
+fn push_components(buf: &mut Vec<f64>, v: &ComponentVec) {
+    buf.extend_from_slice(&[v.cpu, v.disk, v.memory, v.cache, v.os]);
+}
+
+fn components(buf: &[f64], at: usize) -> ComponentVec {
+    ComponentVec::new(buf[at], buf[at + 1], buf[at + 2], buf[at + 3], buf[at + 4])
+}
+
+/// Turns a pending buffer into the values, in place: slot `i` is written
+/// after pair `i`, at `PAIRS_AT + 2i >= i`, is read.
+fn materialize(buf: &mut Vec<f64>) {
+    debug_assert_eq!(buf.len(), PENDING_LEN);
+    let counters = counters(
+        &components(buf, 0),
+        &components(buf, 5),
+        &components(buf, 10),
+        buf[PERF_AT],
+    );
+    for (i, x) in counters.into_iter().enumerate() {
+        let (u, s) = (buf[PAIRS_AT + 2 * i], buf[PAIRS_AT + 2 * i + 1]);
+        // Small multiplicative observation noise per counter.
+        buf[i] = (x * (1.0 + 0.01 * polar_gaussian(u, s))).max(0.0);
+    }
+    buf.truncate(SCHEMA.len());
+    buf.shrink_to_fit();
 }
 
 /// Generates the guest-metric vector for one measurement epoch.
@@ -102,21 +198,41 @@ impl MetricVector {
 /// - `relative_perf` is the achieved performance relative to nominal
 ///   (throughput-linked counters scale with it);
 /// - `rng` adds small observation noise (counters are themselves sampled).
+///
+/// Every draw is taken here; the arithmetic waits for the first read
+/// (see the crate docs).
 pub fn generate(
     snapshot: &Snapshot,
     demand: &ComponentVec,
     relative_perf: f64,
     rng: &mut Rng,
 ) -> MetricVector {
-    let itf = &snapshot.interference;
-    let perf = relative_perf.max(0.0);
-    // Small multiplicative observation noise per counter.
-    let mut obs = |x: f64| (x * (1.0 + 0.01 * rng.next_gaussian())).max(0.0);
+    let mut buf = Vec::with_capacity(PENDING_LEN);
+    push_components(&mut buf, &snapshot.speeds);
+    push_components(&mut buf, &snapshot.interference);
+    push_components(&mut buf, demand);
+    buf.push(relative_perf.max(0.0));
+    for _ in 0..SCHEMA.len() {
+        let (u, s) = rng.next_polar();
+        buf.extend_from_slice(&[u, s]);
+    }
+    MetricVector {
+        values: OnceLock::new(),
+        pending: Mutex::new(buf),
+    }
+}
 
+/// The noise-free counters, in [`SCHEMA`] order.
+fn counters(
+    speeds: &ComponentVec,
+    itf: &ComponentVec,
+    demand: &ComponentVec,
+    perf: f64,
+) -> [f64; SCHEMA.len()] {
     // CPU accounting: interference shows up as steal time; disk pressure as
     // iowait. Shares are percentages of total CPU time.
     let cpu_busy = (demand.cpu * 100.0).min(98.0);
-    let steal = (-itf.cpu).max(0.0) * 2_000.0 + (1.0 - snapshot.speeds.cpu).max(0.0) * 300.0;
+    let steal = (-itf.cpu).max(0.0) * 2_000.0 + (1.0 - speeds.cpu).max(0.0) * 300.0;
     let iowait = demand.disk * 8.0 + (-itf.disk).max(0.0) * 900.0;
     let user = cpu_busy * 0.72;
     let system = cpu_busy * 0.28 + (-itf.os).max(0.0) * 120.0;
@@ -152,8 +268,8 @@ pub fn generate(
     let disk_read = 220.0 * demand.disk * perf * 0.4;
     let disk_write = 220.0 * demand.disk * perf * 0.6;
     let disk_iops = 11_000.0 * demand.disk * perf;
-    let disk_util = (demand.disk * 100.0 / snapshot.speeds.disk.max(0.05)).min(100.0);
-    let disk_await = 0.9 / snapshot.speeds.disk.max(0.05) * (1.0 + 6.0 * (-itf.disk).max(0.0));
+    let disk_util = (demand.disk * 100.0 / speeds.disk.max(0.05)).min(100.0);
+    let disk_await = 0.9 / speeds.disk.max(0.05) * (1.0 + 6.0 * (-itf.disk).max(0.0));
 
     // Network: proportional to served work.
     let net_sent = 60.0 * perf * demand.cpu.max(0.1);
@@ -161,45 +277,152 @@ pub fn generate(
 
     // OS latency probe: thread-creation time grows with OS interference —
     // the paper's previously unmeasured variance source.
-    let thread_create = 18.5 / snapshot.speeds.os.max(0.05);
+    let thread_create = 18.5 / speeds.os.max(0.05);
 
-    MetricVector::new(vec![
-        obs(user),
-        obs(system),
-        obs(idle),
-        obs(iowait),
-        obs(steal),
-        obs(ctx),
-        obs(intr),
-        obs(softirq),
-        obs(syscalls),
-        obs(load1),
-        obs(load5),
-        obs(procs_running),
-        obs(procs_blocked),
-        obs(mem_used),
-        obs(mem_available),
-        obs(mem_cached),
-        obs(swap_used),
-        obs(faults),
-        obs(major_faults),
-        obs(mem_bw_util),
-        obs(llc_miss),
-        obs(llc_refs),
-        obs(disk_read),
-        obs(disk_write),
-        obs(disk_iops),
-        obs(disk_util),
-        obs(disk_await),
-        obs(net_sent),
-        obs(net_recv),
-        obs(thread_create),
-    ])
+    [
+        user,
+        system,
+        idle,
+        iowait,
+        steal,
+        ctx,
+        intr,
+        softirq,
+        syscalls,
+        load1,
+        load5,
+        procs_running,
+        procs_blocked,
+        mem_used,
+        mem_available,
+        mem_cached,
+        swap_used,
+        faults,
+        major_faults,
+        mem_bw_util,
+        llc_miss,
+        llc_refs,
+        disk_read,
+        disk_write,
+        disk_iops,
+        disk_util,
+        disk_await,
+        net_sent,
+        net_recv,
+        thread_create,
+    ]
+}
+
+/// The eager generator [`generate`] replaced, kept as the oracle its
+/// property test compares against: it draws and computes every counter
+/// at once.
+#[cfg(test)]
+mod eager {
+    use super::MetricVector;
+    use tuna_cloudsim::components::ComponentVec;
+    use tuna_cloudsim::machine::Snapshot;
+    use tuna_stats::rng::Rng;
+
+    pub fn generate(
+        snapshot: &Snapshot,
+        demand: &ComponentVec,
+        relative_perf: f64,
+        rng: &mut Rng,
+    ) -> MetricVector {
+        let itf = &snapshot.interference;
+        let perf = relative_perf.max(0.0);
+        // Small multiplicative observation noise per counter.
+        let mut obs = |x: f64| (x * (1.0 + 0.01 * rng.next_gaussian())).max(0.0);
+
+        // CPU accounting: interference shows up as steal time; disk pressure as
+        // iowait. Shares are percentages of total CPU time.
+        let cpu_busy = (demand.cpu * 100.0).min(98.0);
+        let steal = (-itf.cpu).max(0.0) * 2_000.0 + (1.0 - snapshot.speeds.cpu).max(0.0) * 300.0;
+        let iowait = demand.disk * 8.0 + (-itf.disk).max(0.0) * 900.0;
+        let user = cpu_busy * 0.72;
+        let system = cpu_busy * 0.28 + (-itf.os).max(0.0) * 120.0;
+        let idle = (100.0 - user - system - steal - iowait).max(0.0);
+
+        // Scheduler / kernel counters: OS interference inflates context-switch
+        // cost and visible kernel activity.
+        let ctx = 9_000.0 * demand.cpu * perf * (1.0 + 2.0 * (-itf.os).max(0.0));
+        let intr = 5_500.0 * (demand.disk + demand.cpu) * perf;
+        let softirq = 2_200.0 * demand.cpu * perf;
+        let syscalls = 40_000.0 * (demand.cpu + demand.os) * perf;
+        let load1 = 8.0 * demand.cpu * (1.0 + 3.0 * (-itf.cpu).max(0.0)) + 2.0 * demand.disk;
+        let load5 = load1 * 0.92;
+        let procs_running = 1.0 + 7.0 * demand.cpu;
+        let procs_blocked = 4.0 * demand.disk * (1.0 + 10.0 * (-itf.disk).max(0.0));
+
+        // Memory: interference lowers achievable bandwidth and raises faults.
+        let mem_used = (35.0 + 55.0 * demand.memory).min(99.0);
+        let mem_available = 32_000.0 * (1.0 - mem_used / 100.0);
+        let mem_cached = 12_000.0 * demand.disk.max(0.2);
+        let swap_used = 900.0 * (demand.memory - 0.9).max(0.0);
+        let faults = 20_000.0 * demand.memory * perf * (1.0 + 1.5 * (-itf.memory).max(0.0));
+        let major_faults = 40.0 * demand.disk * (1.0 + 4.0 * (-itf.memory).max(0.0));
+        let mem_bw_util = (demand.memory * 100.0 * (1.0 + 4.0 * (-itf.memory).max(0.0))).min(100.0);
+
+        // Cache: the dominant interference channel; miss rate rises sharply
+        // when a neighbor thrashes the shared LLC.
+        let llc_miss = (0.08 + demand.cache * 0.10 + (-itf.cache).max(0.0) * 2.0).min(0.99);
+        let llc_refs = 3.0e8 * (demand.cpu + demand.cache) * perf;
+
+        // Disk: throughput counters scale with achieved performance; await
+        // rises when the virtual disk is contended.
+        let disk_read = 220.0 * demand.disk * perf * 0.4;
+        let disk_write = 220.0 * demand.disk * perf * 0.6;
+        let disk_iops = 11_000.0 * demand.disk * perf;
+        let disk_util = (demand.disk * 100.0 / snapshot.speeds.disk.max(0.05)).min(100.0);
+        let disk_await = 0.9 / snapshot.speeds.disk.max(0.05) * (1.0 + 6.0 * (-itf.disk).max(0.0));
+
+        // Network: proportional to served work.
+        let net_sent = 60.0 * perf * demand.cpu.max(0.1);
+        let net_recv = 25.0 * perf * demand.cpu.max(0.1);
+
+        // OS latency probe: thread-creation time grows with OS interference —
+        // the paper's previously unmeasured variance source.
+        let thread_create = 18.5 / snapshot.speeds.os.max(0.05);
+
+        MetricVector::new(vec![
+            obs(user),
+            obs(system),
+            obs(idle),
+            obs(iowait),
+            obs(steal),
+            obs(ctx),
+            obs(intr),
+            obs(softirq),
+            obs(syscalls),
+            obs(load1),
+            obs(load5),
+            obs(procs_running),
+            obs(procs_blocked),
+            obs(mem_used),
+            obs(mem_available),
+            obs(mem_cached),
+            obs(swap_used),
+            obs(faults),
+            obs(major_faults),
+            obs(mem_bw_util),
+            obs(llc_miss),
+            obs(llc_refs),
+            obs(disk_read),
+            obs(disk_write),
+            obs(disk_iops),
+            obs(disk_util),
+            obs(disk_await),
+            obs(net_sent),
+            obs(net_recv),
+            obs(thread_create),
+        ])
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tuna_cloudsim::{Machine, Region, VmSku};
     use tuna_stats::rng::Rng;
     use tuna_stats::summary::mean;
@@ -322,5 +545,106 @@ mod tests {
         let a = generate(&s1, &demand(), 1.0, &mut Rng::seed_from(9));
         let b = generate(&s2, &demand(), 1.0, &mut Rng::seed_from(9));
         assert_eq!(a, b);
+    }
+
+    fn bits(v: &MetricVector) -> Vec<u64> {
+        v.values().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A snapshot after `epochs` observations of a machine of `sku`
+    /// (0: d8s_v5, 1: the burstable b8ms, whose depleted credits push
+    /// speeds far from nominal).
+    fn snapshot(seed: u64, sku: usize, epochs: usize, demand: &ComponentVec) -> Snapshot {
+        let sku = if sku == 0 {
+            VmSku::d8s_v5()
+        } else {
+            VmSku::b8ms()
+        };
+        let mut m = Machine::provision(seed, &sku, &Region::westus2(), &Rng::seed_from(seed));
+        let mut snap = m.observe(demand);
+        for _ in 0..epochs {
+            snap = m.observe(demand);
+        }
+        snap
+    }
+
+    proptest! {
+        #[test]
+        fn lazy_vector_matches_the_eager_oracle(
+            seed in any::<u64>(),
+            sku in 0usize..2,
+            epochs in 0usize..40,
+            demand in prop::collection::vec(0.0f64..1.2, 5..=5),
+            perf_kind in 0usize..4,
+            perf in 0.0f64..2.5,
+            draws in any::<u64>(),
+        ) {
+            let demand = ComponentVec::new(demand[0], demand[1], demand[2], demand[3], demand[4]);
+            let perf = match perf_kind {
+                0 => 0.0,
+                1 => -0.4,
+                _ => perf,
+            };
+            let snap = snapshot(seed, sku, epochs, &demand);
+            let (mut lazy_rng, mut eager_rng) = (Rng::seed_from(draws), Rng::seed_from(draws));
+            let lazy = generate(&snap, &demand, perf, &mut lazy_rng);
+            let oracle = eager::generate(&snap, &demand, perf, &mut eager_rng);
+
+            // The caller's stream is where the eager pass leaves it.
+            prop_assert_eq!(&lazy_rng, &eager_rng);
+            prop_assert_eq!(lazy_rng.next_u64(), eager_rng.next_u64());
+
+            // `Debug` and `==` read through; a clone taken before the
+            // first read computes the same bits as the original.
+            let early_clone = lazy.clone();
+            let unread = generate(&snap, &demand, perf, &mut Rng::seed_from(draws));
+            prop_assert_eq!(format!("{unread:?}"), format!("{oracle:?}"));
+            prop_assert_eq!(format!("{:#?}", generate(&snap, &demand, perf, &mut Rng::seed_from(draws))), format!("{oracle:#?}"));
+            prop_assert!(generate(&snap, &demand, perf, &mut Rng::seed_from(draws)) == oracle);
+            prop_assert_eq!(bits(&lazy), bits(&oracle));
+            prop_assert_eq!(bits(&early_clone), bits(&oracle));
+            prop_assert_eq!(bits(&lazy.clone()), bits(&oracle));
+            prop_assert!(lazy == early_clone);
+            prop_assert_eq!(lazy.get("disk_iops"), oracle.get("disk_iops"));
+        }
+    }
+
+    #[test]
+    fn concurrent_first_reads_and_clones_agree() {
+        let demand = demand();
+        let snap = snapshot(11, 0, 3, &demand);
+        let mut rng = Rng::seed_from(12);
+        let mut eager_rng = rng.clone();
+        for _ in 0..16 {
+            let shared = generate(&snap, &demand, 1.0, &mut rng);
+            let oracle = bits(&eager::generate(&snap, &demand, 1.0, &mut eager_rng));
+            // Even items read first, odd items clone first: the first read
+            // races other first reads and clones on the pool's workers.
+            let seen = tuna_stats::pool::map(
+                4,
+                (0..8).collect(),
+                |_| (),
+                |_, i: usize| {
+                    if i % 2 == 0 {
+                        bits(&shared)
+                    } else {
+                        bits(&shared.clone())
+                    }
+                },
+            );
+            assert!(seen.iter().all(|b| *b == oracle));
+        }
+    }
+
+    #[test]
+    fn new_vectors_are_read_as_given() {
+        let values: Vec<f64> = (0..SCHEMA.len()).map(|i| i as f64 * 0.5).collect();
+        let v = MetricVector::new(values.clone());
+        assert_eq!(v.values(), &values[..]);
+        assert_eq!(v.clone(), v);
+        assert_eq!(
+            format!("{v:?}"),
+            format!("MetricVector {{ values: {values:?} }}")
+        );
     }
 }

@@ -243,15 +243,34 @@ impl Rng {
 
     /// Standard normal draw via the polar Box–Muller method.
     pub fn next_gaussian(&mut self) -> f64 {
+        let (u, s) = self.next_polar();
+        polar_gaussian(u, s)
+    }
+
+    /// The draws of one [`Rng::next_gaussian`] without its arithmetic:
+    /// the polar method's accepted pair `(u, s)`, where `s = u² + v²`
+    /// lies in `(0, 1)`. `polar_gaussian(u, s)` is the normal draw, so a
+    /// caller can consume the draws now and pay for the `ln` only if it
+    /// needs the value.
+    #[inline]
+    pub fn next_polar(&mut self) -> (f64, f64) {
         loop {
             let u = 2.0 * self.next_f64() - 1.0;
             let v = 2.0 * self.next_f64() - 1.0;
             let s = u * u + v * v;
             if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
+                return (u, s);
             }
         }
     }
+}
+
+/// The standard normal value of an accepted polar pair from
+/// [`Rng::next_polar`]: bit-for-bit what [`Rng::next_gaussian`] returns
+/// for the same draws.
+#[inline]
+pub fn polar_gaussian(u: f64, s: f64) -> f64 {
+    u * (-2.0 * s.ln() / s).sqrt()
 }
 
 /// `n` draws from N(`mean`, `std`²), for tests that need Gaussian data.
@@ -333,6 +352,17 @@ mod tests {
             saw_hi |= x == 3;
         }
         assert!(saw_lo && saw_hi);
+    }
+
+    #[test]
+    fn polar_pair_gives_the_gaussian() {
+        let (mut a, mut b) = (Rng::seed_from(17), Rng::seed_from(17));
+        for _ in 0..1_000 {
+            let (u, s) = b.next_polar();
+            assert!(s > 0.0 && s < 1.0);
+            assert_eq!(a.next_gaussian().to_bits(), polar_gaussian(u, s).to_bits());
+        }
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod redis;
 
 use tuna_cloudsim::machine::{Machine, Snapshot};
 use tuna_metrics::MetricVector;
-use tuna_space::{Config, ConfigSpace};
+use tuna_space::{Config, ConfigSpace, ParamValue};
 use tuna_stats::rng::Rng;
 use tuna_workloads::{TargetSystem, Workload};
 
@@ -115,6 +115,39 @@ pub fn oriented(workload: &Workload, value: f64) -> f64 {
         value
     } else {
         -value
+    }
+}
+
+/// Reads a configuration's values in space order, so a SuT decodes its
+/// knobs by position instead of looking each one up by name every run.
+/// Each SuT builds its space in the field order of its typed knob view,
+/// and a struct literal evaluates its fields in the order written; the
+/// SuTs' tests pin every decode against the by-name one.
+struct Positional<'a>(std::slice::Iter<'a, ParamValue>);
+
+impl<'a> Positional<'a> {
+    fn of(config: &'a Config) -> Self {
+        Positional(config.values().iter())
+    }
+
+    fn next(&mut self) -> ParamValue {
+        *self.0.next().expect("config does not fit the space")
+    }
+
+    fn int(&mut self) -> f64 {
+        self.next().as_int() as f64
+    }
+
+    fn float(&mut self) -> f64 {
+        self.next().as_float()
+    }
+
+    fn cat(&mut self) -> usize {
+        self.next().as_cat()
+    }
+
+    fn flag(&mut self) -> bool {
+        self.next().as_bool()
     }
 }
 

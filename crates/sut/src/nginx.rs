@@ -10,7 +10,7 @@
 //! need spike their tail latency when OS interference slows accept
 //! processing — unstable in exactly the relative-range sense of §4.2.
 
-use crate::{RunOutcome, SystemUnderTest};
+use crate::{Positional, RunOutcome, SystemUnderTest};
 use tuna_cloudsim::machine::Machine;
 use tuna_space::{Config, ConfigSpace};
 use tuna_stats::rng::Rng;
@@ -20,7 +20,7 @@ use tuna_workloads::{MetricKind, TargetSystem, Workload};
 const CONCURRENT_CONNECTIONS: f64 = 600.0;
 
 /// Typed view of an NGINX configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NginxKnobs {
     /// `worker_processes`.
     pub worker_processes: f64,
@@ -52,6 +52,9 @@ pub struct NginxKnobs {
 #[derive(Debug, Clone)]
 pub struct Nginx {
     space: ConfigSpace,
+    /// The default configuration's knobs, decoded once: every run
+    /// divides by their efficiency.
+    default_knobs: NginxKnobs,
 }
 
 impl Default for Nginx {
@@ -77,7 +80,10 @@ impl Nginx {
             .boolean("access_log")
             .boolean("multi_accept")
             .build();
-        Nginx { space }
+        Nginx {
+            space,
+            default_knobs: Self::decode(&Self::default_values()),
+        }
     }
 
     /// Decodes a configuration.
@@ -86,21 +92,43 @@ impl Nginx {
     ///
     /// Panics if the config does not fit the space.
     pub fn knobs(&self, config: &Config) -> NginxKnobs {
-        let s = &self.space;
+        Self::decode(config)
+    }
+
+    fn decode(config: &Config) -> NginxKnobs {
+        let mut v = Positional::of(config);
         NginxKnobs {
-            worker_processes: s.value_of(config, "worker_processes").as_int() as f64,
-            worker_connections: s.value_of(config, "worker_connections").as_int() as f64,
-            keepalive_timeout: s.value_of(config, "keepalive_timeout").as_int() as f64,
-            keepalive_requests: s.value_of(config, "keepalive_requests").as_int() as f64,
-            sendfile: s.value_of(config, "sendfile").as_bool(),
-            tcp_nopush: s.value_of(config, "tcp_nopush").as_bool(),
-            tcp_nodelay: s.value_of(config, "tcp_nodelay").as_bool(),
-            gzip: s.value_of(config, "gzip").as_bool(),
-            gzip_comp_level: s.value_of(config, "gzip_comp_level").as_int() as f64,
-            open_file_cache: s.value_of(config, "open_file_cache").as_int() as f64,
-            access_log: s.value_of(config, "access_log").as_bool(),
-            multi_accept: s.value_of(config, "multi_accept").as_bool(),
+            worker_processes: v.int(),
+            worker_connections: v.int(),
+            keepalive_timeout: v.int(),
+            keepalive_requests: v.int(),
+            sendfile: v.flag(),
+            tcp_nopush: v.flag(),
+            tcp_nodelay: v.flag(),
+            gzip: v.flag(),
+            gzip_comp_level: v.int(),
+            open_file_cache: v.int(),
+            access_log: v.flag(),
+            multi_accept: v.flag(),
         }
+    }
+
+    fn default_values() -> Config {
+        use tuna_space::ParamValue as V;
+        Config::new(vec![
+            V::Int(2),      // worker_processes (distro default auto=small)
+            V::Int(768),    // worker_connections
+            V::Int(75),     // keepalive_timeout
+            V::Int(1_000),  // keepalive_requests
+            V::Bool(true),  // sendfile
+            V::Bool(false), // tcp_nopush
+            V::Bool(true),  // tcp_nodelay
+            V::Bool(false), // gzip
+            V::Int(6),      // gzip_comp_level
+            V::Int(1_024),  // open_file_cache
+            V::Bool(true),  // access_log
+            V::Bool(false), // multi_accept
+        ])
     }
 
     /// Latency efficiency (higher = lower p95), relative scale.
@@ -187,21 +215,7 @@ impl SystemUnderTest for Nginx {
     }
 
     fn default_config(&self) -> Config {
-        use tuna_space::ParamValue as V;
-        Config::new(vec![
-            V::Int(2),      // worker_processes (distro default auto=small)
-            V::Int(768),    // worker_connections
-            V::Int(75),     // keepalive_timeout
-            V::Int(1_000),  // keepalive_requests
-            V::Bool(true),  // sendfile
-            V::Bool(false), // tcp_nopush
-            V::Bool(true),  // tcp_nodelay
-            V::Bool(false), // gzip
-            V::Int(6),      // gzip_comp_level
-            V::Int(1_024),  // open_file_cache
-            V::Bool(true),  // access_log
-            V::Bool(false), // multi_accept
-        ])
+        Self::default_values()
     }
 
     fn supports(&self, workload: &Workload) -> bool {
@@ -229,7 +243,7 @@ impl SystemUnderTest for Nginx {
             .powf(1.1);
 
         let e = Self::efficiency(&knobs, vcpus);
-        let e0 = Self::efficiency(&self.knobs(&self.default_config()), vcpus);
+        let e0 = Self::efficiency(&self.default_knobs, vcpus);
         let rel_raw = (e / e0) * machine_speed;
         let mut rel = (1.0 + (rel_raw - 1.0) * workload.tuning_headroom).max(1e-3);
 
@@ -426,5 +440,36 @@ mod tests {
             assert!(out.value.is_finite() && out.value > 0.0);
             assert!(!out.crashed);
         }
+    }
+
+    /// The by-name decode `knobs` replaced, kept as its oracle.
+    fn knobs_by_name(ng: &Nginx, config: &Config) -> NginxKnobs {
+        let s = ng.space();
+        NginxKnobs {
+            worker_processes: s.value_of(config, "worker_processes").as_int() as f64,
+            worker_connections: s.value_of(config, "worker_connections").as_int() as f64,
+            keepalive_timeout: s.value_of(config, "keepalive_timeout").as_int() as f64,
+            keepalive_requests: s.value_of(config, "keepalive_requests").as_int() as f64,
+            sendfile: s.value_of(config, "sendfile").as_bool(),
+            tcp_nopush: s.value_of(config, "tcp_nopush").as_bool(),
+            tcp_nodelay: s.value_of(config, "tcp_nodelay").as_bool(),
+            gzip: s.value_of(config, "gzip").as_bool(),
+            gzip_comp_level: s.value_of(config, "gzip_comp_level").as_int() as f64,
+            open_file_cache: s.value_of(config, "open_file_cache").as_int() as f64,
+            access_log: s.value_of(config, "access_log").as_bool(),
+            multi_accept: s.value_of(config, "multi_accept").as_bool(),
+        }
+    }
+
+    #[test]
+    fn knobs_decode_by_position_as_by_name() {
+        let ng = Nginx::new();
+        let mut rng = Rng::seed_from(32);
+        let mut configs = vec![ng.default_config()];
+        configs.extend((0..300).map(|_| ng.space().sample(&mut rng)));
+        for c in &configs {
+            assert_eq!(ng.knobs(c), knobs_by_name(&ng, c));
+        }
+        assert_eq!(ng.default_knobs, ng.knobs(&ng.default_config()));
     }
 }

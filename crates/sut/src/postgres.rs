@@ -20,7 +20,7 @@
 //!    mechanism.
 
 use crate::planner::{self, PlanChoice};
-use crate::{RunOutcome, SystemUnderTest};
+use crate::{Positional, RunOutcome, SystemUnderTest};
 use tuna_cloudsim::components::ComponentVec;
 use tuna_cloudsim::machine::Machine;
 use tuna_space::{Config, ConfigSpace};
@@ -37,7 +37,7 @@ const DEMAND_EXPONENT: f64 = 1.6;
 const SEQ_IO_EXPONENT: f64 = 0.3;
 
 /// Typed view of a PostgreSQL configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PgKnobs {
     /// `shared_buffers` in MB.
     pub shared_buffers_mb: f64,
@@ -121,30 +121,26 @@ impl Postgres {
     ///
     /// Panics if the config does not fit the space.
     pub fn knobs(&self, config: &Config) -> PgKnobs {
-        let s = &self.space;
+        let mut v = Positional::of(config);
         PgKnobs {
-            shared_buffers_mb: s.value_of(config, "shared_buffers_mb").as_int() as f64,
-            work_mem_mb: s.value_of(config, "work_mem_mb").as_int() as f64,
-            effective_cache_size_mb: s.value_of(config, "effective_cache_size_mb").as_int() as f64,
-            wal_buffers_mb: s.value_of(config, "wal_buffers_mb").as_int() as f64,
-            max_wal_size_mb: s.value_of(config, "max_wal_size_mb").as_int() as f64,
-            checkpoint_completion_target: s
-                .value_of(config, "checkpoint_completion_target")
-                .as_float(),
-            random_page_cost: s.value_of(config, "random_page_cost").as_float(),
-            seq_page_cost: s.value_of(config, "seq_page_cost").as_float(),
-            effective_io_concurrency: s.value_of(config, "effective_io_concurrency").as_int()
-                as f64,
-            max_connections: s.value_of(config, "max_connections").as_int() as f64,
-            bgwriter_delay_ms: s.value_of(config, "bgwriter_delay_ms").as_int() as f64,
-            default_statistics_target: s.value_of(config, "default_statistics_target").as_int()
-                as f64,
-            jit: s.value_of(config, "jit").as_bool(),
-            enable_bitmapscan: s.value_of(config, "enable_bitmapscan").as_bool(),
-            enable_hashjoin: s.value_of(config, "enable_hashjoin").as_bool(),
-            enable_indexscan: s.value_of(config, "enable_indexscan").as_bool(),
-            enable_nestloop: s.value_of(config, "enable_nestloop").as_bool(),
-            enable_mergejoin: s.value_of(config, "enable_mergejoin").as_bool(),
+            shared_buffers_mb: v.int(),
+            work_mem_mb: v.int(),
+            effective_cache_size_mb: v.int(),
+            wal_buffers_mb: v.int(),
+            max_wal_size_mb: v.int(),
+            checkpoint_completion_target: v.float(),
+            random_page_cost: v.float(),
+            seq_page_cost: v.float(),
+            effective_io_concurrency: v.int(),
+            max_connections: v.int(),
+            bgwriter_delay_ms: v.int(),
+            default_statistics_target: v.int(),
+            jit: v.flag(),
+            enable_bitmapscan: v.flag(),
+            enable_hashjoin: v.flag(),
+            enable_indexscan: v.flag(),
+            enable_nestloop: v.flag(),
+            enable_mergejoin: v.flag(),
         }
     }
 
@@ -516,10 +512,7 @@ mod tests {
         let cfg = pg.default_config();
         assert!(pg.space().validate(&cfg).is_ok());
         let k = pg.knobs(&cfg);
-        let d = PgKnobs::defaults();
-        assert_eq!(k.shared_buffers_mb, d.shared_buffers_mb);
-        assert_eq!(k.random_page_cost, d.random_page_cost);
-        assert_eq!(k.jit, d.jit);
+        assert_eq!(k, PgKnobs::defaults());
     }
 
     #[test]
@@ -794,6 +787,46 @@ mod tests {
                 assert!(out.value.is_finite() && out.value > 0.0);
                 assert!(!out.crashed);
             }
+        }
+    }
+
+    /// The by-name decode `knobs` replaced, kept as its oracle.
+    fn knobs_by_name(pg: &Postgres, config: &Config) -> PgKnobs {
+        let s = pg.space();
+        PgKnobs {
+            shared_buffers_mb: s.value_of(config, "shared_buffers_mb").as_int() as f64,
+            work_mem_mb: s.value_of(config, "work_mem_mb").as_int() as f64,
+            effective_cache_size_mb: s.value_of(config, "effective_cache_size_mb").as_int() as f64,
+            wal_buffers_mb: s.value_of(config, "wal_buffers_mb").as_int() as f64,
+            max_wal_size_mb: s.value_of(config, "max_wal_size_mb").as_int() as f64,
+            checkpoint_completion_target: s
+                .value_of(config, "checkpoint_completion_target")
+                .as_float(),
+            random_page_cost: s.value_of(config, "random_page_cost").as_float(),
+            seq_page_cost: s.value_of(config, "seq_page_cost").as_float(),
+            effective_io_concurrency: s.value_of(config, "effective_io_concurrency").as_int()
+                as f64,
+            max_connections: s.value_of(config, "max_connections").as_int() as f64,
+            bgwriter_delay_ms: s.value_of(config, "bgwriter_delay_ms").as_int() as f64,
+            default_statistics_target: s.value_of(config, "default_statistics_target").as_int()
+                as f64,
+            jit: s.value_of(config, "jit").as_bool(),
+            enable_bitmapscan: s.value_of(config, "enable_bitmapscan").as_bool(),
+            enable_hashjoin: s.value_of(config, "enable_hashjoin").as_bool(),
+            enable_indexscan: s.value_of(config, "enable_indexscan").as_bool(),
+            enable_nestloop: s.value_of(config, "enable_nestloop").as_bool(),
+            enable_mergejoin: s.value_of(config, "enable_mergejoin").as_bool(),
+        }
+    }
+
+    #[test]
+    fn knobs_decode_by_position_as_by_name() {
+        let pg = Postgres::new();
+        let mut rng = Rng::seed_from(33);
+        let mut configs = vec![pg.default_config()];
+        configs.extend((0..300).map(|_| pg.space().sample(&mut rng)));
+        for c in &configs {
+            assert_eq!(pg.knobs(c), knobs_by_name(&pg, c));
         }
     }
 }

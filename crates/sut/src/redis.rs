@@ -8,14 +8,14 @@
 //! give. The default configuration crashes ~8% of runs; aggressive tuned
 //! configs reach ~30% — matching §6.4.
 
-use crate::{RunOutcome, SystemUnderTest};
+use crate::{Positional, RunOutcome, SystemUnderTest};
 use tuna_cloudsim::machine::Machine;
 use tuna_space::{Config, ConfigSpace};
 use tuna_stats::rng::Rng;
 use tuna_workloads::{MetricKind, TargetSystem, Workload};
 
 /// Typed view of a Redis configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RedisKnobs {
     /// `maxmemory` in MB.
     pub maxmemory_mb: f64,
@@ -46,6 +46,9 @@ pub struct RedisKnobs {
 #[derive(Debug, Clone)]
 pub struct Redis {
     space: ConfigSpace,
+    /// The default configuration's knobs, decoded once: every run
+    /// divides by their efficiency.
+    default_knobs: RedisKnobs,
 }
 
 impl Default for Redis {
@@ -79,7 +82,10 @@ impl Redis {
             .int_log("tcp_backlog", 128, 4_096)
             .int_log("maxclients", 100, 10_000)
             .build();
-        Redis { space }
+        Redis {
+            space,
+            default_knobs: Self::decode(&Self::default_values()),
+        }
     }
 
     /// Decodes a configuration.
@@ -88,20 +94,41 @@ impl Redis {
     ///
     /// Panics if the config does not fit the space.
     pub fn knobs(&self, config: &Config) -> RedisKnobs {
-        let s = &self.space;
+        Self::decode(config)
+    }
+
+    fn decode(config: &Config) -> RedisKnobs {
+        let mut v = Positional::of(config);
         RedisKnobs {
-            maxmemory_mb: s.value_of(config, "maxmemory_mb").as_int() as f64,
-            maxmemory_policy: s.value_of(config, "maxmemory_policy").as_cat(),
-            appendonly: s.value_of(config, "appendonly").as_bool(),
-            appendfsync: s.value_of(config, "appendfsync").as_cat(),
-            save_enabled: s.value_of(config, "save_enabled").as_bool(),
-            io_threads: s.value_of(config, "io_threads").as_int() as f64,
-            lazyfree: s.value_of(config, "lazyfree").as_bool(),
-            hash_max_listpack: s.value_of(config, "hash_max_listpack").as_int() as f64,
-            activedefrag: s.value_of(config, "activedefrag").as_bool(),
-            tcp_backlog: s.value_of(config, "tcp_backlog").as_int() as f64,
-            maxclients: s.value_of(config, "maxclients").as_int() as f64,
+            maxmemory_mb: v.int(),
+            maxmemory_policy: v.cat(),
+            appendonly: v.flag(),
+            appendfsync: v.cat(),
+            save_enabled: v.flag(),
+            io_threads: v.int(),
+            lazyfree: v.flag(),
+            hash_max_listpack: v.int(),
+            activedefrag: v.flag(),
+            tcp_backlog: v.int(),
+            maxclients: v.int(),
         }
+    }
+
+    fn default_values() -> Config {
+        use tuna_space::ParamValue as V;
+        Config::new(vec![
+            V::Int(30_000), // maxmemory_mb (the paper-setup sizing).
+            V::Cat(0),      // maxmemory_policy = noeviction
+            V::Bool(false), // appendonly
+            V::Cat(1),      // appendfsync = everysec
+            V::Bool(true),  // save_enabled
+            V::Int(1),      // io_threads
+            V::Bool(false), // lazyfree
+            V::Int(128),    // hash_max_listpack
+            V::Bool(false), // activedefrag
+            V::Int(512),    // tcp_backlog
+            V::Int(10_000), // maxclients
+        ])
     }
 
     /// Latency-efficiency of a knob set (higher = lower p95), relative
@@ -190,20 +217,7 @@ impl SystemUnderTest for Redis {
     }
 
     fn default_config(&self) -> Config {
-        use tuna_space::ParamValue as V;
-        Config::new(vec![
-            V::Int(30_000), // maxmemory_mb (the paper-setup sizing).
-            V::Cat(0),      // maxmemory_policy = noeviction
-            V::Bool(false), // appendonly
-            V::Cat(1),      // appendfsync = everysec
-            V::Bool(true),  // save_enabled
-            V::Int(1),      // io_threads
-            V::Bool(false), // lazyfree
-            V::Int(128),    // hash_max_listpack
-            V::Bool(false), // activedefrag
-            V::Int(512),    // tcp_backlog
-            V::Int(10_000), // maxclients
-        ])
+        Self::default_values()
     }
 
     fn supports(&self, workload: &Workload) -> bool {
@@ -232,7 +246,7 @@ impl SystemUnderTest for Redis {
             .powf(1.1);
 
         let e = Self::efficiency(&knobs, workload);
-        let e0 = Self::efficiency(&self.knobs(&self.default_config()), workload);
+        let e0 = Self::efficiency(&self.default_knobs, workload);
         let rel_raw = (e / e0) * machine_speed;
         let rel = (1.0 + (rel_raw - 1.0) * workload.tuning_headroom).max(1e-3);
 
@@ -415,5 +429,35 @@ mod tests {
             let out = rd.run(&cfg, &w, cl.machine_mut(i % 10), &mut rng);
             assert!(out.value.is_finite() && out.value > 0.0);
         }
+    }
+
+    /// The by-name decode `knobs` replaced, kept as its oracle.
+    fn knobs_by_name(rd: &Redis, config: &Config) -> RedisKnobs {
+        let s = rd.space();
+        RedisKnobs {
+            maxmemory_mb: s.value_of(config, "maxmemory_mb").as_int() as f64,
+            maxmemory_policy: s.value_of(config, "maxmemory_policy").as_cat(),
+            appendonly: s.value_of(config, "appendonly").as_bool(),
+            appendfsync: s.value_of(config, "appendfsync").as_cat(),
+            save_enabled: s.value_of(config, "save_enabled").as_bool(),
+            io_threads: s.value_of(config, "io_threads").as_int() as f64,
+            lazyfree: s.value_of(config, "lazyfree").as_bool(),
+            hash_max_listpack: s.value_of(config, "hash_max_listpack").as_int() as f64,
+            activedefrag: s.value_of(config, "activedefrag").as_bool(),
+            tcp_backlog: s.value_of(config, "tcp_backlog").as_int() as f64,
+            maxclients: s.value_of(config, "maxclients").as_int() as f64,
+        }
+    }
+
+    #[test]
+    fn knobs_decode_by_position_as_by_name() {
+        let rd = Redis::new();
+        let mut rng = Rng::seed_from(31);
+        let mut configs = vec![rd.default_config()];
+        configs.extend((0..300).map(|_| rd.space().sample(&mut rng)));
+        for c in &configs {
+            assert_eq!(rd.knobs(c), knobs_by_name(&rd, c));
+        }
+        assert_eq!(rd.default_knobs, rd.knobs(&rd.default_config()));
     }
 }

@@ -11,8 +11,8 @@ use tuna_core::aggregate::AggregationPolicy;
 use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
 
 pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(3, 6, 10);
-    let rounds = args.rounds_or(25, 60, 96);
+    let runs = args.runs_or(3, 10);
+    let rounds = args.rounds_or(25, 96);
 
     // One arm per aggregation policy, every arm on the same seeds
     // (historical salt 4000, rng label 9, deploy label 31).

@@ -13,8 +13,8 @@ use tuna_optimizer::multifidelity::LadderParams;
 use tuna_stats::summary;
 
 pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(3, 5, 10);
-    let sample_budget = args.rounds_or(250, 600, 960);
+    let runs = args.runs_or(3, 10);
+    let sample_budget = args.rounds_or(250, 960);
 
     // One arm per cluster shape, every arm on the same seeds (historical
     // salt 6000, rng label 17, deploy label 41).

@@ -14,8 +14,8 @@ use tuna_stats::summary;
 const THRESHOLDS: [f64; 6] = [0.10, 0.15, 0.20, 0.30, 0.50, 0.80];
 
 pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(3, 5, 10);
-    let rounds = args.rounds_or(25, 60, 96);
+    let runs = args.runs_or(3, 10);
+    let rounds = args.rounds_or(25, 96);
 
     // One arm per threshold, every arm on the same seeds (historical
     // salt 5000, rng label 13, deploy label 37).

@@ -11,7 +11,7 @@ use crate::{arm, campaign_method_table, run_campaign, HarnessArgs};
 use tuna_core::campaign::Campaign;
 
 pub fn run(args: &HarnessArgs) {
-    let samples = args.rounds_or(16, 96, 240);
+    let samples = args.rounds_or(16, 240);
 
     let campaign = Campaign::arena(
         "arena_solvers",

@@ -18,8 +18,8 @@ use tuna_sut::postgres::Postgres;
 use tuna_sut::SystemUnderTest;
 
 pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(6, 24, 100);
-    let iters = args.rounds_or(40, 100, 100);
+    let runs = args.runs_or(6, 100);
+    let iters = args.rounds_or(40, 100);
 
     let pg = Postgres::new();
     let workload = tuna_workloads::epinions();

@@ -79,8 +79,8 @@ pub fn run(args: &HarnessArgs) {
 
     // (b) Transferability of best configs from 30 tuning runs.
     println!("--- (b) best configs transferred to 10 new VMs ---");
-    let n_runs = args.runs_or(6, 30, 30);
-    let rounds = args.rounds_or(25, 50, 96);
+    let n_runs = args.runs_or(6, 30);
+    let rounds = args.rounds_or(25, 96);
     let mut exp = Experiment::paper_default(workload.clone());
     exp.rounds = rounds;
     let mut unstable_count = 0;

@@ -14,7 +14,7 @@ use tuna_sut::postgres::Postgres;
 use tuna_sut::SystemUnderTest;
 
 pub fn run(args: &HarnessArgs) {
-    let n_configs = args.runs_or(150, 1000, 1000);
+    let n_configs = args.runs_or(150, 1000);
 
     let pg = Postgres::new();
     let workload = tuna_workloads::tpcc();

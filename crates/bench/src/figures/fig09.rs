@@ -18,8 +18,8 @@ use tuna_sut::postgres::Postgres;
 use tuna_sut::SystemUnderTest;
 
 pub fn run(args: &HarnessArgs) {
-    let tuning_runs = args.runs_or(2, 5, 10);
-    let rounds = args.rounds_or(40, 80, 120);
+    let tuning_runs = args.runs_or(2, 10);
+    let rounds = args.rounds_or(40, 120);
     let max_nodes = 15usize;
     let pool_nodes = 30usize;
 
@@ -78,7 +78,7 @@ pub fn run(args: &HarnessArgs) {
         unstable_frac * 100.0
     );
     if unstable_profiles.is_empty() {
-        println!("no unstable configs found at this scale; rerun with --full");
+        println!("no unstable configs found at this scale; rerun without --quick");
         return;
     }
 

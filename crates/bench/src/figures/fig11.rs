@@ -9,52 +9,13 @@
 //! - (c) TPC-H: TUNA 70.3 s (-38.6%) vs trad 94.5 s (-17.3%);
 //! - (d) mssales: TUNA 33.2 s σ0.49 vs trad 62.5 s σ1.26 (default 79.4 s).
 
-use crate::{arm, campaign_method_table, fail, paper_vs, run_campaign, HarnessArgs};
+use crate::{arm, campaign_method_table, paper_vs, run_campaign, HarnessArgs};
 use tuna_core::campaign::Campaign;
 use tuna_core::executor::ExecutionMode;
-use tuna_workloads::arrival::ArrivalPattern;
 
 pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(3, 8, 10);
-    let rounds = args.rounds_or(30, 96, 96);
-
-    // Scenario diversity: `--pattern diurnal|bursty` re-points the whole
-    // campaign at the arrival pattern's *peak* offered load (the hour a
-    // capacity planner sizes for). Without the flag the output is the
-    // historical steady-load figure, byte for byte.
-    let pattern = args.pattern.as_deref().map(|name| {
-        ArrivalPattern::parse(name).unwrap_or_else(|| {
-            fail(&format!(
-                "unknown arrival pattern '{name}' (expected steady | diurnal | bursty)"
-            ))
-        })
-    });
-    if let Some(p) = &pattern {
-        let profile = p.profile(288);
-        let peak = p.peak_factor().max(1e-9);
-        let spark: String = profile
-            .iter()
-            .step_by(6)
-            .map(|&x| {
-                let level = ((x / peak) * 4.0).round() as usize;
-                [' ', '.', '-', '+', '#'][level.min(4)]
-            })
-            .collect();
-        println!(
-            "arrival pattern: {} (peak load {:.2}x nominal; tuning at peak)",
-            p.name(),
-            p.peak_factor()
-        );
-        println!("  24h profile (5-min epochs, peak-normalized): [{spark}]");
-    }
-    let modulated = |w: tuna_workloads::Workload| match &pattern {
-        None => w,
-        Some(p) => p.modulate_peak(&w),
-    };
-    let campaign_name = match &pattern {
-        None => "fig11_postgres_workloads".to_string(),
-        Some(p) => format!("fig11_postgres_workloads+{}", p.name()),
-    };
+    let runs = args.runs_or(3, 10);
+    let rounds = args.rounds_or(30, 96);
 
     // (workload, [(method, paper mean, paper std); 3]).
     type PaperRow = (&'static str, [(&'static str, f64, f64); 3]);
@@ -96,13 +57,13 @@ pub fn run(args: &HarnessArgs) {
     // The whole figure is one campaign: the workload axis times the
     // method axis times `runs` seeds.
     let campaign = Campaign::protocol(
-        campaign_name,
+        "fig11_postgres_workloads",
         args.seed,
         vec![
-            modulated(tuna_workloads::tpcc()),
-            modulated(tuna_workloads::epinions()),
-            modulated(tuna_workloads::tpch()),
-            modulated(tuna_workloads::mssales()),
+            tuna_workloads::tpcc(),
+            tuna_workloads::epinions(),
+            tuna_workloads::tpch(),
+            tuna_workloads::mssales(),
         ],
         &crate::PROTOCOL_METHODS,
     )

@@ -10,8 +10,8 @@ use tuna_core::experiment::Method;
 use tuna_stats::summary::coefficient_of_variation;
 
 pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(3, 8, 10);
-    let rounds = args.rounds_or(30, 96, 96);
+    let runs = args.runs_or(3, 10);
+    let rounds = args.rounds_or(30, 96);
 
     let (sku, _) = Campaign::PAPER_SITE;
     let campaign = Campaign::protocol(

@@ -7,8 +7,8 @@ use crate::{arm, campaign_method_table, paper_vs, run_campaign, HarnessArgs};
 use tuna_core::campaign::Campaign;
 
 pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(3, 8, 10);
-    let rounds = args.rounds_or(30, 96, 96);
+    let runs = args.runs_or(3, 10);
+    let rounds = args.rounds_or(30, 96);
 
     let campaign = Campaign::protocol(
         "fig15_nginx",

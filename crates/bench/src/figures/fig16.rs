@@ -11,8 +11,8 @@ use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
 use tuna_core::experiment::Method;
 
 pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(3, 6, 10);
-    let sample_budget = args.rounds_or(150, 500, 500);
+    let runs = args.runs_or(3, 10);
+    let sample_budget = args.rounds_or(150, 500);
 
     // Both arms get the same sample budget; the TUNA arm pins the
     // historical seed labels (salt 900, rng label 2, deploy label 77) and

@@ -12,8 +12,8 @@ use tuna_core::report::render_table;
 use tuna_stats::summary;
 
 pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(3, 6, 10);
-    let sample_budget = args.rounds_or(150, 500, 500);
+    let runs = args.runs_or(3, 10);
+    let sample_budget = args.rounds_or(150, 500);
     let step = 10usize;
 
     // One convergence cell per run: TUNA and naive distributed share one

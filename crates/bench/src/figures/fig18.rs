@@ -10,9 +10,8 @@ use tuna_core::campaign::Campaign;
 use tuna_core::experiment::SolverId;
 
 pub fn run(args: &HarnessArgs) {
-    // The GP's cubic fit cost keeps default budgets lower than SMAC's.
-    let runs = args.runs_or(2, 4, 10);
-    let rounds = args.rounds_or(10, 30, 96);
+    let runs = args.runs_or(2, 10);
+    let rounds = args.rounds_or(10, 96);
 
     let campaign = Campaign::protocol(
         "fig18_gp_optimizer",

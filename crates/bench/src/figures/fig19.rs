@@ -15,8 +15,8 @@ use tuna_stats::rng::hash_combine;
 use tuna_stats::summary;
 
 pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(3, 8, 100);
-    let sample_budget = args.rounds_or(120, 400, 500);
+    let runs = args.runs_or(3, 100);
+    let sample_budget = args.rounds_or(120, 500);
 
     let exp = Experiment::paper_default(tuna_workloads::epinions());
     let mut with_curves = Vec::new();

@@ -9,8 +9,8 @@ use tuna_core::campaign::Campaign;
 use tuna_core::experiment::Method;
 
 pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(3, 8, 10);
-    let rounds = args.rounds_or(30, 96, 96);
+    let runs = args.runs_or(3, 10);
+    let rounds = args.rounds_or(30, 96);
 
     let methods =
         [Method::Tuna, Method::TunaNoOutlier, Method::DefaultConfig].map(|m| (m.name(), m));

@@ -271,10 +271,8 @@ pub const FIGURES: &[Figure] = &[
 fn study(args: &HarnessArgs) -> StudyReport {
     let mut cfg = if args.quick {
         StudyConfig::quick()
-    } else if args.full {
-        StudyConfig::full_scale()
     } else {
-        StudyConfig::scaled_default()
+        StudyConfig::full_scale()
     };
     cfg.seed = args.seed;
     run_study(&cfg)

@@ -58,7 +58,7 @@ pub fn run(args: &HarnessArgs) {
         "total instances",
         "43641",
         &format!(
-            "{} (scaled 1/{:.0}; use --full for paper scale)",
+            "{} (scaled 1/{:.0})",
             report.total_instances,
             43_641.0 / report.total_instances as f64
         ),

@@ -17,15 +17,16 @@
 //! Flags of `tuna figures`:
 //!
 //! - `--only ID..`: run only these figures (default: all, in table order),
-//! - `--runs N`: tuning runs per method (default varies per figure),
+//! - `--runs N`: tuning runs per method (default: the paper's, per figure),
 //! - `--rounds N`: optimizer rounds per tuning run,
 //! - `--seed N`: root seed,
 //! - `--quick`: cut all budgets for a fast smoke run,
-//! - `--full`: paper-scale budgets (slow),
 //! - `--store DIR`: stream each campaign's cells into
 //!   `DIR/<campaign name>.csv` (plus a JSON mirror) and resume completed
-//!   cells on re-runs (campaign-backed figures only),
-//! - `--pattern NAME`: arrival pattern for fig11.
+//!   cells on re-runs (campaign-backed figures only).
+//!
+//! Without `--quick` every figure runs at the paper's budgets: the paper's
+//! claims are stated there, and smaller budgets change their verdicts.
 
 use std::path::Path;
 
@@ -55,21 +56,16 @@ pub struct HarnessArgs {
     pub rounds: Option<usize>,
     /// Root seed.
     pub seed: u64,
-    /// Fast smoke mode.
+    /// Fast smoke mode (otherwise: paper budgets).
     pub quick: bool,
-    /// Paper-scale mode.
-    pub full: bool,
     /// Campaign result-store directory (campaign-backed figures only).
     pub store: Option<String>,
-    /// Arrival-pattern name (pattern-aware figures only; see
-    /// [`tuna_workloads::arrival`]).
-    pub pattern: Option<String>,
 }
 
 /// The `tuna figures` usage message. `--store` only affects
-/// campaign-backed figures and `--pattern` only fig11.
+/// campaign-backed figures.
 pub const USAGE: &str = "usage: tuna figures [--only ID..] [--runs N] [--rounds N] [--seed N] \
-                         [--quick] [--full] [--store DIR] [--pattern steady|diurnal|bursty]";
+                         [--quick] [--store DIR]";
 
 /// Prints `msg` and the usage line to stderr, then exits with status 2.
 pub fn fail(msg: &str) -> ! {
@@ -109,7 +105,6 @@ impl HarnessArgs {
                 }
                 "--seed" => args.seed = number(value(argv, &mut i, "--seed")?, "--seed")?,
                 "--store" => args.store = Some(value(argv, &mut i, "--store")?.to_string()),
-                "--pattern" => args.pattern = Some(value(argv, &mut i, "--pattern")?.to_string()),
                 "--only" => {
                     let ids: Vec<&String> = argv[i + 1..]
                         .iter()
@@ -129,7 +124,6 @@ impl HarnessArgs {
                     args.only.extend(ids.into_iter().cloned());
                 }
                 "--quick" => args.quick = true,
-                "--full" => args.full = true,
                 other => return Err(format!("unknown flag '{other}'")),
             }
             i += 1;
@@ -137,26 +131,23 @@ impl HarnessArgs {
         Ok(args)
     }
 
-    /// Picks a budget: quick / default / full.
-    pub fn pick(&self, quick: usize, default: usize, full: usize) -> usize {
+    /// Picks a budget: quick / paper.
+    pub fn pick(&self, quick: usize, paper: usize) -> usize {
         if self.quick {
             quick
-        } else if self.full {
-            full
         } else {
-            default
+            paper
         }
     }
 
     /// Runs per method with figure-specific defaults.
-    pub fn runs_or(&self, quick: usize, default: usize, full: usize) -> usize {
-        self.runs.unwrap_or_else(|| self.pick(quick, default, full))
+    pub fn runs_or(&self, quick: usize, paper: usize) -> usize {
+        self.runs.unwrap_or_else(|| self.pick(quick, paper))
     }
 
     /// Rounds per run with figure-specific defaults.
-    pub fn rounds_or(&self, quick: usize, default: usize, full: usize) -> usize {
-        self.rounds
-            .unwrap_or_else(|| self.pick(quick, default, full))
+    pub fn rounds_or(&self, quick: usize, paper: usize) -> usize {
+        self.rounds.unwrap_or_else(|| self.pick(quick, paper))
     }
 }
 
@@ -295,12 +286,9 @@ mod tests {
             seed: 1,
             ..HarnessArgs::default()
         };
-        assert_eq!(a.pick(1, 2, 3), 2);
+        assert_eq!(a.pick(1, 2), 2);
         a.quick = true;
-        assert_eq!(a.pick(1, 2, 3), 1);
-        a.quick = false;
-        a.full = true;
-        assert_eq!(a.pick(1, 2, 3), 3);
+        assert_eq!(a.pick(1, 2), 1);
     }
 
     #[test]
@@ -311,35 +299,22 @@ mod tests {
             quick: true,
             ..HarnessArgs::default()
         };
-        assert_eq!(a.runs_or(1, 2, 3), 7);
-        assert_eq!(a.rounds_or(1, 2, 3), 1);
+        assert_eq!(a.runs_or(1, 2), 7);
+        assert_eq!(a.rounds_or(1, 2), 1);
     }
 
     #[test]
     fn parse_from_accepts_all_flags() {
         let a = HarnessArgs::parse_from(&argv(&[
-            "--runs",
-            "4",
-            "--rounds",
-            "9",
-            "--seed",
-            "7",
-            "--quick",
-            "--store",
-            "out",
-            "--pattern",
-            "diurnal",
-            "--only",
-            "fig12",
-            "fig20",
+            "--runs", "4", "--rounds", "9", "--seed", "7", "--quick", "--store", "out", "--only",
+            "fig12", "fig20",
         ]))
         .unwrap();
         assert_eq!(a.runs, Some(4));
         assert_eq!(a.rounds, Some(9));
         assert_eq!(a.seed, 7);
-        assert!(a.quick && !a.full);
+        assert!(a.quick);
         assert_eq!(a.store.as_deref(), Some("out"));
-        assert_eq!(a.pattern.as_deref(), Some("diurnal"));
         assert_eq!(a.only, ["fig12", "fig20"]);
         // `--only` IDs end at the next flag.
         let o = HarnessArgs::parse_from(&argv(&["--only", "table1", "--quick"])).unwrap();
@@ -348,7 +323,7 @@ mod tests {
         let d = HarnessArgs::parse_from(&[]).unwrap();
         assert_eq!(d.seed, 42);
         assert_eq!(d.store, None);
-        assert_eq!(d.pattern, None);
+        assert!(!d.quick);
         assert!(d.only.is_empty());
     }
 
@@ -363,6 +338,11 @@ mod tests {
         // Unknown flags are errors, not silently ignored.
         let e = HarnessArgs::parse_from(&argv(&["--frobnicate"])).unwrap_err();
         assert!(e.contains("unknown flag '--frobnicate'"), "{e}");
+        // No flags already means paper budgets; there is no `--full`.
+        let e = HarnessArgs::parse_from(&argv(&["--full"])).unwrap_err();
+        assert!(e.contains("unknown flag '--full'"), "{e}");
+        let e = HarnessArgs::parse_from(&argv(&["--pattern", "diurnal"])).unwrap_err();
+        assert!(e.contains("unknown flag '--pattern'"), "{e}");
         // A flag value that is itself flag-shaped parses as a value miss.
         let e = HarnessArgs::parse_from(&argv(&["--seed", "--quick"])).unwrap_err();
         assert!(e.contains("--seed requires a number"), "{e}");

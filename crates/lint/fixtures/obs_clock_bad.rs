@@ -1,7 +1,7 @@
-// Seeded violation of the obs two-clock rule: telemetry code reading
-// real time directly instead of taking it through the `Clock` seam.
-// Checked against a `crates/obs/src/...` path that is NOT the
-// allowlisted wall.rs — the rule must still fire there.
+// Seeded violation of the obs clock rule: telemetry code reading real
+// time directly instead of taking it from its caller. Checked against
+// `crates/obs/src/...` paths — no file there is allowlisted, so the rule
+// must fire at every one.
 use std::time::Instant;
 
 pub struct EagerRecorder {

@@ -1,7 +1,7 @@
-// Clean twin of the obs two-clock fixture: telemetry takes time only
-// through a caller-supplied clock seam, so the same code renders
-// byte-identically under a tick clock and carries real durations under
-// the (allowlisted, wall.rs-only) wall clock.
+// Clean twin of the obs clock fixture: telemetry takes time only
+// through a caller-supplied clock, so the same code renders
+// byte-identically under a tick count and carries real durations when
+// an allowlisted caller (the daemon, the perf gate) supplies wall time.
 pub trait Clock {
     fn now(&self) -> u64;
 }

@@ -191,10 +191,6 @@ pub fn builtin() -> Vec<Rule> {
                 // Executor exec_stats reports per-lane wall-clock; the
                 // timing never reaches results.
                 "crates/core/src/executor.rs",
-                // The obs crate's two-clock rule: WallClock is the one
-                // place real time may enter telemetry, behind the Clock
-                // seam. Everything else in crates/obs stays banned.
-                "crates/obs/src/wall.rs",
             ],
             skip_test_code: true,
             check: wall_clock,

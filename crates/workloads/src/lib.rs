@@ -15,8 +15,6 @@
 //! | [`ycsb_c`] | Redis | p95 latency | read-only Zipfian |
 //! | [`wikipedia`] | NGINX | p95 latency | top-500 page serving |
 
-pub mod arrival;
-
 use tuna_cloudsim::components::ComponentVec;
 
 /// The metric a workload optimizes and its nominal (default-config,

@@ -47,6 +47,7 @@ pub fn run(args: &HarnessArgs) {
             for cell in curves[li].iter_mut().take(iters) {
                 let s = opt.ask(&mut rng);
                 let outcome = pg.run(&s.config, &workload, cluster.machine_mut(0), &mut rng);
+                outcome.metrics.settle(&mut rng);
                 let noisy = outcome.value * (1.0 + sigma * rng.next_gaussian()).max(0.05);
                 opt.tell(&s.config, noisy, s.budget);
                 // Oracle view: the noise-free quality of the incumbent.

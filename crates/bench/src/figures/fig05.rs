@@ -46,8 +46,9 @@ pub fn run(args: &HarnessArgs) {
         };
         let vals: Vec<f64> = (0..30)
             .map(|i| {
-                pg.run(&config, &workload, cluster.machine_mut(i), &mut rng)
-                    .value
+                let out = pg.run(&config, &workload, cluster.machine_mut(i), &mut rng);
+                out.metrics.settle(&mut rng);
+                out.value
             })
             .collect();
         let rr = summary::relative_range(&vals);

@@ -27,8 +27,9 @@ pub fn run(args: &HarnessArgs) {
         let config = pg.space().sample(&mut rng);
         let vals: Vec<f64> = (0..10)
             .map(|i| {
-                pg.run(&config, &workload, cluster.machine_mut(i), &mut rng)
-                    .value
+                let out = pg.run(&config, &workload, cluster.machine_mut(i), &mut rng);
+                out.metrics.settle(&mut rng);
+                out.value
             })
             .collect();
         let rr = summary::relative_range(&vals);

@@ -49,6 +49,7 @@ pub fn run(args: &HarnessArgs) {
         for _ in 0..rounds {
             let s = opt.ask(&mut rng);
             let out = pg.run(&s.config, &workload, cluster.machine_mut(0), &mut rng);
+            out.metrics.settle(&mut rng);
             opt.tell(&s.config, out.value, s.budget);
             measured.push((out.value, s.config));
         }
@@ -62,8 +63,9 @@ pub fn run(args: &HarnessArgs) {
     for config in &seen_configs {
         let vals: Vec<f64> = (0..pool_nodes)
             .map(|i| {
-                pg.run(config, &workload, pool.machine_mut(i), &mut rng)
-                    .value
+                let out = pg.run(config, &workload, pool.machine_mut(i), &mut rng);
+                out.metrics.settle(&mut rng);
+                out.value
             })
             .collect();
         if summary::relative_range(&vals) > 0.30 {

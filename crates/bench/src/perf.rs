@@ -549,6 +549,7 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
                     for &x in metrics.values() {
                         acc.push(x);
                     }
+                    metrics.settle(&mut rng);
                 }
                 c.push_f64(acc.mean());
                 c.push_u64(acc.count());
@@ -557,8 +558,10 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
     }
     {
         // Each SuT's `run` over fixed configs and machines, its metrics
-        // never read: what every Traditional, Default and deployment run
-        // pays. The checksum folds each run's value and crash bit.
+        // never read, one generator threaded through the runs (so each
+        // run settles its metrics' draws). `sut/run_forked` is the same
+        // runs on per-run forks, as the executor and the baselines make
+        // them. The checksums fold each run's value and crash bit.
         let runs = 2_000 * k;
         let suts: Vec<(Box<dyn SystemUnderTest>, Workload, Vec<tuna_space::Config>)> = [
             tuna_workloads::tpcc(),
@@ -574,11 +577,33 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
             (sut, workload, configs)
         })
         .collect();
+        let suts = std::rc::Rc::new(suts);
+        let forked = std::rc::Rc::clone(&suts);
+        v.push(ScenarioSpec {
+            name: "sut/run_forked",
+            items: (suts.len() * runs) as u64,
+            run: Box::new(move |c| {
+                for (sut, workload, configs) in forked.iter() {
+                    let mut cluster = Cluster::new(4, VmSku::d8s_v5(), Region::westus2(), 113);
+                    let base = Rng::seed_from(114);
+                    for i in 0..runs {
+                        let out = sut.run(
+                            &configs[i % configs.len()],
+                            workload,
+                            cluster.machine_mut(i % 4),
+                            &mut base.fork(i as u64),
+                        );
+                        c.push_f64(out.value);
+                        c.push_u64(out.crashed as u64);
+                    }
+                }
+            }),
+        });
         v.push(ScenarioSpec {
             name: "sut/run_unread",
             items: (suts.len() * runs) as u64,
             run: Box::new(move |c| {
-                for (sut, workload, configs) in &suts {
+                for (sut, workload, configs) in suts.iter() {
                     let mut cluster = Cluster::new(4, VmSku::d8s_v5(), Region::westus2(), 113);
                     let mut rng = Rng::seed_from(114);
                     for i in 0..runs {
@@ -588,6 +613,7 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
                             cluster.machine_mut(i % 4),
                             &mut rng,
                         );
+                        out.metrics.settle(&mut rng);
                         c.push_f64(out.value);
                         c.push_u64(out.crashed as u64);
                     }
@@ -1266,6 +1292,7 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
         while solver.history().n_configs() < configs {
             let s = solver.ask(&mut rng);
             let outcome = sut.run(&s.config, &workload, &mut machine, &mut rng);
+            outcome.metrics.settle(&mut rng);
             solver.tell(&s.config, outcome.value, s.budget);
         }
         let (x, y) = solver.history().surrogate_data(sut.space());
@@ -1306,6 +1333,7 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
                 let snap = m.observe(&demand);
                 let metrics = tuna_metrics::generate(&snap, &demand, 1.0, &mut rng);
                 let mut row = metrics.values().to_vec();
+                metrics.settle(&mut rng);
                 row.extend((0..machines).map(|i| if i == machine { 1.0 } else { 0.0 }));
                 x.push(row);
                 y.push(snap.speeds.cpu - 1.0 + 0.01 * rng.next_gaussian());

@@ -62,42 +62,16 @@ impl Cluster {
         &mut self.machines[i]
     }
 
-    /// Hands out disjoint mutable lanes for `indices`, in the order given.
-    ///
-    /// This is the partitioning primitive behind parallel trial execution:
-    /// each lane owns exactly one machine, so concurrent runs can mutate
-    /// interference state without aliasing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of bounds or appears twice.
-    pub fn lanes_mut(&mut self, indices: &[usize]) -> Vec<&mut Machine> {
-        let n = self.machines.len();
-        let mut slot_of = vec![usize::MAX; n];
-        for (slot, &idx) in indices.iter().enumerate() {
-            assert!(idx < n, "lane index {idx} out of bounds for cluster of {n}");
-            assert!(
-                slot_of[idx] == usize::MAX,
-                "lane index {idx} requested twice"
-            );
-            slot_of[idx] = slot;
-        }
-        let mut lanes: Vec<Option<&mut Machine>> = indices.iter().map(|_| None).collect();
-        for (idx, machine) in self.machines.iter_mut().enumerate() {
-            let slot = slot_of[idx];
-            if slot != usize::MAX {
-                lanes[slot] = Some(machine);
-            }
-        }
-        lanes
-            .into_iter()
-            .map(|l| l.expect("every requested lane is filled"))
-            .collect()
-    }
-
     /// All machines.
     pub fn machines(&self) -> &[Machine] {
         &self.machines
+    }
+
+    /// All machines, mutably. This is the partitioning primitive behind
+    /// parallel trial execution: each lane borrows one machine, so
+    /// concurrent runs mutate interference state without aliasing.
+    pub fn machines_mut(&mut self) -> &mut [Machine] {
+        &mut self.machines
     }
 
     /// The SKU of this cluster.
@@ -169,40 +143,17 @@ mod tests {
     }
 
     #[test]
-    fn lanes_mut_hands_out_requested_machines_in_order() {
-        let mut c = cluster();
-        let ids: Vec<_> = [7usize, 2, 5].iter().map(|&i| c.machine(i).id()).collect();
-        let lanes = c.lanes_mut(&[7, 2, 5]);
-        assert_eq!(lanes.len(), 3);
-        for (lane, id) in lanes.iter().zip(&ids) {
-            assert_eq!(lane.id(), *id);
-        }
-    }
-
-    #[test]
-    fn lanes_mut_lanes_are_independent() {
+    fn machines_mut_lanes_are_independent() {
         let mut c = cluster();
         let before_1 = c.machine(1).epoch();
         {
-            let mut lanes = c.lanes_mut(&[0, 3]);
-            lanes[0].advance(4);
-            lanes[1].advance(2);
+            let (head, tail) = c.machines_mut().split_at_mut(3);
+            head[0].advance(4);
+            tail[0].advance(2);
         }
         assert_eq!(c.machine(0).epoch(), 4);
         assert_eq!(c.machine(3).epoch(), 2);
         assert_eq!(c.machine(1).epoch(), before_1);
-    }
-
-    #[test]
-    #[should_panic(expected = "requested twice")]
-    fn lanes_mut_rejects_duplicates() {
-        cluster().lanes_mut(&[1, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn lanes_mut_rejects_out_of_range() {
-        cluster().lanes_mut(&[10]);
     }
 
     #[test]

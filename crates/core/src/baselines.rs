@@ -55,7 +55,7 @@ pub fn run_traditional(
             new_samples: 1,
             reported: value,
             unstable: false,
-            best_so_far: optimizer.best().map(|(_, v)| v),
+            best_so_far: optimizer.best_value(),
             cumulative_samples: round + 1,
             model_error: None,
         });
@@ -112,7 +112,7 @@ pub fn run_naive_distributed(
             new_samples: n,
             reported,
             unstable: false,
-            best_so_far: optimizer.best().map(|(_, v)| v),
+            best_so_far: optimizer.best_value(),
             cumulative_samples: total,
             model_error: None,
         });
@@ -182,7 +182,7 @@ pub fn run_arena(
                 new_samples: 1,
                 reported: value,
                 unstable: false,
-                best_so_far: solver.best().map(|(_, v)| v),
+                best_so_far: solver.best_value(),
                 cumulative_samples: total,
                 model_error: None,
             });

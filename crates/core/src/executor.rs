@@ -17,15 +17,22 @@
 //!    shared base instead of drawing sequentially from one generator.
 //!    Forking does not advance the base, so run randomness is a pure
 //!    function of `(base state, stream)` — independent of execution order.
+//!    The run's generator is dropped after the run, so its guest metrics
+//!    may draw their tail of the stream whenever they are first read.
 //! 2. **Disjoint machine lanes.** Requests are grouped by machine into
-//!    lanes via [`Cluster::lanes_mut`]; lanes run concurrently but each
-//!    lane executes its runs in plan order, so every machine observes the
-//!    exact same sequence of measurement epochs as under serial execution.
+//!    lanes over [`Cluster::machines_mut`]; lanes run concurrently but
+//!    each lane executes its runs in plan order, so every machine observes
+//!    the exact same sequence of measurement epochs as under serial
+//!    execution.
 //!
 //! The lanes fan out through the workspace's one worker pool,
-//! [`tuna_stats::pool::map`]: worker threads claim lanes one at a time and
-//! the outcomes are put back into plan order. Per-lane wall-clock is
-//! recorded in [`BatchStats`] so speedup is measurable.
+//! [`tuna_stats::pool::map`]: worker threads claim lanes one at a time,
+//! and each run writes its outcome into its request's slot, so the
+//! outcomes are in plan order without a reassembly pass. Besides the
+//! pool's threads, a batch makes four allocations of any size: the
+//! slots, the lane permutation, the lane list and the per-lane
+//! [`BatchStats`]. Per-lane wall-clock is recorded there so speedup is
+//! measurable.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -217,73 +224,59 @@ pub fn execute_batch(
         return (Vec::new(), BatchStats::default());
     }
 
-    // Group requests into per-machine lanes, preserving plan order both
-    // across lanes (first appearance) and within each lane.
-    let mut machine_order: Vec<usize> = Vec::new();
-    let mut lane_requests: Vec<Vec<usize>> = Vec::new();
-    for (i, req) in requests.iter().enumerate() {
-        match machine_order.iter().position(|&m| m == req.machine) {
-            Some(l) => lane_requests[l].push(i),
-            None => {
-                machine_order.push(req.machine);
-                lane_requests.push(vec![i]);
-            }
-        }
-    }
+    // One outcome slot per request, in plan order, and the permutation
+    // that groups the slots into machine lanes: by machine, then in plan
+    // order within each machine.
+    let mut slots: Vec<Option<RunOutcome>> = requests.iter().map(|_| None).collect();
+    let mut plan: Vec<(usize, &mut Option<RunOutcome>)> = slots.iter_mut().enumerate().collect();
+    plan.sort_unstable_by_key(|&(i, _)| (requests[i].machine, i));
+    let n_machines = cluster.size();
+    let mut machines = cluster.machines_mut().iter_mut().enumerate();
+    let lanes: Vec<_> = plan
+        .chunk_by_mut(|a, b| requests[a.0].machine == requests[b.0].machine)
+        .map(|runs| {
+            let machine = requests[runs[0].0].machine;
+            let (_, lane) = machines.find(|&(m, _)| m == machine).unwrap_or_else(|| {
+                panic!("machine {machine} out of bounds for cluster of {n_machines}")
+            });
+            (machine, lane, runs)
+        })
+        .collect();
 
-    let workers = mode.workers().min(machine_order.len());
+    let workers = mode.workers().min(lanes.len());
+    let metrics = exec_metrics();
     let batch_start = Instant::now();
-    // Worker `w` tags the lanes it ran with `w`: a lane run by any worker
-    // but the first would have queued behind it on a single thread — that
-    // is the "stolen" work the steal counter sees.
-    let ran = tuna_stats::pool::map(
+    // Lanes come back in machine order, whichever worker ran them. A lane
+    // run by any worker but the first would have queued behind it on a
+    // single thread: that is the "stolen" work the steal counter sees.
+    let lanes = tuna_stats::pool::map(
         workers,
-        cluster
-            .lanes_mut(&machine_order)
-            .into_iter()
-            .zip(machine_order.iter().copied().zip(lane_requests))
-            .collect(),
+        lanes,
         |w| w,
-        |&mut w, (lane, (machine, reqs))| {
+        |&mut w, (machine, lane, runs)| {
             let start = Instant::now();
-            let outcomes: Vec<(usize, RunOutcome)> = reqs
-                .iter()
-                .map(|&i| {
-                    let req = &requests[i];
-                    let mut rng = base.fork(req.stream);
-                    (i, sut.run(req.config, workload, lane, &mut rng))
-                })
-                .collect();
-            let stats = LaneStats {
+            for (i, slot) in runs.iter_mut() {
+                let req = &requests[*i];
+                let mut rng = base.fork(req.stream);
+                **slot = Some(sut.run(req.config, workload, lane, &mut rng));
+            }
+            if w != 0 {
+                metrics.steals.inc();
+            }
+            LaneStats {
                 machine,
-                runs: reqs.len(),
+                runs: runs.len(),
                 nanos: start.elapsed().as_nanos(),
-            };
-            (stats, outcomes, w != 0)
+            }
         },
     );
-
-    let mut outcomes: Vec<(usize, RunOutcome)> = Vec::with_capacity(requests.len());
-    let mut lanes: Vec<LaneStats> = Vec::with_capacity(ran.len());
-    let mut steals: u64 = 0;
-    for (stats, lane_outcomes, stolen) in ran {
-        outcomes.extend(lane_outcomes);
-        lanes.push(stats);
-        steals += u64::from(stolen);
-    }
-    // Plan order for outcomes, machine order for lanes: deterministic
-    // regardless of which worker ran what.
-    outcomes.sort_unstable_by_key(|&(i, _)| i);
-    lanes.sort_by_key(|l| l.machine);
     let stats = BatchStats {
         wall_nanos: batch_start.elapsed().as_nanos(),
         lanes,
     };
 
-    let metrics = exec_metrics();
     metrics.batches.inc();
     metrics.runs.add(requests.len() as u64);
-    metrics.steals.add(steals);
     metrics.lanes.observe(stats.lanes.len() as u64);
     if stats.wall_nanos > 0 {
         let pool_nanos = stats.wall_nanos.saturating_mul(workers as u128);
@@ -291,7 +284,13 @@ pub fn execute_batch(
         metrics.occupancy.set(u64::try_from(pct).unwrap_or(100));
     }
 
-    (outcomes.into_iter().map(|(_, o)| o).collect(), stats)
+    // `Option<RunOutcome>` has `RunOutcome`'s layout, so this collects in
+    // place, into the slots' allocation.
+    let outcomes = slots
+        .into_iter()
+        .map(|o| o.expect("every request ran"))
+        .collect();
+    (outcomes, stats)
 }
 
 #[cfg(test)]
@@ -470,6 +469,26 @@ mod tests {
                 "{mode:?}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn out_of_range_machine_panics() {
+        let pg = Postgres::new();
+        let cfg = pg.default_config();
+        let requests = [RunRequest {
+            config: &cfg,
+            machine: 2,
+            stream: 1,
+        }];
+        execute_batch(
+            ExecutionMode::Serial,
+            &pg,
+            &tuna_workloads::tpcc(),
+            &mut cluster(2, 1),
+            &Rng::seed_from(1),
+            &requests,
+        );
     }
 
     #[test]

@@ -175,6 +175,14 @@ fn pipeline_metrics() -> &'static PipelineMetrics {
     })
 }
 
+/// Empties `requests` and hands back its allocation at another
+/// lifetime, so one buffer serves every step's borrowed suggestion:
+/// collecting an emptied `Vec` into one of the same layout reuses it.
+fn recycle<'b>(mut requests: Vec<RunRequest<'_>>) -> Vec<RunRequest<'b>> {
+    requests.clear();
+    requests.into_iter().map(|_| unreachable!()).collect()
+}
+
 /// The TUNA sampling pipeline.
 pub struct TunaPipeline<'a> {
     config: TunaConfig,
@@ -190,6 +198,9 @@ pub struct TunaPipeline<'a> {
     round: usize,
     exec: ExecStats,
     scratch: SampleScratch,
+    /// The step's run requests, kept empty between steps for their
+    /// allocation (see [`recycle`]).
+    requests: Vec<RunRequest<'static>>,
 }
 
 impl<'a> TunaPipeline<'a> {
@@ -229,6 +240,7 @@ impl<'a> TunaPipeline<'a> {
             round: 0,
             exec: ExecStats::default(),
             scratch: SampleScratch::new(),
+            requests: Vec::new(),
         }
     }
 
@@ -250,14 +262,12 @@ impl<'a> TunaPipeline<'a> {
         // execution are bit-identical (see `crate::executor`).
         let assigned = self.scheduler.assign(id, suggestion.budget);
         let new_samples = assigned.len();
-        let requests: Vec<RunRequest<'_>> = assigned
-            .iter()
-            .map(|&machine_idx| RunRequest {
-                config: &suggestion.config,
-                machine: machine_idx,
-                stream: hash_combine(id.0, machine_idx as u64),
-            })
-            .collect();
+        let mut requests: Vec<RunRequest<'_>> = std::mem::take(&mut self.requests);
+        requests.extend(assigned.iter().map(|&machine_idx| RunRequest {
+            config: &suggestion.config,
+            machine: machine_idx,
+            stream: hash_combine(id.0, machine_idx as u64),
+        }));
         let (outcomes, batch) = executor::execute_batch(
             self.config.mode,
             self.sut,
@@ -269,7 +279,9 @@ impl<'a> TunaPipeline<'a> {
         if !requests.is_empty() {
             self.exec.absorb(&batch);
         }
-        for (machine_idx, outcome) in assigned.into_iter().zip(outcomes) {
+        self.requests = recycle(requests);
+        state.samples.reserve_exact(new_samples);
+        for (&machine_idx, outcome) in assigned.iter().zip(outcomes) {
             let raw = if outcome.crashed {
                 self.config.crash_penalty
             } else {
@@ -367,7 +379,7 @@ impl<'a> TunaPipeline<'a> {
             new_samples,
             reported,
             unstable,
-            best_so_far: self.optimizer.best().map(|(_, v)| v),
+            best_so_far: self.optimizer.best_value(),
             cumulative_samples: self.scheduler.total_assigned() as usize,
             model_error,
         });
@@ -437,6 +449,24 @@ mod tests {
     use tuna_cloudsim::{Region, VmSku};
     use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
     use tuna_sut::postgres::Postgres;
+
+    #[test]
+    fn recycle_keeps_the_allocation() {
+        let config = Postgres::new().default_config();
+        let requests = vec![
+            RunRequest {
+                config: &config,
+                machine: 0,
+                stream: 0,
+            };
+            5
+        ];
+        let (ptr, capacity) = (requests.as_ptr() as usize, requests.capacity());
+        let recycled: Vec<RunRequest<'static>> = recycle(requests);
+        assert!(recycled.is_empty());
+        assert_eq!(recycled.capacity(), capacity);
+        assert_eq!(recycled.as_ptr() as usize, ptr);
+    }
 
     fn quick_pipeline<'a>(pg: &'a Postgres, workload: &'a Workload, seed: u64) -> TunaPipeline<'a> {
         let cluster = Cluster::new(10, VmSku::d8s_v5(), Region::westus2(), seed);

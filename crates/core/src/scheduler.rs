@@ -41,33 +41,31 @@ impl TaskScheduler {
 
     /// Plans the new runs needed to bring `config` to `budget` distinct
     /// nodes, choosing the least-loaded unvisited workers. Returns the
-    /// worker indices to run on (empty if the budget is already met).
+    /// worker indices to run on (empty if the budget is already met):
+    /// the tail of [`TaskScheduler::visited`], so nothing is allocated
+    /// once the config's list has room.
     ///
     /// # Panics
     ///
     /// Panics if `budget` exceeds the cluster size.
-    pub fn assign(&mut self, config: ConfigId, budget: usize) -> Vec<usize> {
+    pub fn assign(&mut self, config: ConfigId, budget: usize) -> &[usize] {
         assert!(
             budget <= self.cluster_size,
             "budget {budget} exceeds cluster {}",
             self.cluster_size
         );
         let visited = self.visited.entry(config).or_default();
-        if visited.len() >= budget {
-            return Vec::new();
+        let before = visited.len();
+        for _ in before..budget {
+            // Least-loaded first; ties broken by index for determinism.
+            let next = (0..self.cluster_size)
+                .filter(|i| !visited.contains(i))
+                .min_by_key(|&i| (self.load[i], i))
+                .expect("a budget within the cluster leaves an unvisited worker");
+            self.load[next] += 1;
+            visited.push(next);
         }
-        let needed = budget - visited.len();
-        let mut eligible: Vec<usize> = (0..self.cluster_size)
-            .filter(|i| !visited.contains(i))
-            .collect();
-        // Least-loaded first; ties broken by index for determinism.
-        eligible.sort_by_key(|&i| (self.load[i], i));
-        let chosen: Vec<usize> = eligible.into_iter().take(needed).collect();
-        for &i in &chosen {
-            self.load[i] += 1;
-            visited.push(i);
-        }
-        chosen
+        &visited[before..]
     }
 
     /// Total runs assigned so far.
@@ -106,7 +104,7 @@ mod tests {
     #[test]
     fn budget_one_assigns_one_worker() {
         let mut s = TaskScheduler::new(10);
-        let w = s.assign(cfg(1), 1);
+        let w = s.assign(cfg(1), 1).to_vec();
         assert_eq!(w.len(), 1);
         assert_eq!(s.visited(cfg(1)), w.as_slice());
     }
@@ -116,7 +114,7 @@ mod tests {
         // The §5.1 example: budget 3 after budget 1 needs only 2 new runs,
         // and they must avoid the original node.
         let mut s = TaskScheduler::new(10);
-        let first = s.assign(cfg(1), 1);
+        let first = s.assign(cfg(1), 1).to_vec();
         let next = s.assign(cfg(1), 3);
         assert_eq!(next.len(), 2);
         assert!(!next.contains(&first[0]), "reused node {}", first[0]);

@@ -12,14 +12,17 @@
 //! # Paying on read
 //!
 //! Only the noise adjuster reads guest metrics, yet every simulated run
-//! generates them. So [`generate`] splits the work:
+//! generates them. So [`generate`] takes no draws and allocates nothing:
 //!
-//! - it takes every draw when called: one polar-method Gaussian per
-//!   counter, accept/reject loop included. The caller's `rng` therefore
-//!   ends in the same state whether or not the vector is ever read;
-//! - it stores the inputs and the accepted pairs, and
-//!   [`MetricVector::values`] computes the counters (and the `ln` of each
-//!   pair) on first call, in the same buffer;
+//! - it stores its inputs and a copy of the caller's `rng`, inline;
+//! - [`MetricVector::values`] takes the draws (one polar-method Gaussian
+//!   per counter) from that copy on first read. A run's metric draws are
+//!   therefore the tail of its stream, whether or not anyone reads them;
+//! - the caller's `rng` is left where it was. Every SuT run generates its
+//!   metrics last, so a caller that drops the run's generator afterwards
+//!   (the executor and the baselines fork one per run) sees no change. A
+//!   caller that keeps drawing from the same generator calls
+//!   [`MetricVector::settle`] first, which takes the same draws from it;
 //! - the values are bit-for-bit those of an eager computation. The tests
 //!   keep the eager generator as an oracle.
 //!
@@ -35,15 +38,18 @@
 //! let mut m = Machine::provision(0, &VmSku::d8s_v5(), &Region::westus2(), &root);
 //! let demand = ComponentVec::new(0.5, 0.8, 0.4, 0.3, 0.2);
 //! let snap = m.observe(&demand);
-//! let metrics = generate(&snap, &demand, 1.0, &mut Rng::seed_from(2));
+//! let mut rng = Rng::seed_from(2);
+//! let metrics = generate(&snap, &demand, 1.0, &mut rng);
 //! assert_eq!(metrics.values().len(), SCHEMA.len());
+//! // Before drawing from `rng` again, take the draws the metrics used.
+//! metrics.settle(&mut rng);
 //! ```
 
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 use tuna_cloudsim::components::ComponentVec;
 use tuna_cloudsim::machine::Snapshot;
-use tuna_stats::rng::{polar_gaussian, Rng};
+use tuna_stats::rng::Rng;
 
 /// Names of the generated guest metrics, in vector order.
 pub const SCHEMA: [&str; 30] = [
@@ -81,12 +87,34 @@ pub const SCHEMA: [&str; 30] = [
 
 /// A generated guest-metric vector (aligned with [`SCHEMA`]). One from
 /// [`generate`] computes its values on first read (see the crate docs).
+#[derive(Clone)]
 pub struct MetricVector {
     /// The values, set by [`MetricVector::new`] or on first read.
-    values: OnceLock<Vec<f64>>,
-    /// A generated vector's pending buffer (inputs and draws) until the
-    /// first read takes it; empty otherwise.
-    pending: Mutex<Vec<f64>>,
+    values: OnceLock<[f64; SCHEMA.len()]>,
+    /// What a generated vector's first read draws from; `None` for a
+    /// vector made by [`MetricVector::new`].
+    pending: Option<Pending>,
+}
+
+/// The inputs of one [`generate`] call and a copy of its generator.
+#[derive(Clone)]
+struct Pending {
+    speeds: ComponentVec,
+    interference: ComponentVec,
+    demand: ComponentVec,
+    perf: f64,
+    rng: Rng,
+}
+
+impl Pending {
+    /// The counters with their observation noise, drawn from a copy of
+    /// the stored generator.
+    fn draw(&self) -> [f64; SCHEMA.len()] {
+        let mut rng = self.rng.clone();
+        counters(&self.speeds, &self.interference, &self.demand, self.perf)
+            // Small multiplicative observation noise per counter.
+            .map(|x| (x * (1.0 + 0.01 * rng.next_gaussian())).max(0.0))
+    }
 }
 
 impl MetricVector {
@@ -96,19 +124,21 @@ impl MetricVector {
     ///
     /// Panics if `values.len() != SCHEMA.len()`.
     pub fn new(values: Vec<f64>) -> Self {
-        assert_eq!(values.len(), SCHEMA.len(), "metric width mismatch");
+        let values = <[f64; SCHEMA.len()]>::try_from(values)
+            .unwrap_or_else(|v| panic!("metric width mismatch: {} values", v.len()));
         MetricVector {
             values: OnceLock::from(values),
-            pending: Mutex::default(),
+            pending: None,
         }
     }
 
     /// The raw values.
     pub fn values(&self) -> &[f64] {
         self.values.get_or_init(|| {
-            let mut buf = std::mem::take(&mut *self.pending());
-            materialize(&mut buf);
-            buf
+            self.pending
+                .as_ref()
+                .expect("an unset vector is pending")
+                .draw()
         })
     }
 
@@ -120,24 +150,21 @@ impl MetricVector {
             .map(|i| self.values()[i])
     }
 
-    fn pending(&self) -> MutexGuard<'_, Vec<f64>> {
-        self.pending.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl Clone for MetricVector {
-    /// Clones without computing: a clone taken before the first read
-    /// copies the pending buffer.
-    fn clone(&self) -> Self {
-        let pending = self.pending();
-        if pending.is_empty() {
-            // Read already, or being read: the values are (about to be) set.
-            drop(pending);
-            return MetricVector::new(self.values().to_vec());
-        }
-        MetricVector {
-            values: OnceLock::new(),
-            pending: Mutex::new(pending.clone()),
+    /// Takes this vector's draws from `rng`, the generator that was
+    /// passed to [`generate`], so `rng` ends where an eager generator
+    /// would have left it. Call it right after the run that made the
+    /// vector, before drawing from `rng` again; a caller that drops the
+    /// run's generator need not. A vector from [`MetricVector::new`]
+    /// took no draws and leaves `rng` alone.
+    pub fn settle(&self, rng: &mut Rng) {
+        if let Some(pending) = &self.pending {
+            debug_assert!(
+                *rng == pending.rng,
+                "settle must follow the run that generated the metrics"
+            );
+            for _ in 0..SCHEMA.len() {
+                rng.next_polar();
+            }
         }
     }
 }
@@ -156,40 +183,6 @@ impl std::fmt::Debug for MetricVector {
     }
 }
 
-// A pending buffer holds the snapshot's speeds and interference and the
-// demand (five components each), the clamped relative performance, then
-// one accepted polar pair `(u, s)` per counter, in `SCHEMA` order.
-const PERF_AT: usize = 15;
-const PAIRS_AT: usize = 16;
-const PENDING_LEN: usize = PAIRS_AT + 2 * SCHEMA.len();
-
-fn push_components(buf: &mut Vec<f64>, v: &ComponentVec) {
-    buf.extend_from_slice(&[v.cpu, v.disk, v.memory, v.cache, v.os]);
-}
-
-fn components(buf: &[f64], at: usize) -> ComponentVec {
-    ComponentVec::new(buf[at], buf[at + 1], buf[at + 2], buf[at + 3], buf[at + 4])
-}
-
-/// Turns a pending buffer into the values, in place: slot `i` is written
-/// after pair `i`, at `PAIRS_AT + 2i >= i`, is read.
-fn materialize(buf: &mut Vec<f64>) {
-    debug_assert_eq!(buf.len(), PENDING_LEN);
-    let counters = counters(
-        &components(buf, 0),
-        &components(buf, 5),
-        &components(buf, 10),
-        buf[PERF_AT],
-    );
-    for (i, x) in counters.into_iter().enumerate() {
-        let (u, s) = (buf[PAIRS_AT + 2 * i], buf[PAIRS_AT + 2 * i + 1]);
-        // Small multiplicative observation noise per counter.
-        buf[i] = (x * (1.0 + 0.01 * polar_gaussian(u, s))).max(0.0);
-    }
-    buf.truncate(SCHEMA.len());
-    buf.shrink_to_fit();
-}
-
 /// Generates the guest-metric vector for one measurement epoch.
 ///
 /// - `snapshot` is the machine observation for the epoch (its
@@ -199,26 +192,24 @@ fn materialize(buf: &mut Vec<f64>) {
 ///   (throughput-linked counters scale with it);
 /// - `rng` adds small observation noise (counters are themselves sampled).
 ///
-/// Every draw is taken here; the arithmetic waits for the first read
-/// (see the crate docs).
+/// Nothing is drawn or computed here: the first read draws from a copy
+/// of `rng`, which is left as it was (see the crate docs and
+/// [`MetricVector::settle`]).
 pub fn generate(
     snapshot: &Snapshot,
     demand: &ComponentVec,
     relative_perf: f64,
     rng: &mut Rng,
 ) -> MetricVector {
-    let mut buf = Vec::with_capacity(PENDING_LEN);
-    push_components(&mut buf, &snapshot.speeds);
-    push_components(&mut buf, &snapshot.interference);
-    push_components(&mut buf, demand);
-    buf.push(relative_perf.max(0.0));
-    for _ in 0..SCHEMA.len() {
-        let (u, s) = rng.next_polar();
-        buf.extend_from_slice(&[u, s]);
-    }
     MetricVector {
         values: OnceLock::new(),
-        pending: Mutex::new(buf),
+        pending: Some(Pending {
+            speeds: snapshot.speeds,
+            interference: snapshot.interference,
+            demand: *demand,
+            perf: relative_perf.max(0.0),
+            rng: rng.clone(),
+        }),
     }
 }
 
@@ -314,8 +305,8 @@ fn counters(
 }
 
 /// The eager generator [`generate`] replaced, kept as the oracle its
-/// property test compares against: it draws and computes every counter
-/// at once.
+/// tests compare against: it draws from the caller's `rng` and computes
+/// every counter at once.
 #[cfg(test)]
 mod eager {
     use super::MetricVector;
@@ -492,6 +483,7 @@ mod tests {
         for _ in 0..600 {
             let snap = m.observe(&demand());
             let v = generate(&snap, &demand(), 1.0, &mut rng);
+            v.settle(&mut rng);
             latents.push(snap.interference.cache);
             misses.push(v.get("llc_miss_rate").unwrap());
         }
@@ -508,6 +500,7 @@ mod tests {
         for _ in 0..600 {
             let snap = m.observe(&demand());
             let v = generate(&snap, &demand(), 1.0, &mut rng);
+            v.settle(&mut rng);
             latents.push(snap.interference.os);
             created.push(v.get("thread_create_us").unwrap());
         }
@@ -521,6 +514,7 @@ mod tests {
         let snap = m.observe(&demand());
         let mut rng = Rng::seed_from(7);
         let hi = generate(&snap, &demand(), 1.5, &mut rng);
+        hi.settle(&mut rng);
         let lo = generate(&snap, &demand(), 0.5, &mut rng);
         assert!(hi.get("disk_iops").unwrap() > lo.get("disk_iops").unwrap() * 2.0);
         assert!(hi.get("net_sent_mb_s").unwrap() > lo.get("net_sent_mb_s").unwrap() * 2.0);
@@ -590,13 +584,16 @@ mod tests {
             let lazy = generate(&snap, &demand, perf, &mut lazy_rng);
             let oracle = eager::generate(&snap, &demand, perf, &mut eager_rng);
 
-            // The caller's stream is where the eager pass leaves it.
+            // `generate` draws nothing from the caller; `settle` takes
+            // the draws and leaves the stream where the eager pass did.
+            prop_assert_eq!(&lazy_rng, &Rng::seed_from(draws));
+            let early_clone = lazy.clone();
+            lazy.settle(&mut lazy_rng);
             prop_assert_eq!(&lazy_rng, &eager_rng);
             prop_assert_eq!(lazy_rng.next_u64(), eager_rng.next_u64());
 
             // `Debug` and `==` read through; a clone taken before the
             // first read computes the same bits as the original.
-            let early_clone = lazy.clone();
             let unread = generate(&snap, &demand, perf, &mut Rng::seed_from(draws));
             prop_assert_eq!(format!("{unread:?}"), format!("{oracle:?}"));
             prop_assert_eq!(format!("{:#?}", generate(&snap, &demand, perf, &mut Rng::seed_from(draws))), format!("{oracle:#?}"));
@@ -606,6 +603,35 @@ mod tests {
             prop_assert_eq!(bits(&lazy.clone()), bits(&oracle));
             prop_assert!(lazy == early_clone);
             prop_assert_eq!(lazy.get("disk_iops"), oracle.get("disk_iops"));
+        }
+
+        #[test]
+        fn one_settled_stream_matches_the_eager_stream(
+            seed in any::<u64>(),
+            sku in 0usize..2,
+            runs in 1usize..12,
+            draws in any::<u64>(),
+            read_before_settle in any::<bool>(),
+        ) {
+            // Several epochs on one machine, one generator threaded
+            // through them all, as a caller that keeps its stream does.
+            let demand = demand();
+            let mut m = Machine::provision(seed, &if sku == 0 { VmSku::d8s_v5() } else { VmSku::b8ms() }, &Region::westus2(), &Rng::seed_from(seed));
+            let (mut lazy_rng, mut eager_rng) = (Rng::seed_from(draws), Rng::seed_from(draws));
+            for run in 0..runs {
+                let snap = m.observe(&demand);
+                let perf = 0.5 + run as f64 * 0.1;
+                let lazy = generate(&snap, &demand, perf, &mut lazy_rng);
+                if read_before_settle {
+                    lazy.values();
+                }
+                lazy.settle(&mut lazy_rng);
+                let oracle = eager::generate(&snap, &demand, perf, &mut eager_rng);
+                prop_assert_eq!(bits(&lazy), bits(&oracle));
+                prop_assert_eq!(&lazy_rng, &eager_rng);
+                // The caller's next draw is the eager caller's next draw.
+                prop_assert_eq!(lazy_rng.next_f64().to_bits(), eager_rng.next_f64().to_bits());
+            }
         }
     }
 
@@ -617,6 +643,7 @@ mod tests {
         let mut eager_rng = rng.clone();
         for _ in 0..16 {
             let shared = generate(&snap, &demand, 1.0, &mut rng);
+            shared.settle(&mut rng);
             let oracle = bits(&eager::generate(&snap, &demand, 1.0, &mut eager_rng));
             // Even items read first, odd items clone first: the first read
             // races other first reads and clones on the pool's workers.
@@ -634,6 +661,30 @@ mod tests {
             );
             assert!(seen.iter().all(|b| *b == oracle));
         }
+    }
+
+    #[test]
+    fn settle_leaves_a_given_vectors_caller_alone() {
+        let v = MetricVector::new(vec![1.0; SCHEMA.len()]);
+        let mut rng = Rng::seed_from(13);
+        v.settle(&mut rng);
+        assert_eq!(rng, Rng::seed_from(13));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "settle must follow the run")]
+    fn settle_out_of_turn_is_caught_in_debug_builds() {
+        let mut rng = Rng::seed_from(14);
+        let v = generate(&snapshot(15, 0, 1, &demand()), &demand(), 1.0, &mut rng);
+        rng.next_u64();
+        v.settle(&mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "metric width mismatch")]
+    fn new_rejects_the_wrong_width() {
+        MetricVector::new(vec![0.0; SCHEMA.len() - 1]);
     }
 
     #[test]

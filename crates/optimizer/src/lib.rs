@@ -143,6 +143,12 @@ pub trait Solver {
     /// preferring observations at the highest budget reached.
     fn best(&self) -> Option<(Config, f64)>;
 
+    /// The raw metric value of [`Solver::best`], without cloning its
+    /// configuration: what a per-round `best_so_far` trace reads.
+    fn best_value(&self) -> Option<f64> {
+        self.best().map(|(_, v)| v)
+    }
+
     /// The search space.
     fn space(&self) -> &ConfigSpace;
 

@@ -207,6 +207,12 @@ impl<P: Proposer> Solver for MultiFidelityOptimizer<P> {
             .map(|rec| (rec.config.clone(), self.objective.from_cost(rec.cost)))
     }
 
+    fn best_value(&self) -> Option<f64> {
+        self.history
+            .best()
+            .map(|rec| self.objective.from_cost(rec.cost))
+    }
+
     fn space(&self) -> &ConfigSpace {
         &self.space
     }

@@ -54,6 +54,12 @@ impl Solver for RandomSearch {
             .map(|r| (r.config.clone(), self.objective.from_cost(r.cost)))
     }
 
+    fn best_value(&self) -> Option<f64> {
+        self.history
+            .best()
+            .map(|r| self.objective.from_cost(r.cost))
+    }
+
     fn space(&self) -> &ConfigSpace {
         &self.space
     }

@@ -56,6 +56,11 @@ fn drive(
         solver.tell(&s.config, raw, s.budget);
     }
     let best = solver.best().map(|(_, v)| v);
+    assert_eq!(
+        solver.best_value().map(f64::to_bits),
+        best.map(f64::to_bits),
+        "{name}: best_value disagrees with best"
+    );
     (stream, best, solver.n_observations())
 }
 

@@ -250,8 +250,7 @@ impl Rng {
     /// The draws of one [`Rng::next_gaussian`] without its arithmetic:
     /// the polar method's accepted pair `(u, s)`, where `s = u² + v²`
     /// lies in `(0, 1)`. `polar_gaussian(u, s)` is the normal draw, so a
-    /// caller can consume the draws now and pay for the `ln` only if it
-    /// needs the value.
+    /// caller that only needs to advance the stream skips the `ln`.
     #[inline]
     pub fn next_polar(&mut self) -> (f64, f64) {
         loop {
@@ -269,7 +268,7 @@ impl Rng {
 /// [`Rng::next_polar`]: bit-for-bit what [`Rng::next_gaussian`] returns
 /// for the same draws.
 #[inline]
-pub fn polar_gaussian(u: f64, s: f64) -> f64 {
+fn polar_gaussian(u: f64, s: f64) -> f64 {
     u * (-2.0 * s.ln() / s).sqrt()
 }
 

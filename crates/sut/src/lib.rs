@@ -89,7 +89,14 @@ pub trait SystemUnderTest: Send + Sync {
     /// measurement epoch.
     ///
     /// `rng` drives run-level randomness (plan tipping, crash draws, tail
-    /// noise); machine-level randomness lives inside `machine`.
+    /// noise); machine-level randomness lives inside `machine`. The
+    /// guest metrics' draws are the tail of the run's stream: they are
+    /// taken from a copy of `rng` on the metrics' first read, and `rng`
+    /// is left where the metrics started. A caller that keeps drawing
+    /// from `rng` after the run calls
+    /// [`MetricVector::settle`](tuna_metrics::MetricVector::settle) on the
+    /// outcome's metrics first; one that forks a generator per run need
+    /// not.
     fn run(
         &self,
         config: &Config,

@@ -435,13 +435,16 @@ impl SystemUnderTest for Postgres {
         if workload.join_fraction > 0.0 {
             let choice = match Self::forced_plan(&knobs) {
                 Some(c) => c,
-                None => planner::decide(
-                    Self::plan_margin(&knobs, config.id()),
-                    0.5 * workload.plan_sensitivity,
-                    machine,
-                    config.id(),
-                    rng,
-                ),
+                None => {
+                    let id = config.id();
+                    planner::decide(
+                        Self::plan_margin(&knobs, id),
+                        0.5 * workload.plan_sensitivity,
+                        machine,
+                        id,
+                        rng,
+                    )
+                }
             };
             if choice == PlanChoice::Bad {
                 rel *= planner::bad_plan_factor(workload.join_fraction, workload.bad_plan_slowdown);

@@ -74,6 +74,7 @@ fn claim_noise_slows_convergence() {
             for _ in 0..iters {
                 let s = opt.ask(&mut rng);
                 let outcome = pg.run(&s.config, &workload, cluster.machine_mut(0), &mut rng);
+                outcome.metrics.settle(&mut rng);
                 let value = outcome.value * (1.0 + sigma * rng.next_gaussian()).max(0.05);
                 opt.tell(&s.config, value, s.budget);
                 if let Some((best_cfg, _)) = opt.best() {

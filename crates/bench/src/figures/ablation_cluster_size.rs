@@ -5,7 +5,7 @@
 //! budget ladder and measures deployment robustness: small clusters miss
 //! flips; larger ones spend more per config for diminishing returns.
 
-use crate::{fail, run_campaign, HarnessArgs};
+use crate::{fail, run_campaign_keeping, run_summary, HarnessArgs};
 use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
 use tuna_core::experiment::ClusterShape;
 use tuna_core::report::render_table;
@@ -50,7 +50,11 @@ pub fn run(args: &HarnessArgs) {
             )
         })
         .collect();
-    let result = run_campaign(args, &campaign);
+    // Each run keeps its deployment mean, std and relative range.
+    let result = run_campaign_keeping(args, &campaign, |_, payload| {
+        let d = &run_summary(payload).deployment;
+        (d.mean, d.std, d.relative_range)
+    });
 
     let mut rows = vec![vec![
         "cluster".to_string(),
@@ -60,15 +64,12 @@ pub fn run(args: &HarnessArgs) {
         "deploy rel.range".to_string(),
     ]];
     for (a, (arm, (_, budgets))) in campaign.arms.iter().zip(&shapes).enumerate() {
-        let summaries = result.run_summaries(0, a).unwrap_or_else(|| {
+        let runs = result.kept(0, a).unwrap_or_else(|| {
             fail("the relative-range column needs in-process results; delete the --store file to recompute")
         });
-        let means: Vec<f64> = summaries.iter().map(|r| r.deployment.mean).collect();
-        let stds: Vec<f64> = summaries.iter().map(|r| r.deployment.std).collect();
-        let ranges: Vec<f64> = summaries
-            .iter()
-            .map(|r| r.deployment.relative_range)
-            .collect();
+        let means: Vec<f64> = runs.iter().map(|&&(mean, ..)| mean).collect();
+        let stds: Vec<f64> = runs.iter().map(|&&(_, std, _)| std).collect();
+        let ranges: Vec<f64> = runs.iter().map(|&&(.., range)| range).collect();
         rows.push(vec![
             arm.label.clone(),
             format!("{budgets:?}"),

@@ -6,7 +6,7 @@
 //! negatives deploy disasters. This sweep runs TUNA across thresholds and
 //! reports deployment quality plus how much of the search was discarded.
 
-use crate::{fail, run_campaign, HarnessArgs};
+use crate::{fail, run_campaign_keeping, run_summary, HarnessArgs};
 use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
 use tuna_core::report::render_table;
 use tuna_stats::summary;
@@ -41,7 +41,14 @@ pub fn run(args: &HarnessArgs) {
             )
         })
         .collect();
-    let result = run_campaign(args, &campaign);
+    // Each run keeps its deployment mean, std and worst value, and how
+    // many configs its tuning flagged unstable.
+    let result = run_campaign_keeping(args, &campaign, |_, payload| {
+        let r = run_summary(payload);
+        let flagged = r.tuning.as_ref().unwrap().n_unstable_configs as f64;
+        let d = &r.deployment;
+        (d.mean, d.std, d.five.min, flagged)
+    });
 
     let mut rows = vec![vec![
         "threshold".to_string(),
@@ -51,18 +58,15 @@ pub fn run(args: &HarnessArgs) {
         "worst deploy value".to_string(),
     ]];
     for (a, arm) in campaign.arms.iter().enumerate() {
-        let summaries = result.run_summaries(0, a).unwrap_or_else(|| {
+        let runs = result.kept(0, a).unwrap_or_else(|| {
             fail("the unstable-config column needs in-process results; delete the --store file to recompute")
         });
-        let means: Vec<f64> = summaries.iter().map(|r| r.deployment.mean).collect();
-        let stds: Vec<f64> = summaries.iter().map(|r| r.deployment.std).collect();
-        let flagged: Vec<f64> = summaries
+        let means: Vec<f64> = runs.iter().map(|&&(mean, ..)| mean).collect();
+        let stds: Vec<f64> = runs.iter().map(|&&(_, std, ..)| std).collect();
+        let flagged: Vec<f64> = runs.iter().map(|&&(.., flagged)| flagged).collect();
+        let worst = runs
             .iter()
-            .map(|r| r.tuning.as_ref().unwrap().n_unstable_configs as f64)
-            .collect();
-        let worst = summaries
-            .iter()
-            .map(|r| r.deployment.five.min)
+            .map(|&&(_, _, min, _)| min)
             .fold(f64::INFINITY, f64::min);
         rows.push(vec![
             arm.label.clone(),

@@ -4,12 +4,17 @@
 //! variability (fewer high-performing machines) and finds TUNA at
 //! 2321 tx/s σ113.0 vs traditional 2239 tx/s σ267.7 (57.8% lower std).
 
-use crate::{arm, campaign_method_table, fail, paper_vs, run_campaign, HarnessArgs};
-use tuna_core::campaign::{Campaign, CampaignResult};
+use crate::{
+    arm, campaign_method_table, fail, paper_vs, run_campaign_keeping, run_summary, HarnessArgs,
+};
+use tuna_core::campaign::{Campaign, CampaignResult, CellPayload};
 use tuna_core::experiment::Method;
 use tuna_stats::summary::coefficient_of_variation;
 
 pub fn run(args: &HarnessArgs) {
+    // The default-config CoV below pools each run's deployment values.
+    let deployment_values =
+        |_: usize, payload: &CellPayload| run_summary(payload).deployment.values.clone();
     let runs = args.runs_or(3, 10);
     let rounds = args.rounds_or(30, 96);
 
@@ -23,7 +28,7 @@ pub fn run(args: &HarnessArgs) {
     .with_runs(runs)
     .with_rounds(rounds)
     .with_site(sku, "centralus");
-    let result = run_campaign(args, &campaign);
+    let result = run_campaign_keeping(args, &campaign, deployment_values);
     let results = campaign_method_table(&campaign, &result, 0);
 
     let tuna = arm(&results, "TUNA");
@@ -49,15 +54,12 @@ pub fn run(args: &HarnessArgs) {
     )
     .with_runs(runs)
     .with_rounds(rounds);
-    let west_result = run_campaign(args, &west);
-    let spread = |result: &CampaignResult, arm: usize| {
-        let summaries = result.run_summaries(0, arm).unwrap_or_else(|| {
+    let west_result = run_campaign_keeping(args, &west, deployment_values);
+    let spread = |result: &CampaignResult<Vec<f64>>, arm: usize| {
+        let values = result.kept(0, arm).unwrap_or_else(|| {
             fail("the default-config CoV needs in-process results; delete the --store files to recompute")
         });
-        let all: Vec<f64> = summaries
-            .iter()
-            .flat_map(|r| r.deployment.values.iter().copied())
-            .collect();
+        let all: Vec<f64> = values.into_iter().flatten().copied().collect();
         coefficient_of_variation(&all)
     };
     println!(

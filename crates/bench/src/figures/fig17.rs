@@ -6,8 +6,8 @@
 //! the same performance ~2.47x faster, matching naive's 500-sample result
 //! within ~206 samples on average.
 
-use crate::{fail, paper_vs, run_campaign, HarnessArgs};
-use tuna_core::campaign::{Arm, Campaign, ConvergenceSpec, Recipe};
+use crate::{fail, paper_vs, run_campaign_keeping, HarnessArgs};
+use tuna_core::campaign::{Arm, Campaign, CellPayload, ConvergenceSpec, Recipe};
 use tuna_core::report::render_table;
 use tuna_stats::summary;
 
@@ -33,8 +33,18 @@ pub fn run(args: &HarnessArgs) {
             rng_label: 3,
         }),
     )];
-    let result = run_campaign(args, &campaign);
-    let pairs = result.pairs(0, 0).unwrap_or_else(|| {
+    // Each run keeps its two best-so-far curves, sampled every `step`
+    // samples, instead of both full traces.
+    let result = run_campaign_keeping(args, &campaign, |_, payload| {
+        let CellPayload::Pair { tuna, naive } = payload else {
+            panic!("a convergence cell runs a TUNA / naive pair")
+        };
+        (
+            super::curve_at(&tuna.trace, sample_budget, step),
+            super::curve_at(&naive.trace, sample_budget, step),
+        )
+    });
+    let pairs = result.kept(0, 0).unwrap_or_else(|| {
         fail(
             "convergence curves need in-process traces; delete the --store file \
              (or run without --store) to recompute them",
@@ -42,12 +52,10 @@ pub fn run(args: &HarnessArgs) {
     });
 
     let points = sample_budget / step;
-    let mut tuna_curves: Vec<Vec<f64>> = Vec::new();
-    let mut naive_curves: Vec<Vec<f64>> = Vec::new();
+    let mut tuna_curves: Vec<&Vec<f64>> = Vec::new();
+    let mut naive_curves: Vec<&Vec<f64>> = Vec::new();
     let mut crossover_samples = Vec::new();
-    for (tuna_result, naive_result) in &pairs {
-        let t = super::curve_at(&tuna_result.trace, sample_budget, step);
-        let n = super::curve_at(&naive_result.trace, sample_budget, step);
+    for (t, n) in pairs {
         // Samples TUNA needs to reach naive's final performance.
         let naive_final = *n.last().unwrap();
         let reach = t

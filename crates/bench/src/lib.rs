@@ -30,8 +30,8 @@
 
 use std::path::Path;
 
-use tuna_core::campaign::{Campaign, CampaignResult, CampaignRunner, ResultStore};
-use tuna_core::experiment::Method;
+use tuna_core::campaign::{Campaign, CampaignResult, CampaignRunner, CellPayload, ResultStore};
+use tuna_core::experiment::{Method, RunSummary};
 use tuna_core::report::{method_comparison_table, MethodSummary};
 
 pub mod figures;
@@ -199,9 +199,23 @@ pub fn strip_plot(values: &[f64], lo: f64, hi: f64, width: usize) -> String {
 /// [`CampaignRunner::from_env`]'s cell-level workers (results do not
 /// depend on the count); the store `--store DIR/<campaign name>.csv`
 /// (resume included) when given; and a stderr note about where results
-/// were persisted. Exits with a usage error when the grid is empty or
-/// the store is unusable.
+/// were persisted. Keeps only the cells' rows, which is all
+/// [`campaign_method_table`] reads; a figure that prints more of each
+/// cell uses [`run_campaign_keeping`]. Exits with a usage error when the
+/// grid is empty or the store is unusable.
 pub fn run_campaign(args: &HarnessArgs, campaign: &Campaign) -> CampaignResult {
+    run_campaign_keeping(args, campaign, |_, _| ())
+}
+
+/// [`run_campaign`], keeping `keep(cell, &payload)` of each executed cell
+/// ([`CampaignRunner::run_keeping`]): a figure keeps only the columns it
+/// prints, and reads them back with [`CampaignResult::kept`], which is
+/// `None` for a group resumed from `--store`.
+pub fn run_campaign_keeping<K: Send>(
+    args: &HarnessArgs,
+    campaign: &Campaign,
+    keep: impl Fn(usize, &CellPayload) -> K + Sync,
+) -> CampaignResult<K> {
     if campaign.n_cells() == 0 {
         fail("--runs 0: the campaign grid is empty");
     }
@@ -214,7 +228,7 @@ pub fn run_campaign(args: &HarnessArgs, campaign: &Campaign) -> CampaignResult {
             ResultStore::open(path, campaign).unwrap_or_else(|e| fail(&e))
         }
     };
-    let result = CampaignRunner::from_env().run(campaign, &mut store);
+    let result = CampaignRunner::from_env().run_keeping(campaign, &mut store, keep);
     if let Some(path) = store.csv_path() {
         eprintln!(
             "campaign '{}': {} cells ({} executed, {} resumed), checksum {} -> {}",
@@ -229,13 +243,25 @@ pub fn run_campaign(args: &HarnessArgs, campaign: &Campaign) -> CampaignResult {
     result
 }
 
+/// The [`RunSummary`] in a protocol, sample-budget or arena cell's payload.
+///
+/// # Panics
+///
+/// Panics on a convergence pair, which holds two tuning traces instead.
+pub fn run_summary(payload: &CellPayload) -> &RunSummary {
+    match payload {
+        CellPayload::Run(summary) => summary,
+        CellPayload::Pair { .. } => panic!("a convergence cell has no run summary"),
+    }
+}
+
 /// Prints the §6-style method-comparison table for one workload of a
 /// protocol campaign, in the workload's metric unit, and returns the
 /// per-arm summaries in arm order. Exits with an error if a cell group
-/// has no payloads to summarize.
-pub fn campaign_method_table(
+/// has no deployment rows to summarize.
+pub fn campaign_method_table<K>(
     campaign: &Campaign,
-    result: &CampaignResult,
+    result: &CampaignResult<K>,
     workload: usize,
 ) -> Vec<(String, MethodSummary)> {
     let entries: Vec<(String, MethodSummary)> = campaign

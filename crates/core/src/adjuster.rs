@@ -116,10 +116,11 @@ impl NoiseAdjuster {
             self.train_y.push(s.raw / mean - 1.0);
         }
         // Rebuild from scratch on every new config, as the paper does.
-        // In a paper-default mssales TUNA run these refits are ~20-30% of
-        // the forest-fit time, which is nearly all of the run (SMAC's
-        // per-propose surrogate refits are the rest). Any incremental fit
-        // must stay bit-identical to this one.
+        // Forest fits are nearly all of a paper-default mssales TUNA run,
+        // and these refits are 18-81% of the fit time depending on the
+        // seed (56% over seeds 0-2, run serially; SMAC's per-propose
+        // surrogate refits are the rest). Any incremental fit must stay
+        // bit-identical to this one.
         let mut model = StandardizedRegressor::new(RandomForest::new(self.config.forest));
         if model
             .fit(

@@ -31,6 +31,11 @@
 //!   A cell may also carry its convergence trace
 //!   ([`ResultStore::record_traced`], what the serve daemon records): the
 //!   trace rides in the same journal, one line ahead of the cell's rows.
+//! - **Only kept results stay in memory.** A cell's rich [`CellPayload`]
+//!   (deployment values, convergence traces) is dropped on the worker
+//!   that ran it; [`CampaignRunner::run_keeping`] first hands it to the
+//!   caller's projection, and [`CampaignResult::kept`] returns what that
+//!   kept. [`CampaignRunner::run`] keeps nothing.
 //!
 //! # Examples
 //!
@@ -655,9 +660,11 @@ impl CellRecord {
     }
 }
 
-/// In-memory payload of an executed cell — the rich results the
-/// figures post-process (deployment distributions, convergence traces).
-/// Cells restored from a store have no payload.
+/// The rich in-memory result of an executed cell: deployment
+/// distributions and convergence traces. It lives only inside the
+/// worker that ran the cell; [`CampaignRunner::run_keeping`] hands it to
+/// the caller's projection and drops it, so a campaign holds what the
+/// caller keeps and no more.
 #[derive(Debug, Clone)]
 pub enum CellPayload {
     /// A tune-plus-deploy outcome.
@@ -673,7 +680,7 @@ pub enum CellPayload {
 
 /// One cell of a finished campaign.
 #[derive(Debug, Clone)]
-pub struct CellResult {
+pub struct CellResult<K = ()> {
     /// Cell index.
     pub cell: usize,
     /// Workload axis index.
@@ -684,20 +691,21 @@ pub struct CellResult {
     pub run: usize,
     /// Durable record (rows + checksum).
     pub record: CellRecord,
-    /// Rich in-memory results; `None` when restored from a store.
-    pub payload: Option<CellPayload>,
-    /// Whether the cell was skipped because the store already had it.
-    pub resumed: bool,
+    /// What the caller's projection kept of the cell's payload; `None`
+    /// when the cell was restored from the store.
+    pub kept: Option<K>,
 }
 
-/// A finished (or truncated) campaign.
+/// A finished (or truncated) campaign: every cell's durable record, plus
+/// whatever [`CampaignRunner::run_keeping`]'s projection kept of the
+/// cells executed this run (nothing, `()`, for [`CampaignRunner::run`]).
 #[derive(Debug, Clone)]
-pub struct CampaignResult {
+pub struct CampaignResult<K = ()> {
     /// Campaign declaration digest.
     pub digest: String,
     /// Cells in grid order. Truncated runs (a `cell_limit`) only contain
     /// the cells that have records.
-    pub cells: Vec<CellResult>,
+    pub cells: Vec<CellResult<K>>,
     /// Whether every grid cell has a record.
     pub complete: bool,
     /// Campaign-level checksum: FNV-1a over per-cell checksums in grid
@@ -709,29 +717,19 @@ pub struct CampaignResult {
     pub resumed: usize,
 }
 
-impl CampaignResult {
-    fn find(&self, workload: usize, arm: usize) -> impl Iterator<Item = &CellResult> {
+impl<K> CampaignResult<K> {
+    fn find(&self, workload: usize, arm: usize) -> impl Iterator<Item = &CellResult<K>> {
         self.cells
             .iter()
             .filter(move |c| c.workload == workload && c.arm == arm)
     }
 
-    /// The run summaries of a protocol/sample-budget cell group, in run
-    /// order. `None` if any cell is missing or carries no payload (e.g.
-    /// restored from a store).
-    pub fn run_summaries(&self, workload: usize, arm: usize) -> Option<Vec<&RunSummary>> {
-        let mut out = Vec::new();
-        for cell in self.find(workload, arm) {
-            match &cell.payload {
-                Some(CellPayload::Run(summary)) => out.push(summary),
-                _ => return None,
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(out)
-        }
+    /// What was kept of a cell group, in run order. `None` for an empty
+    /// group or one with a cell restored from the store, whose payload
+    /// no longer exists.
+    pub fn kept(&self, workload: usize, arm: usize) -> Option<Vec<&K>> {
+        let kept: Option<Vec<&K>> = self.find(workload, arm).map(|c| c.kept.as_ref()).collect();
+        kept.filter(|k| !k.is_empty())
     }
 
     /// All rows of a cell group, in cell (and therefore run) order.
@@ -771,26 +769,6 @@ impl CampaignResult {
             crashes,
             n_runs: rows.len(),
         })
-    }
-
-    /// The convergence pairs of an arm, in run order.
-    pub fn pairs(
-        &self,
-        workload: usize,
-        arm: usize,
-    ) -> Option<Vec<(&TuningResult, &TuningResult)>> {
-        let mut out = Vec::new();
-        for cell in self.find(workload, arm) {
-            match &cell.payload {
-                Some(CellPayload::Pair { tuna, naive }) => out.push((tuna, naive)),
-                _ => return None,
-            }
-        }
-        if out.is_empty() {
-            None
-        } else {
-            Some(out)
-        }
     }
 }
 
@@ -1429,15 +1407,34 @@ impl CampaignRunner {
 
     /// Runs every cell of `campaign` that `store` does not already hold,
     /// streams finished cells into the store, finalizes it, and returns
-    /// the combined result in grid order.
+    /// the combined result in grid order. Keeps nothing of the cells'
+    /// payloads: see [`CampaignRunner::run_keeping`].
+    ///
+    /// # Panics
+    ///
+    /// As [`CampaignRunner::run_keeping`].
+    pub fn run(&self, campaign: &Campaign, store: &mut ResultStore) -> CampaignResult {
+        self.run_keeping(campaign, store, |_, _| ())
+    }
+
+    /// [`CampaignRunner::run`], keeping `keep(cell, &payload)` of each
+    /// executed cell. `keep` runs on the worker that executed the cell,
+    /// right after the cell is recorded, and the payload is dropped
+    /// there: a grid holds its records and the kept values, never every
+    /// cell's traces at once.
     ///
     /// # Panics
     ///
     /// Panics if a cell's recipe is inconsistent with the grid (e.g. a
-    /// ladder that exceeds its cluster), (propagated) if a SuT panics,
-    /// or with the store's message if a journal append or the final
-    /// rewrite of the store files fails.
-    pub fn run(&self, campaign: &Campaign, store: &mut ResultStore) -> CampaignResult {
+    /// ladder that exceeds its cluster), (propagated) if a SuT or `keep`
+    /// panics, or with the store's message if a journal append or the
+    /// final rewrite of the store files fails.
+    pub fn run_keeping<K: Send>(
+        &self,
+        campaign: &Campaign,
+        store: &mut ResultStore,
+        keep: impl Fn(usize, &CellPayload) -> K + Sync,
+    ) -> CampaignResult<K> {
         assert_eq!(
             store.campaign_digest,
             campaign.digest(),
@@ -1453,7 +1450,7 @@ impl CampaignRunner {
         // Each cell is recorded as it finishes, so a kill loses only the
         // cells that were running.
         let shared_store = Mutex::new(&mut *store);
-        let mut payloads: BTreeMap<usize, CellPayload> = tuna_stats::pool::map(
+        let mut kept: BTreeMap<usize, K> = tuna_stats::pool::map(
             self.mode.workers(),
             to_run,
             |_| (),
@@ -1470,12 +1467,12 @@ impl CampaignRunner {
                     .expect("store mutex poisoned")
                     .record(campaign, record);
                 recorded.unwrap_or_else(|e| panic!("campaign '{}': {e}", campaign.name));
-                (cell, payload)
+                (cell, keep(cell, &payload))
             },
         )
         .into_iter()
         .collect();
-        let executed_count = payloads.len();
+        let executed_count = kept.len();
 
         store
             .finalize(campaign)
@@ -1484,16 +1481,13 @@ impl CampaignRunner {
         let mut cells = Vec::with_capacity(store.len());
         for (&cell, record) in &store.records {
             let (workload, arm, run) = campaign.coords(cell);
-            let payload = payloads.remove(&cell);
-            let resumed = payload.is_none();
             cells.push(CellResult {
                 cell,
                 workload,
                 arm,
                 run,
                 record: record.clone(),
-                payload,
-                resumed,
+                kept: kept.remove(&cell),
             });
         }
         let complete = cells.len() == n_cells;
@@ -1732,7 +1726,15 @@ mod tests {
     fn protocol_cells_match_direct_runs() {
         let campaign = tiny_campaign("protocol");
         let mut store = ResultStore::in_memory(&campaign);
-        let result = CampaignRunner::serial().run(&campaign, &mut store);
+        let result =
+            CampaignRunner::serial().run_keeping(
+                &campaign,
+                &mut store,
+                |_, payload| match payload {
+                    CellPayload::Run(summary) => summary.clone(),
+                    CellPayload::Pair { .. } => unreachable!("protocol cells run one tuner"),
+                },
+            );
         assert!(result.complete);
         assert_eq!(result.executed, 4);
 
@@ -1744,7 +1746,7 @@ mod tests {
         let direct: Vec<RunSummary> = (0..2)
             .map(|r| exp.run(Method::Tuna, hash_combine(5, r)))
             .collect();
-        let summaries = result.run_summaries(0, 0).expect("payloads present");
+        let summaries = result.kept(0, 0).expect("freshly executed");
         assert_eq!(summaries.len(), 2);
         for (got, want) in summaries.iter().zip(&direct) {
             assert_eq!(got.deployment.values, want.deployment.values);
@@ -1812,7 +1814,7 @@ mod tests {
         assert!(replay.complete);
         assert_eq!(replay.executed, 0);
         assert_eq!(replay.checksum, reference.checksum);
-        assert!(replay.cells.iter().all(|c| c.resumed));
+        assert!(replay.cells.iter().all(|c| c.kept.is_none()));
         // ...and prints the same tables as the fresh run.
         for arm in 0..campaign.arms.len() {
             let fresh = reference.method_summary(0, arm);
@@ -2402,24 +2404,26 @@ mod tests {
     fn every_recipe_kind_reproduces_its_pinned_results() {
         let campaign = recipe_pin_campaign();
         let mut store = ResultStore::in_memory(&campaign);
-        let result = CampaignRunner::serial().run(&campaign, &mut store);
+        let result =
+            CampaignRunner::serial().run_keeping(&campaign, &mut store, |cell, payload| {
+                cell_trace(&campaign, cell, payload)
+            });
         assert!(result.complete);
         let mut series = Checksum::new();
         let labels: Vec<Vec<String>> = result
             .cells
             .iter()
             .map(|c| {
-                let payload = c.payload.as_ref().expect("freshly executed");
-                let trace = cell_trace(&campaign, c.cell, payload);
+                let trace = c.kept.as_ref().expect("freshly executed");
                 trace
                     .arms
-                    .into_iter()
+                    .iter()
                     .map(|arm| {
                         for (round, best) in &arm.series {
                             series.push_u64(*round);
                             series.push_f64(*best);
                         }
-                        arm.label
+                        arm.label.clone()
                     })
                     .collect()
             })
@@ -2458,14 +2462,58 @@ mod tests {
         )];
         campaign.runs = 1;
         let mut store = ResultStore::in_memory(&campaign);
-        let result = CampaignRunner::serial().run(&campaign, &mut store);
+        let result =
+            CampaignRunner::serial().run_keeping(
+                &campaign,
+                &mut store,
+                |_, payload| match payload {
+                    CellPayload::Pair { tuna, naive } => (tuna.total_samples, naive.total_samples),
+                    CellPayload::Run(_) => panic!("a convergence cell ran one tuner"),
+                },
+            );
         assert!(result.complete);
-        let pairs = result.pairs(0, 0).expect("pair payloads");
+        let pairs = result.kept(0, 0).expect("freshly executed");
         assert_eq!(pairs.len(), 1);
-        let (tuna, naive) = pairs[0];
-        assert!(tuna.total_samples >= 30);
-        assert!(naive.total_samples <= 30);
+        let &(tuna, naive) = pairs[0];
+        assert!(tuna >= 30);
+        assert!(naive <= 30);
         assert_eq!(result.cells[0].record.rows.len(), 2);
-        assert!(result.run_summaries(0, 0).is_none());
+    }
+
+    #[test]
+    fn run_keeping_returns_kept_values_in_cell_order_and_none_for_resumed_groups() {
+        let campaign = tiny_campaign("keeping");
+        let keep = |cell: usize, payload: &CellPayload| {
+            let CellPayload::Run(summary) = payload else {
+                panic!("protocol cells run one tuner")
+            };
+            (cell, summary.deployment.mean)
+        };
+        let mut store = ResultStore::in_memory(&campaign);
+        // Cell 0 (group (0, 0)) is recorded by a first, truncated run.
+        let first = CampaignRunner::serial()
+            .with_cell_limit(1)
+            .run_keeping(&campaign, &mut store, keep);
+        assert_eq!(first.executed, 1);
+        let result = CampaignRunner::with_workers(2).run_keeping(&campaign, &mut store, keep);
+        assert!(result.complete);
+        assert_eq!((result.executed, result.resumed), (3, 1));
+        let cells: Vec<Option<usize>> = result
+            .cells
+            .iter()
+            .map(|c| c.kept.map(|(cell, _)| cell))
+            .collect();
+        assert_eq!(cells, [None, Some(1), Some(2), Some(3)]);
+        // The group with the resumed cell has nothing to offer; the fresh
+        // group keeps its values in run order, each its row's mean.
+        assert!(result.kept(0, 0).is_none());
+        let fresh = result.kept(0, 1).expect("freshly executed");
+        let group: Vec<&CellResult<_>> = result.find(0, 1).collect();
+        assert_eq!(fresh.len(), 2);
+        for (run, (&&(cell, mean), c)) in fresh.iter().zip(group).enumerate() {
+            assert_eq!((cell, c.run), (c.cell, run));
+            assert_eq!(Some(mean), c.record.rows[0].mean);
+        }
+        assert!(result.kept(1, 0).is_none(), "an empty group keeps nothing");
     }
 }

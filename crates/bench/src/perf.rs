@@ -1033,8 +1033,9 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
 
     // -- serial vs parallel executor ---------------------------------------
     // Runs the same tuning rounds in both modes, asserts bit-identical
-    // results (the executor's core contract), and reports the combined
-    // wall time.
+    // results, and reports the combined wall time. Trials run in plan
+    // order on one thread either way, so the two runs differ only in the
+    // threads the noise adjuster's forest grows its trees on.
     {
         let rounds = if quick { 6 } else { 30 };
         v.push(ScenarioSpec {

@@ -67,13 +67,6 @@ impl Cluster {
         &self.machines
     }
 
-    /// All machines, mutably. This is the partitioning primitive behind
-    /// parallel trial execution: each lane borrows one machine, so
-    /// concurrent runs mutate interference state without aliasing.
-    pub fn machines_mut(&mut self) -> &mut [Machine] {
-        &mut self.machines
-    }
-
     /// The SKU of this cluster.
     pub fn sku(&self) -> &VmSku {
         &self.sku
@@ -140,20 +133,6 @@ mod tests {
         assert_eq!(d1.size(), 10);
         assert_ne!(d1.machine(0).identity(), c.machine(0).identity());
         assert_ne!(d1.machine(0).identity(), d2.machine(0).identity());
-    }
-
-    #[test]
-    fn machines_mut_lanes_are_independent() {
-        let mut c = cluster();
-        let before_1 = c.machine(1).epoch();
-        {
-            let (head, tail) = c.machines_mut().split_at_mut(3);
-            head[0].advance(4);
-            tail[0].advance(2);
-        }
-        assert_eq!(c.machine(0).epoch(), 4);
-        assert_eq!(c.machine(3).epoch(), 2);
-        assert_eq!(c.machine(1).epoch(), before_1);
     }
 
     #[test]

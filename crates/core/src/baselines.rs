@@ -20,9 +20,9 @@ use tuna_sut::SystemUnderTest;
 use tuna_workloads::Workload;
 
 /// Traditional single-node sampling: one sample per suggestion, all on the
-/// same worker (worker 0 of `cluster`). Inherently serial — there is only
-/// one lane — but run randomness follows the same fork discipline as the
-/// executor (`rng.fork(hash_combine(round, config_id))`).
+/// same worker (worker 0 of `cluster`). Run randomness follows the same
+/// fork discipline as the executor (`rng.fork(hash_combine(round,
+/// config_id))`).
 pub fn run_traditional(
     sut: &dyn SystemUnderTest,
     workload: &Workload,
@@ -63,14 +63,13 @@ pub fn run_traditional(
     baseline_result(optimizer.as_ref(), trace)
 }
 
-/// Naive distributed sampling: every suggestion runs on *all* workers
-/// (one executor lane per worker, parallelizable via `mode`); the worst
-/// observation is reported (same aggregation as TUNA so the §6.5.2
-/// comparison isolates the scheduling policy). Results are bit-identical
-/// across execution modes.
+/// Naive distributed sampling: every suggestion runs on *all* workers;
+/// the worst observation is reported (same aggregation as TUNA so the
+/// §6.5.2 comparison isolates the scheduling policy). `_mode` is
+/// ignored: trials run in plan order on the calling thread.
 #[allow(clippy::too_many_arguments)]
 pub fn run_naive_distributed(
-    mode: ExecutionMode,
+    _mode: ExecutionMode,
     sut: &dyn SystemUnderTest,
     workload: &Workload,
     mut optimizer: Box<dyn Solver>,
@@ -94,8 +93,7 @@ pub fn run_naive_distributed(
                 stream: hash_combine(round as u64, hash_combine(id.0, i as u64)),
             })
             .collect();
-        let (outcomes, _) =
-            executor::execute_batch(mode, sut, workload, &mut cluster, rng, &requests);
+        let (outcomes, _) = executor::execute_batch(sut, workload, &mut cluster, rng, &requests);
         let values: Vec<f64> = outcomes
             .iter()
             .map(|o| if o.crashed { crash_penalty } else { o.value })

@@ -16,13 +16,12 @@
 //!   [`Experiment::run`] uses too. A recipe's historical quirks (which
 //!   seed labels it derives, whether it deploys, which solver its TUNA
 //!   arm uses) are plan data, not code paths.
-//! - **Work-stealing over cells.** The runner reuses the executor's
+//! - **Work-stealing over cells.** The runner reuses the
 //!   [`ExecutionMode`] vocabulary but parallelizes at the *cell* level:
 //!   whole cells fan out through [`tuna_stats::pool::map`], the same pool
-//!   [`crate::executor`] runs its machine lanes on. Trials inside a
-//!   campaign cell always run serially — the scaling axis is the grid
-//!   itself, and results are bit-identical for any worker count either
-//!   way.
+//!   forest fits grow their trees on. A campaign cell runs everything,
+//!   forests included, on its one worker thread — the scaling axis is
+//!   the grid itself, and results are bit-identical for any worker count.
 //! - **A checksummed, resumable [`ResultStore`].** Every finished cell is
 //!   appended to a CSV journal with an FNV-1a digest over its rows;
 //!   [`ResultStore::finalize`] rewrites the file in cell order and emits a
@@ -1377,8 +1376,8 @@ impl CampaignRunner {
     }
 
     /// A runner whose cell-level worker count comes from `TUNA_WORKERS`
-    /// (the same knob the trial executor reads; campaigns scale across
-    /// cells instead of within rounds), or one worker per core when it is
+    /// (the same knob that sets a tuning run's forest threads; campaigns
+    /// scale across cells instead), or one worker per core when it is
     /// unset. Results do not depend on the count.
     pub fn from_env() -> Self {
         Self::with_workers(match std::env::var_os("TUNA_WORKERS") {

@@ -37,13 +37,13 @@ pub struct DeployStats {
 /// `base_cluster` with decorrelated placements), measuring `repeats` epochs
 /// per VM. Crashed runs contribute `crash_penalty` instead of their value.
 ///
-/// Each deployment VM is one executor lane running `repeats` epochs in
-/// order under `mode`, and per-run randomness is forked from `rng` by
-/// `(config, deploy_label, vm, repeat)` — so the measured distribution is
-/// bit-identical for any worker count.
+/// Each deployment VM runs its `repeats` epochs in order, and per-run
+/// randomness is forked from `rng` by `(config, deploy_label, vm,
+/// repeat)`. `_mode` is ignored: trials run in plan order on the calling
+/// thread.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_deployment_with(
-    mode: ExecutionMode,
+    _mode: ExecutionMode,
     sut: &dyn SystemUnderTest,
     workload: &Workload,
     config: &Config,
@@ -67,7 +67,7 @@ pub fn evaluate_deployment_with(
             })
         })
         .collect();
-    let (outcomes, _) = executor::execute_batch(mode, sut, workload, &mut cluster, rng, &requests);
+    let (outcomes, _) = executor::execute_batch(sut, workload, &mut cluster, rng, &requests);
     let mut values = Vec::with_capacity(n_vms * repeats);
     let mut crashes = 0;
     for outcome in outcomes {
@@ -90,6 +90,7 @@ pub fn evaluate_deployment_with(
 
 /// Profiles the default configuration on fresh nodes and returns the
 /// *worst* observed value (orientation-aware) — the §6.4 crash penalty.
+/// `mode` is ignored: trials run in plan order on the calling thread.
 pub fn default_worst_case_with(
     mode: ExecutionMode,
     sut: &dyn SystemUnderTest,

@@ -94,9 +94,11 @@ pub struct Experiment {
     pub smac: SmacParams,
     /// GP hyperparameters.
     pub gp: GpParams,
-    /// Trial execution mode (tuning batches, naive-distributed rounds and
-    /// deployment evaluation). Results are bit-identical across modes —
-    /// this knob only trades wall-clock for threads.
+    /// How many threads SMAC's surrogate and the noise adjuster grow
+    /// their forests on. Trials (tuning batches, naive-distributed rounds
+    /// and deployment evaluation) run in plan order on the calling thread
+    /// whatever the mode. Results are bit-identical across modes — this
+    /// knob only trades wall-clock for threads.
     pub exec: ExecutionMode,
 }
 

@@ -5,8 +5,8 @@
 //! 1. the optimizer suggests `(config, budget)`;
 //! 2. the [`crate::scheduler::TaskScheduler`] plans new runs
 //!    on nodes the config has not visited (reusing lower-budget samples);
-//! 3. the [`crate::executor`] engine runs the SuT on those workers —
-//!    serially or one parallel lane per worker, bit-identically;
+//! 3. the [`crate::executor`] runs the SuT on those workers, in plan
+//!    order;
 //! 4. the [`crate::outlier::OutlierDetector`] classifies
 //!    the config from all its samples;
 //! 5. stable samples pass through the
@@ -55,9 +55,9 @@ pub struct TunaConfig {
     /// Value substituted for crashed runs (orientation-appropriate; e.g.
     /// the worst default-config p95 per §6.4).
     pub crash_penalty: f64,
-    /// How each round's scheduled trials execute. Results are
-    /// bit-identical across modes and worker counts (see
-    /// [`crate::executor`]); parallel mode only changes wall-clock.
+    /// How many threads the noise adjuster's forest grows its trees on.
+    /// Trials run in plan order on the calling thread whatever the mode,
+    /// and results are bit-identical across modes and worker counts.
     pub mode: ExecutionMode,
 }
 
@@ -256,10 +256,9 @@ impl<'a> TunaPipeline<'a> {
         let state = self.configs.entry(id).or_default();
 
         // Schedule new runs on unvisited, least-loaded workers and execute
-        // them through the trial engine — one lane per worker. Run-level
-        // randomness is forked per (config, machine) from the current rng
-        // state rather than drawn sequentially, so serial and parallel
-        // execution are bit-identical (see `crate::executor`).
+        // them in plan order. Run-level randomness is forked per
+        // (config, machine) from the current rng state rather than drawn
+        // sequentially (see `crate::executor`).
         let assigned = self.scheduler.assign(id, suggestion.budget);
         let new_samples = assigned.len();
         let mut requests: Vec<RunRequest<'_>> = std::mem::take(&mut self.requests);
@@ -268,14 +267,8 @@ impl<'a> TunaPipeline<'a> {
             machine: machine_idx,
             stream: hash_combine(id.0, machine_idx as u64),
         }));
-        let (outcomes, batch) = executor::execute_batch(
-            self.config.mode,
-            self.sut,
-            self.workload,
-            &mut self.cluster,
-            rng,
-            &requests,
-        );
+        let (outcomes, batch) =
+            executor::execute_batch(self.sut, self.workload, &mut self.cluster, rng, &requests);
         if !requests.is_empty() {
             self.exec.absorb(&batch);
         }
@@ -435,9 +428,9 @@ impl<'a> TunaPipeline<'a> {
         &self.cluster
     }
 
-    /// Cumulative trial-execution accounting (lane busy time, wall-clock,
-    /// critical path). Kept out of [`TuningResult`] so results stay
-    /// bit-comparable across execution modes.
+    /// Cumulative trial-execution accounting (batches, runs, wall-clock).
+    /// Kept out of [`TuningResult`] so results stay bit-comparable across
+    /// execution modes.
     pub fn exec_stats(&self) -> &ExecStats {
         &self.exec
     }

@@ -188,7 +188,7 @@ pub fn builtin() -> Vec<Rule> {
                 "crates/serve/src/bin/tuna_ctl.rs",
                 // The perf gate measures wall time; that is its job.
                 "crates/bench/src/perf.rs",
-                // Executor exec_stats reports per-lane wall-clock; the
+                // Executor exec_stats reports per-batch wall-clock; the
                 // timing never reaches results.
                 "crates/core/src/executor.rs",
             ],

@@ -2,8 +2,8 @@
 //!
 //! [`map`] hands results back in item order, whoever ran them: the
 //! serial-equivalence clause of the determinism contract, in one place.
-//! The executor's machine lanes, the campaign runner's cells and the
-//! random forest's trees all fan out through it.
+//! The campaign runner's cells and the random forest's trees fan out
+//! through it.
 
 use std::panic::resume_unwind;
 use std::sync::Mutex;

@@ -67,11 +67,10 @@ pub struct RunOutcome {
 
 /// A tunable system that can execute workloads on simulated machines.
 ///
-/// `Send + Sync` is a supertrait requirement: the parallel trial-execution
-/// engine shares one SuT across worker threads (each worker runs it
-/// against a disjoint machine lane), so implementations must be
-/// thread-shareable — in practice, plain immutable model data. All
-/// run-level mutability lives in the `machine` and `rng` arguments.
+/// `Send + Sync` is a supertrait requirement, so one SuT may be shared
+/// across threads: implementations must be thread-shareable — in
+/// practice, plain immutable model data. All run-level mutability lives
+/// in the `machine` and `rng` arguments.
 pub trait SystemUnderTest: Send + Sync {
     /// System name.
     fn name(&self) -> &'static str;
@@ -181,9 +180,8 @@ mod tests {
 
     #[test]
     fn suts_and_run_inputs_are_thread_shareable() {
-        // The parallel executor moves `&mut Machine` lanes into worker
-        // threads and shares `&dyn SystemUnderTest` + `&Workload` across
-        // them; every piece must be Send + Sync.
+        // A SuT and the inputs of its runs may cross threads; every
+        // piece must be Send + Sync.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Postgres>();
         assert_send_sync::<Redis>();

@@ -1,28 +1,21 @@
-//! Parallel trial execution: same tuning run, N worker lanes, identical
-//! results.
+//! Worker threads change wall-clock, never results: the same tuning run
+//! serially and with N threads.
 //!
 //! ```text
 //! cargo run --release --example parallel_tuning
 //! TUNA_WORKERS=4 cargo run --release --example parallel_tuning
 //! ```
 //!
-//! The executor's contract is that the execution mode changes *only*
-//! wall-clock: per-run randomness is forked by `(config, machine)` and
-//! every machine lane replays the same measurement sequence, so serial
-//! and parallel tuning are bit-identical. This example runs both and
-//! verifies that, then prints the engine's lane accounting.
+//! Trials run in plan order on the calling thread, each from its own
+//! forked RNG; `TUNA_WORKERS` buys threads for the forests of SMAC's
+//! surrogate and the noise adjuster, whose trees each grow from their own
+//! fork. So serial and parallel tuning are bit-identical: this example
+//! runs both and verifies that.
 
 use std::time::Instant;
 
 use tuna_core::executor::ExecutionMode;
 use tuna_core::experiment::{Experiment, Method};
-use tuna_core::pipeline::{TunaConfig, TunaPipeline};
-use tuna_optimizer::multifidelity::LadderParams;
-use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
-use tuna_optimizer::Objective;
-use tuna_stats::rng::Rng;
-use tuna_sut::postgres::Postgres;
-use tuna_sut::SystemUnderTest;
 
 fn main() {
     let workers = match ExecutionMode::from_env() {
@@ -31,7 +24,7 @@ fn main() {
     };
 
     // Experiment level: tuning + deployment under both modes.
-    println!("tuning PostgreSQL / TPC-C serially and with {workers} worker lanes...");
+    println!("tuning PostgreSQL / TPC-C serially and with {workers} forest threads...");
     let mut exp = Experiment::quick_demo();
     exp.exec = ExecutionMode::Serial;
     // lint:allow(wall-clock): demonstrating the serial-vs-parallel
@@ -56,54 +49,9 @@ fn main() {
     );
     println!("  serial:   {:>8.1} ms", serial_wall.as_secs_f64() * 1e3);
     println!(
-        "  parallel: {:>8.1} ms ({} lanes, bit-identical results)",
+        "  parallel: {:>8.1} ms ({} threads, bit-identical results)",
         parallel_wall.as_secs_f64() * 1e3,
         workers
     );
     println!("  best config: {}", parallel.best_config);
-
-    // Engine level: per-lane accounting from a pipeline run.
-    let pg = Postgres::new();
-    let workload = tuna_workloads::tpcc();
-    let cluster = tuna_cloudsim::Cluster::new(
-        10,
-        tuna_cloudsim::VmSku::d8s_v5(),
-        tuna_cloudsim::Region::westus2(),
-        42,
-    );
-    let optimizer = SmacOptimizer::multi_fidelity(
-        pg.space().clone(),
-        Objective::Maximize,
-        SmacParams {
-            n_init: 5,
-            n_random_candidates: 30,
-            ..SmacParams::default()
-        },
-        LadderParams::paper_default(),
-    );
-    let mut cfg = TunaConfig::paper_default(1.0);
-    cfg.mode = ExecutionMode::Parallel { workers };
-    let mut pipeline = TunaPipeline::new(cfg, &pg, &workload, Box::new(optimizer), cluster);
-    let mut rng = Rng::seed_from(43);
-    pipeline.run_rounds(60, &mut rng);
-    let stats = *pipeline.exec_stats();
-    let result = pipeline.finish();
-
-    println!();
-    println!(
-        "engine accounting over {} rounds ({} trial runs):",
-        result.trace.len(),
-        stats.runs
-    );
-    println!(
-        "  lane-busy {:.2} ms, critical path {:.2} ms, wall {:.2} ms",
-        stats.busy_nanos as f64 / 1e6,
-        stats.critical_nanos as f64 / 1e6,
-        stats.wall_nanos as f64 / 1e6
-    );
-    println!(
-        "  observed speedup {:.2}x (ideal for these batches: {:.2}x)",
-        stats.speedup(),
-        stats.busy_nanos as f64 / stats.critical_nanos.max(1) as f64
-    );
 }

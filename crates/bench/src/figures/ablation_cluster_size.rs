@@ -56,13 +56,13 @@ pub fn run(args: &HarnessArgs) {
         (d.mean, d.std, d.relative_range)
     });
 
-    let mut rows = vec![vec![
-        "cluster".to_string(),
-        "ladder".to_string(),
-        "deploy mean (tx/s)".to_string(),
-        "deploy std".to_string(),
-        "deploy rel.range".to_string(),
-    ]];
+    let mut rows = super::header(&[
+        "cluster",
+        "ladder",
+        "deploy mean (tx/s)",
+        "deploy std",
+        "deploy rel.range",
+    ]);
     for (a, (arm, (_, budgets))) in campaign.arms.iter().zip(&shapes).enumerate() {
         let runs = result.kept(0, a).unwrap_or_else(|| {
             fail("the relative-range column needs in-process results; delete the --store file to recompute")

@@ -50,13 +50,13 @@ pub fn run(args: &HarnessArgs) {
         (d.mean, d.std, d.five.min, flagged)
     });
 
-    let mut rows = vec![vec![
-        "threshold".to_string(),
-        "deploy mean (tx/s)".to_string(),
-        "deploy std".to_string(),
-        "flagged unstable/run".to_string(),
-        "worst deploy value".to_string(),
-    ]];
+    let mut rows = super::header(&[
+        "threshold",
+        "deploy mean (tx/s)",
+        "deploy std",
+        "flagged unstable/run",
+        "worst deploy value",
+    ]);
     for (a, arm) in campaign.arms.iter().enumerate() {
         let runs = result.kept(0, a).unwrap_or_else(|| {
             fail("the unstable-config column needs in-process results; delete the --store file to recompute")

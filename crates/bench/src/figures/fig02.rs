@@ -6,7 +6,7 @@
 //! σ ∈ {0%, 5%, 10%}. The paper finds 5% noise slows time-to-optimal by
 //! 2.50x and 10% by 4.35x.
 
-use crate::{paper_vs, HarnessArgs};
+use crate::{map_runs, paper_vs, HarnessArgs};
 use tuna_cloudsim::{Cluster, Region, VmSku};
 use tuna_core::report::{fmt_value, render_table};
 use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
@@ -26,49 +26,52 @@ pub fn run(args: &HarnessArgs) {
     let memory_mb = VmSku::c220g5().memory_gb * 1024.0;
     let noise_levels = [0.0, 0.05, 0.10];
 
-    // curves[level][iter] = mean oracle (noise-free) perf of best-so-far.
-    let mut curves: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); iters]; noise_levels.len()];
-
-    for (li, &sigma) in noise_levels.iter().enumerate() {
-        for run in 0..runs {
-            let seed = hash_combine(args.seed, (li * 1000 + run) as u64);
-            let mut rng = Rng::seed_from(seed);
-            let mut cluster = Cluster::new(1, VmSku::c220g5(), Region::cloudlab(), seed);
-            let mut opt = SmacOptimizer::new(
-                pg.space().clone(),
-                Objective::Maximize,
-                SmacParams {
-                    n_init: 10,
-                    n_random_candidates: 60,
-                    ..SmacParams::default()
-                },
-            );
-            let mut best_oracle = f64::NEG_INFINITY;
-            for cell in curves[li].iter_mut().take(iters) {
+    // Each (noise level, run) tunes from its own seed, cluster and
+    // generator, recording its incumbent's oracle perf every iteration.
+    let traces = map_runs((0..noise_levels.len() * runs).collect(), |k, _| {
+        let (li, run) = (k / runs, k % runs);
+        let seed = hash_combine(args.seed, (li * 1000 + run) as u64);
+        let mut rng = Rng::seed_from(seed);
+        let mut cluster = Cluster::new(1, VmSku::c220g5(), Region::cloudlab(), seed);
+        let mut opt = SmacOptimizer::new(
+            pg.space().clone(),
+            Objective::Maximize,
+            SmacParams {
+                n_init: 10,
+                n_random_candidates: 60,
+                ..SmacParams::default()
+            },
+        );
+        (0..iters)
+            .map(|_| {
                 let s = opt.ask(&mut rng);
                 let outcome = pg.run(&s.config, &workload, cluster.machine_mut(0), &mut rng);
                 outcome.metrics.settle(&mut rng);
-                let noisy = outcome.value * (1.0 + sigma * rng.next_gaussian()).max(0.05);
+                let noisy =
+                    outcome.value * (1.0 + noise_levels[li] * rng.next_gaussian()).max(0.05);
                 opt.tell(&s.config, noisy, s.budget);
                 // Oracle view: the noise-free quality of the incumbent.
-                if let Some((cfg, _)) = opt.best() {
-                    let oracle = pg.noiseless_rel(&cfg, &workload, memory_mb);
-                    best_oracle = best_oracle.max(oracle);
-                    cell.push(oracle);
-                } else {
-                    cell.push(0.0);
-                }
-            }
+                opt.best()
+                    .map_or(0.0, |(cfg, _)| pg.noiseless_rel(&cfg, &workload, memory_mb))
+            })
+            .collect::<Vec<f64>>()
+    });
+
+    // curves[level][iter] = the runs' oracle perf at that iteration.
+    let mut curves: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); iters]; noise_levels.len()];
+    for (k, trace) in traces.into_iter().enumerate() {
+        for (cell, oracle) in curves[k / runs].iter_mut().zip(trace) {
+            cell.push(oracle);
         }
     }
 
     // Mean curve (with a 99% CI like the paper's shading) every few iters.
-    let mut rows = vec![vec![
-        "iter".to_string(),
-        "0% mean [99% CI]".to_string(),
-        "5% mean [99% CI]".to_string(),
-        "10% mean [99% CI]".to_string(),
-    ]];
+    let mut rows = super::header(&[
+        "iter",
+        "0% mean [99% CI]",
+        "5% mean [99% CI]",
+        "10% mean [99% CI]",
+    ]);
     let mut ci_rng = Rng::seed_from(7);
     let step = (iters / 10).max(1);
     for it in (0..iters).step_by(step) {

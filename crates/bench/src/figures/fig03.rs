@@ -13,18 +13,18 @@ use tuna_stats::summary::{self, FiveNumber};
 pub fn run(args: &HarnessArgs) {
     let report = super::study(args);
 
-    let mut rows = vec![vec![
-        "benchmark".to_string(),
-        "SKU".to_string(),
-        "region".to_string(),
-        "CoV".to_string(),
-        "min".to_string(),
-        "q1".to_string(),
-        "median".to_string(),
-        "q3".to_string(),
-        "max".to_string(),
-        "low-mode %".to_string(),
-    ]];
+    let mut rows = super::header(&[
+        "benchmark",
+        "SKU",
+        "region",
+        "CoV",
+        "min",
+        "q1",
+        "median",
+        "q3",
+        "max",
+        "low-mode %",
+    ]);
     println!("relative performance (1.0 = SKU/region mean), short-lived fleets:");
     println!();
     for bench in ["pgbench-rw", "redis-benchmark-write"] {

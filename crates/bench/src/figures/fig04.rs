@@ -22,15 +22,7 @@ pub fn run(args: &HarnessArgs) {
 
     println!("relative performance distributions (both regions):");
     println!();
-    let mut rows = vec![vec![
-        "component".to_string(),
-        "region".to_string(),
-        "CoV".to_string(),
-        "min".to_string(),
-        "median".to_string(),
-        "max".to_string(),
-        "n".to_string(),
-    ]];
+    let mut rows = super::header(&["component", "region", "CoV", "min", "median", "max", "n"]);
     for (component, bench, _) in benches {
         for region in ["westus2", "eastus"] {
             let series = report

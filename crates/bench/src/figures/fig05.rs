@@ -8,13 +8,13 @@
 //!     stable/unstable: the paper finds 13 of 30 unstable, with up to
 //!     76.1% degradation and CoVs up to 36.3%.
 
-use crate::{paper_vs, HarnessArgs};
+use crate::{map_runs, paper_vs, HarnessArgs};
 use tuna_cloudsim::{Cluster, Region, VmSku};
 use tuna_core::deploy::evaluate_deployment_with;
+use tuna_core::executor::ExecutionMode;
 use tuna_core::experiment::{Experiment, Method};
 use tuna_core::report::{fmt_value, render_table};
 use tuna_stats::rng::{hash_combine, Rng};
-use tuna_stats::summary;
 use tuna_sut::postgres::Postgres;
 use tuna_sut::SystemUnderTest;
 
@@ -22,54 +22,36 @@ pub fn run(args: &HarnessArgs) {
     let pg = Postgres::new();
     let workload = tuna_workloads::tpcc();
 
-    // (a) Initialization set across 30 identical-SKU nodes.
+    // (a) Initialization set on the same 30 fresh nodes (`super::profile`).
     println!("--- (a) initialization set on 30 shared nodes ---");
-    let mut cluster = Cluster::new(30, VmSku::d8s_v5(), Region::westus2(), args.seed);
-    let mut rng = Rng::seed_from(hash_combine(args.seed, 1));
-    let mut rows = vec![vec![
-        "config".to_string(),
-        "mean".to_string(),
-        "min".to_string(),
-        "max".to_string(),
-        "rel.range".to_string(),
-        "verdict".to_string(),
-    ]];
+    let mut rows = super::header(&["config", "mean", "min", "max", "rel.range", "verdict"]);
     let mut init_unstable = 0;
     let n_init = 10;
-    let mut init_rng = Rng::seed_from(hash_combine(args.seed, 2));
-    let mut shown = 0;
+    let init_rng = Rng::seed_from(hash_combine(args.seed, 2));
     for idx in 0..n_init {
         let config = if idx == 0 {
             pg.default_config()
         } else {
-            pg.space().sample(&mut init_rng)
+            pg.space().sample(&mut init_rng.fork(idx as u64))
         };
-        let vals: Vec<f64> = (0..30)
-            .map(|i| {
-                let out = pg.run(&config, &workload, cluster.machine_mut(i), &mut rng);
-                out.metrics.settle(&mut rng);
-                out.value
-            })
-            .collect();
-        let rr = summary::relative_range(&vals);
-        let unstable = rr > 0.30;
+        let d = super::profile(args.seed, 1, 30, &config);
+        let unstable = d.relative_range > 0.30;
         if unstable {
             init_unstable += 1;
         }
         // The paper presents the default + the configs that do not crash;
         // we show the first six for the table.
-        if shown < 6 {
-            shown += 1;
+        if idx < 6 {
             rows.push(vec![
                 if idx == 0 {
                     "Default".to_string()
                 } else {
                     format!("Config {}", (b'A' + idx as u8 - 1) as char)
                 },
-                fmt_value(summary::mean(&vals)),
-                fmt_value(summary::min(&vals).unwrap()),
-                fmt_value(summary::max(&vals).unwrap()),
-                format!("{:.1}%", rr * 100.0),
+                fmt_value(d.mean),
+                fmt_value(d.five.min),
+                fmt_value(d.five.max),
+                format!("{:.1}%", d.relative_range * 100.0),
                 if unstable { "UNSTABLE" } else { "stable" }.to_string(),
             ]);
         }
@@ -82,25 +64,31 @@ pub fn run(args: &HarnessArgs) {
     println!("--- (b) best configs transferred to 10 new VMs ---");
     let n_runs = args.runs_or(6, 30);
     let rounds = args.rounds_or(25, 96);
-    let mut exp = Experiment::paper_default(workload.clone());
-    exp.rounds = rounds;
+    let exp = Experiment {
+        rounds,
+        ..Experiment::paper_default(workload.clone())
+    };
+    let summaries = map_runs((0..n_runs).collect(), |run, exec| {
+        let mut exp = exp.clone();
+        exp.exec = exec;
+        exp.run(
+            Method::Traditional,
+            hash_combine(args.seed, 100 + run as u64),
+        )
+    });
     let mut unstable_count = 0;
     let mut worst_degradation: f64 = 0.0;
     let mut max_cov: f64 = 0.0;
-    let mut rows = vec![vec![
-        "run".to_string(),
-        "tuning best".to_string(),
-        "deploy mean".to_string(),
-        "deploy min".to_string(),
-        "rel.range".to_string(),
-        "CoV".to_string(),
-        "verdict".to_string(),
-    ]];
-    for run in 0..n_runs {
-        let summary_run = exp.run(
-            Method::Traditional,
-            hash_combine(args.seed, 100 + run as u64),
-        );
+    let mut rows = super::header(&[
+        "run",
+        "tuning best",
+        "deploy mean",
+        "deploy min",
+        "rel.range",
+        "CoV",
+        "verdict",
+    ]);
+    for (run, summary_run) in summaries.iter().enumerate() {
         let tuning_best = summary_run
             .tuning
             .as_ref()
@@ -150,7 +138,7 @@ pub fn run(args: &HarnessArgs) {
     let base = Cluster::new(10, VmSku::d8s_v5(), Region::westus2(), args.seed);
     let drng = Rng::seed_from(hash_combine(args.seed, 3));
     let stable = evaluate_deployment_with(
-        exp.exec,
+        ExecutionMode::Serial,
         &pg,
         &workload,
         &pg.default_config(),

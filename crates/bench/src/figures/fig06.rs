@@ -29,13 +29,13 @@ pub fn run(args: &HarnessArgs) {
         )
         .expect("short series");
 
-    let mut rows = vec![vec![
-        "month".to_string(),
-        "long mean (GB/s)".to_string(),
-        "long std".to_string(),
-        "short mean (GB/s)".to_string(),
-        "short std".to_string(),
-    ]];
+    let mut rows = super::header(&[
+        "month",
+        "long mean (GB/s)",
+        "long std",
+        "short mean (GB/s)",
+        "short std",
+    ]);
     for (m, (l, s)) in long.monthly.iter().zip(&short.monthly).enumerate() {
         if l.count() == 0 && s.count() == 0 {
             continue;

@@ -1,43 +1,22 @@
 //! Figure 8 — sensitivity analysis of the 30% relative-range threshold.
 //!
-//! Evaluates 1000 configurations on 10 nodes each and plots the density of
-//! their relative ranges: a large stable peak near zero, a long unstable
-//! tail, and a trough between them where the paper places its 30%
-//! detection threshold.
+//! Evaluates 1000 configurations on the same 10 fresh nodes and plots the
+//! density of their relative ranges: a large stable peak near zero, a
+//! long unstable tail, and a trough between them where the paper places
+//! its 30% detection threshold.
+
+use std::ops::Range;
 
 use crate::{paper_vs, HarnessArgs};
-use tuna_cloudsim::{Cluster, Region, VmSku};
 use tuna_stats::hist::{Histogram, Kde};
 use tuna_stats::rng::{hash_combine, Rng};
-use tuna_stats::summary;
 use tuna_sut::postgres::Postgres;
 use tuna_sut::SystemUnderTest;
 
 pub fn run(args: &HarnessArgs) {
     let n_configs = args.runs_or(150, 1000);
-
-    let pg = Postgres::new();
-    let workload = tuna_workloads::tpcc();
-    let mut cluster = Cluster::new(10, VmSku::d8s_v5(), Region::westus2(), args.seed);
-    let mut rng = Rng::seed_from(hash_combine(args.seed, 5));
-
-    let mut ranges = Vec::with_capacity(n_configs);
-    let mut unstable = 0;
-    for _ in 0..n_configs {
-        let config = pg.space().sample(&mut rng);
-        let vals: Vec<f64> = (0..10)
-            .map(|i| {
-                let out = pg.run(&config, &workload, cluster.machine_mut(i), &mut rng);
-                out.metrics.settle(&mut rng);
-                out.value
-            })
-            .collect();
-        let rr = summary::relative_range(&vals);
-        if rr > 0.30 {
-            unstable += 1;
-        }
-        ranges.push(rr);
-    }
+    let ranges = ranges(args.seed, 0..n_configs);
+    let unstable = ranges.iter().filter(|&&rr| rr > 0.30).count();
 
     let mut hist = Histogram::new(0.0, 2.5, 50);
     for &r in &ranges {
@@ -72,4 +51,38 @@ pub fn run(args: &HarnessArgs) {
         "note: the paper's 39% counts configs *seen during tuning* (the optimizer is drawn toward the\n\
          planner-tie bait region); uniform random configs sit in the unstable zone less often."
     );
+}
+
+/// The relative range of each config in `configs` on the same 10 fresh
+/// machines ([`super::profile`]). Config `i` is drawn from its own fork
+/// of the seed's generator, so its range is a pure function of (`seed`,
+/// `i`).
+pub(crate) fn ranges(seed: u64, configs: Range<usize>) -> Vec<f64> {
+    let pg = Postgres::new();
+    let config_rng = Rng::seed_from(hash_combine(seed, 5));
+    configs
+        .map(|i| {
+            let config = pg.space().sample(&mut config_rng.fork(i as u64));
+            super::profile(seed, 6, 10, &config).relative_range
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ranges;
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Asking for one more config, or for a later slice of them, leaves
+    /// every other config's range bit-identical.
+    #[test]
+    fn config_ranges_are_prefix_stable() {
+        let (k, n) = (3, 8);
+        let longer = ranges(42, 0..n + 1);
+        assert_eq!(bits(&ranges(42, 0..n)), bits(&longer[..n]));
+        assert_eq!(bits(&ranges(42, k..n)), bits(&longer[k..n]));
+    }
 }

@@ -69,26 +69,16 @@ pub fn run(args: &HarnessArgs) {
         naive_curves.push(n);
     }
 
-    let mut rows = vec![vec![
-        "samples".to_string(),
-        "TUNA best-so-far (tx/s)".to_string(),
-        "naive best-so-far (tx/s)".to_string(),
-    ]];
+    let mut rows = super::header(&[
+        "samples",
+        "TUNA best-so-far (tx/s)",
+        "naive best-so-far (tx/s)",
+    ]);
     for i in (0..points).step_by((points / 12).max(1)) {
-        let t: Vec<f64> = tuna_curves
-            .iter()
-            .map(|c| c[i])
-            .filter(|v| v.is_finite())
-            .collect();
-        let n: Vec<f64> = naive_curves
-            .iter()
-            .map(|c| c[i])
-            .filter(|v| v.is_finite())
-            .collect();
         rows.push(vec![
             format!("{}", (i + 1) * step),
-            format!("{:.0}", summary::mean(&t)),
-            format!("{:.0}", summary::mean(&n)),
+            format!("{:.0}", super::finite_mean_at(&tuna_curves, i)),
+            format!("{:.0}", super::finite_mean_at(&naive_curves, i)),
         ]);
     }
     println!("{}", render_table(&rows));

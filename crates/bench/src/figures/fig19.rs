@@ -7,7 +7,7 @@
 //!     4.87% → 1.99% after the halfway mark (a 59.2% reduction; 35.8%
 //!     averaged over the whole run).
 
-use crate::{paper_vs, HarnessArgs};
+use crate::{map_runs, paper_vs, HarnessArgs};
 use tuna_core::experiment::{Experiment, RunPlan, TunaTweaks, Tuner};
 use tuna_core::pipeline::ModelErrorRecord;
 use tuna_core::report::render_table;
@@ -18,32 +18,38 @@ pub fn run(args: &HarnessArgs) {
     let runs = args.runs_or(3, 100);
     let sample_budget = args.rounds_or(120, 500);
 
-    let exp = Experiment::paper_default(tuna_workloads::epinions());
+    let per_run = map_runs((0..runs).collect(), |run, exec| {
+        let seed = hash_combine(args.seed, 500 + run as u64);
+        let mut exp = Experiment::paper_default(tuna_workloads::epinions());
+        exp.exec = exec;
+        // Both variants tune from the run seed's cluster with RNG label 5
+        // and skip deployment: the figure reads only the tuning traces.
+        let variant = |without_adjuster| {
+            let tuner = Tuner::Tuna {
+                tweaks: TunaTweaks {
+                    without_adjuster,
+                    ..TunaTweaks::default()
+                },
+                solver: exp.optimizer.clone(),
+                samples: sample_budget,
+            };
+            let plan = RunPlan::new(seed, hash_combine(seed, 5), None, vec![tuner]);
+            let result = exp.execute(&plan).tunings.remove(0);
+            let curve = super::curve_at(&result.trace, sample_budget, 10);
+            let errors: Vec<ModelErrorRecord> =
+                result.trace.iter().filter_map(|r| r.model_error).collect();
+            (curve, errors)
+        };
+        let (cw, ew) = variant(false);
+        let (co, _) = variant(true);
+        (cw, co, ew)
+    });
+
     let mut with_curves = Vec::new();
     let mut without_curves = Vec::new();
     let mut with_errors: Vec<ModelErrorRecord> = Vec::new();
     let mut speedups = Vec::new();
-
-    // Both variants tune from the run seed's cluster with RNG label 5 and
-    // skip deployment, as the historical driver did.
-    let variant = |without_adjuster, seed| {
-        let tuner = Tuner::Tuna {
-            tweaks: TunaTweaks {
-                without_adjuster,
-                ..TunaTweaks::default()
-            },
-            solver: exp.optimizer.clone(),
-            samples: sample_budget,
-        };
-        let plan = RunPlan::new(seed, hash_combine(seed, 5), None, vec![tuner]);
-        let result = exp.execute(&plan).tunings.remove(0);
-        let curve = super::curve_at(&result.trace, sample_budget, 10);
-        (curve, result.model_errors)
-    };
-    for run in 0..runs {
-        let seed = hash_combine(args.seed, 500 + run as u64);
-        let (cw, ew) = variant(false, seed);
-        let (co, _) = variant(true, seed);
+    for (cw, co, ew) in per_run {
         // Convergence speedup averaged over matched performance levels:
         // for the ablation's level at 50%, 75% and 100% of the budget,
         // how many samples did the full system need to get there?
@@ -61,26 +67,12 @@ pub fn run(args: &HarnessArgs) {
 
     println!("--- (a) convergence (best-so-far tx/s by samples) ---");
     let points = sample_budget / 10;
-    let mut rows = vec![vec![
-        "samples".to_string(),
-        "TUNA".to_string(),
-        "TUNA w/o model".to_string(),
-    ]];
+    let mut rows = super::header(&["samples", "TUNA", "TUNA w/o model"]);
     for i in (0..points).step_by((points / 10).max(1)) {
-        let w: Vec<f64> = with_curves
-            .iter()
-            .map(|c| c[i])
-            .filter(|v| v.is_finite())
-            .collect();
-        let o: Vec<f64> = without_curves
-            .iter()
-            .map(|c| c[i])
-            .filter(|v| v.is_finite())
-            .collect();
         rows.push(vec![
             format!("{}", (i + 1) * 10),
-            format!("{:.0}", summary::mean(&w)),
-            format!("{:.0}", summary::mean(&o)),
+            format!("{:.0}", super::finite_mean_at(&with_curves, i)),
+            format!("{:.0}", super::finite_mean_at(&without_curves, i)),
         ]);
     }
     println!("{}", render_table(&rows));
@@ -102,46 +94,38 @@ pub fn run(args: &HarnessArgs) {
 
     println!();
     println!("--- (b) reported-value error vs max-budget ground truth ---");
-    let mut rows = vec![vec![
-        "model generation".to_string(),
-        "raw error (w/o model)".to_string(),
-        "adjusted error (with model)".to_string(),
-        "n".to_string(),
-    ]];
+    let mut rows = super::header(&[
+        "model generation",
+        "raw error (w/o model)",
+        "adjusted error (with model)",
+        "n",
+    ]);
     let max_gen = with_errors.iter().map(|e| e.generation).max().unwrap_or(0);
     let buckets = 8.min(max_gen + 1);
     for b in 0..buckets {
         let lo = b * (max_gen + 1) / buckets;
         let hi = (b + 1) * (max_gen + 1) / buckets;
-        let in_bucket: Vec<&ModelErrorRecord> = with_errors
-            .iter()
-            .filter(|e| e.generation >= lo && e.generation < hi)
-            .collect();
-        if in_bucket.is_empty() {
+        let (raw, adj, n) = mean_errors(
+            with_errors
+                .iter()
+                .filter(|e| e.generation >= lo && e.generation < hi),
+        );
+        if n == 0 {
             continue;
         }
-        let raw = summary::mean(&in_bucket.iter().map(|e| e.raw_rel_err).collect::<Vec<_>>());
-        let adj = summary::mean(
-            &in_bucket
-                .iter()
-                .map(|e| e.adjusted_rel_err)
-                .collect::<Vec<_>>(),
-        );
         rows.push(vec![
             format!("{lo}..{hi}"),
             format!("{:.2}%", raw * 100.0),
             format!("{:.2}%", adj * 100.0),
-            format!("{}", in_bucket.len()),
+            format!("{n}"),
         ]);
     }
     println!("{}", render_table(&rows));
 
     // Past-midpoint reduction, as the paper reports.
     let mid = max_gen / 2;
-    let late: Vec<&ModelErrorRecord> = with_errors.iter().filter(|e| e.generation >= mid).collect();
-    if !late.is_empty() {
-        let raw = summary::mean(&late.iter().map(|e| e.raw_rel_err).collect::<Vec<_>>());
-        let adj = summary::mean(&late.iter().map(|e| e.adjusted_rel_err).collect::<Vec<_>>());
+    let (raw, adj, n) = mean_errors(with_errors.iter().filter(|e| e.generation >= mid));
+    if n > 0 {
         paper_vs(
             "error without model (past midpoint)",
             "4.87%",
@@ -158,21 +142,18 @@ pub fn run(args: &HarnessArgs) {
             &format!("{:.1}%", (1.0 - adj / raw.max(1e-12)) * 100.0),
         );
     }
-    let all_raw = summary::mean(
-        &with_errors
-            .iter()
-            .map(|e| e.raw_rel_err)
-            .collect::<Vec<_>>(),
-    );
-    let all_adj = summary::mean(
-        &with_errors
-            .iter()
-            .map(|e| e.adjusted_rel_err)
-            .collect::<Vec<_>>(),
-    );
+    let (all_raw, all_adj, _) = mean_errors(with_errors.iter());
     paper_vs(
         "whole-run error reduction",
         "35.8%",
         &format!("{:.1}%", (1.0 - all_adj / all_raw.max(1e-12)) * 100.0),
     );
+}
+
+/// The mean raw and adjusted relative errors of `records`, and how many
+/// there are.
+fn mean_errors<'a>(records: impl Iterator<Item = &'a ModelErrorRecord>) -> (f64, f64, usize) {
+    let (raw, adjusted): (Vec<f64>, Vec<f64>) =
+        records.map(|e| (e.raw_rel_err, e.adjusted_rel_err)).unzip();
+    (summary::mean(&raw), summary::mean(&adjusted), raw.len())
 }

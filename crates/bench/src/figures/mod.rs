@@ -8,6 +8,12 @@
 
 use crate::HarnessArgs;
 use tuna_cloudsim::study::{run_study, StudyConfig, StudyReport};
+use tuna_cloudsim::{Cluster, Region, VmSku};
+use tuna_core::deploy::{evaluate_deployment_with, DeployStats};
+use tuna_core::executor::ExecutionMode;
+use tuna_stats::rng::{hash_combine, Rng};
+use tuna_stats::summary;
+use tuna_sut::postgres::Postgres;
 
 mod ablation_aggregation;
 mod ablation_cluster_size;
@@ -266,6 +272,12 @@ pub const FIGURES: &[Figure] = &[
     },
 ];
 
+/// A table for `tuna_core::report::render_table` holding only its header
+/// row, `columns`.
+fn header(columns: &[&str]) -> Vec<Vec<String>> {
+    vec![columns.iter().map(|c| c.to_string()).collect()]
+}
+
 /// The longitudinal measurement study at the budget `args` picks (the
 /// data behind fig03, fig04, fig06 and table1).
 fn study(args: &HarnessArgs) -> StudyReport {
@@ -276,6 +288,29 @@ fn study(args: &HarnessArgs) -> StudyReport {
     };
     cfg.seed = args.seed;
     run_study(&cfg)
+}
+
+/// `config`'s TPC-C values on the `nodes` fresh Postgres machines that
+/// (`seed`, `label`) provision, one run on each: the fixed pool a §3
+/// probe (fig05 (a), fig08, fig09) measures configs on. Every config
+/// meets the same machines, and each run's stream forks by config id
+/// ([`evaluate_deployment_with`]), so a profile is a pure function of
+/// (`seed`, `label`, `nodes`, `config`).
+fn profile(seed: u64, label: u64, nodes: usize, config: &tuna_space::Config) -> DeployStats {
+    let pool = Cluster::new(nodes, VmSku::d8s_v5(), Region::westus2(), seed);
+    let rng = Rng::seed_from(hash_combine(seed, label));
+    let (pg, workload) = (Postgres::new(), tuna_workloads::tpcc());
+    // Postgres never crashes, so the crash penalty is never used.
+    let serial = ExecutionMode::Serial;
+    evaluate_deployment_with(
+        serial, &pg, &workload, config, &pool, label, nodes, 1, 0.0, &rng,
+    )
+}
+
+/// The mean of the finite values at point `i` of `curves`.
+fn finite_mean_at<C: AsRef<[f64]>>(curves: &[C], i: usize) -> f64 {
+    let at_i = curves.iter().map(|c| c.as_ref()[i]);
+    summary::mean(&at_i.filter(|v| v.is_finite()).collect::<Vec<_>>())
 }
 
 /// Best-so-far (oriented) value after each sample count, step `step`.

@@ -12,7 +12,9 @@
 //! Grid-shaped figures declare a [`tuna_core::campaign::Campaign`] and run
 //! it through [`run_campaign`]; the campaign engine owns the (workload ×
 //! method × seed) loop, cell-level parallelism and the optional
-//! persistent, resumable result store (`--store`).
+//! persistent, resumable result store (`--store`). The other figures fan
+//! their runs out over the same workers through [`map_runs`]; every run
+//! is a pure function of (root seed, run index).
 //!
 //! Flags of `tuna figures`:
 //!
@@ -31,6 +33,7 @@
 use std::path::Path;
 
 use tuna_core::campaign::{Campaign, CampaignResult, CampaignRunner, CellPayload, ResultStore};
+use tuna_core::executor::ExecutionMode;
 use tuna_core::experiment::{Method, RunSummary};
 use tuna_core::report::{method_comparison_table, MethodSummary};
 
@@ -241,6 +244,24 @@ pub fn run_campaign_keeping<K: Send>(
         );
     }
     result
+}
+
+/// Runs `run(item, ExecutionMode::Serial)` for every item on
+/// [`CampaignRunner::from_env`]'s workers and returns the results in item
+/// order. A figure's runs fan out as [`run_campaign`]'s cells do: each run
+/// is a pure function of its item, so nothing depends on the worker count,
+/// and its trials and forests run serially on its one worker.
+pub fn map_runs<T: Send, R: Send>(
+    items: Vec<T>,
+    run: impl Fn(T, ExecutionMode) -> R + Sync,
+) -> Vec<R> {
+    let workers = CampaignRunner::from_env().mode.workers();
+    tuna_stats::pool::map(
+        workers,
+        items,
+        |_| (),
+        |_, item| run(item, ExecutionMode::Serial),
+    )
 }
 
 /// The [`RunSummary`] in a protocol, sample-budget or arena cell's payload.

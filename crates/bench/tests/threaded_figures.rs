@@ -1,19 +1,22 @@
-//! The figures that thread one generator through several simulated runs
-//! print exactly their sections of `bench/figures_quick.txt`. Each of
-//! them settles every run's guest-metric draws before drawing again
-//! (see `tuna_metrics::MetricVector::settle`). A missing settle shifts
-//! the rest of the figure's stream, which fails this test wherever a
-//! later draw shapes the printed output (fig02, fig08 and fig09 at
-//! `--quick`; fig05's runs on its shared generator rarely draw at all).
+//! The figures that run outside campaigns print exactly their sections
+//! of `bench/figures_quick.txt` at any worker count. Each of them fans
+//! its runs out through `tuna_bench::map_runs`, and every run is a pure
+//! function of (root seed, run index): its own seed, cluster and
+//! generator, with profiled configs measured on fresh machines through
+//! `evaluate_deployment_with`. A run that leaked state into another
+//! (a shared generator, cluster or machine) would print other bytes at
+//! some worker count, or at some run count, and fail this test.
 
 use std::process::Command;
 
-/// The threaded figures and their banner names, in `FIGURES` order.
-const THREADED: [(&str, &str); 4] = [
+/// The figures that fan runs out themselves and their banner names, in
+/// `FIGURES` order.
+const FANNED_OUT: [(&str, &str); 5] = [
     ("fig02", "Figure 2:"),
     ("fig05", "Figure 5:"),
     ("fig08", "Figure 8:"),
     ("fig09", "Figure 9:"),
+    ("fig19", "Figure 19:"),
 ];
 
 const RULE: &str = "==================================================================";
@@ -44,21 +47,28 @@ fn sections(reference: &str, names: &[&str]) -> String {
 
 #[test]
 fn threaded_figures_match_the_quick_reference() {
-    let out = Command::new(env!("CARGO_BIN_EXE_tuna"))
-        .args(["figures", "--quick", "--only"])
-        .args(THREADED.map(|(id, _)| id))
-        .output()
-        .expect("run the tuna binary");
-    assert!(out.status.success(), "tuna figures failed: {out:?}");
     let reference = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../bench/figures_quick.txt"
     ))
     .expect("read bench/figures_quick.txt");
-    let expected = sections(&reference, &THREADED.map(|(_, name)| name));
-    assert_eq!(expected.matches(RULE).count(), 2 * THREADED.len());
-    assert_eq!(
-        String::from_utf8(out.stdout).expect("utf-8 stdout"),
-        expected
-    );
+    let expected = sections(&reference, &FANNED_OUT.map(|(_, name)| name));
+    assert_eq!(expected.matches(RULE).count(), 2 * FANNED_OUT.len());
+    for workers in ["1", "3"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tuna"))
+            .env("TUNA_WORKERS", workers)
+            .args(["figures", "--quick", "--only"])
+            .args(FANNED_OUT.map(|(id, _)| id))
+            .output()
+            .expect("run the tuna binary");
+        assert!(
+            out.status.success(),
+            "tuna figures failed at TUNA_WORKERS={workers}: {out:?}"
+        );
+        assert_eq!(
+            String::from_utf8(out.stdout).expect("utf-8 stdout"),
+            expected,
+            "TUNA_WORKERS={workers}"
+        );
+    }
 }

@@ -202,7 +202,6 @@ fn baseline_result(solver: &dyn Solver, trace: Vec<IterationRecord>) -> TuningRe
         n_configs: trace.len(),
         trace,
         n_unstable_configs: 0,
-        model_errors: Vec::new(),
     }
 }
 

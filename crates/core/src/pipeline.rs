@@ -138,8 +138,6 @@ pub struct TuningResult {
     pub n_unstable_configs: usize,
     /// Distinct configs evaluated.
     pub n_configs: usize,
-    /// Noise-model accuracy records (Figure 19b).
-    pub model_errors: Vec<ModelErrorRecord>,
 }
 
 /// Everything the pipeline keeps about one suggested config.
@@ -407,18 +405,12 @@ impl<'a> TunaPipeline<'a> {
             .best()
             .expect("finish() before any iteration");
         let n_unstable = self.configs.values().filter(|c| c.unstable).count();
-        let model_errors = self
-            .trace
-            .iter()
-            .filter_map(|r| r.model_error)
-            .collect::<Vec<_>>();
         TuningResult {
             best_config,
             best_value,
             total_samples: self.scheduler.total_assigned() as usize,
             n_unstable_configs: n_unstable,
             n_configs: self.configs.len(),
-            model_errors,
             trace: self.trace,
         }
     }
@@ -556,11 +548,9 @@ mod tests {
         let mut rng = Rng::seed_from(10);
         p.run_rounds(150, &mut rng);
         let result = p.finish();
-        assert!(
-            !result.model_errors.is_empty(),
-            "no configs completed max budget"
-        );
-        for rec in &result.model_errors {
+        let model_errors: Vec<_> = result.trace.iter().filter_map(|r| r.model_error).collect();
+        assert!(!model_errors.is_empty(), "no configs completed max budget");
+        for rec in &model_errors {
             assert!(rec.raw_rel_err >= 0.0 && rec.raw_rel_err < 1.0);
             assert!(rec.adjusted_rel_err >= 0.0);
         }

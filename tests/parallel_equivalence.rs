@@ -97,7 +97,9 @@ fn trace_facets_match_bitwise() {
         assert_eq!(s.unstable, p.unstable, "round {}", s.round);
         assert_eq!(s.cumulative_samples, p.cumulative_samples);
     }
-    assert_eq!(serial.model_errors, parallel.model_errors);
+    let model_errors =
+        |r: &TuningResult| -> Vec<_> { r.trace.iter().filter_map(|rec| rec.model_error).collect() };
+    assert_eq!(model_errors(&serial), model_errors(&parallel));
 }
 
 /// The full experiment protocol — tuning plus deployment on fresh VMs —

@@ -22,7 +22,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: tuna [--workload tpcc|epinions|tpch|mssales|ycsb-c|wikipedia]\n\
          \x20           [--method tuna|traditional|naive|no-outlier|no-adjuster|default]\n\
-         \x20           [--optimizer smac|gp|random|tournament] [--rounds N] [--seed N]\n\
+         \x20           [--optimizer smac|gp|random] [--rounds N] [--seed N]\n\
          \x20           [--region westus2|eastus|centralus|cloudlab]\n\
          \x20           [--sku d8s_v5|b8ms|c220g5] [--deploy-vms N]\n\
          {}",

@@ -18,7 +18,6 @@ use tuna_sut::postgres::Postgres;
 mod ablation_aggregation;
 mod ablation_cluster_size;
 mod ablation_threshold;
-mod arena_solvers;
 mod fig02;
 mod fig03;
 mod fig04;
@@ -260,15 +259,6 @@ pub const FIGURES: &[Figure] = &[
             claim: "§4.2: anything in 15-30% is reasonable; too-loose thresholds leak unstable configs",
         },
         run: ablation_threshold::run,
-    },
-    Figure {
-        id: "arena_solvers",
-        banner: Banner {
-            name: "Arena study",
-            title: "TPC-C across (noise regime x solver) head-to-head arenas",
-            claim: "match-based noise cancellation vs TUNA filtering as regions get noisier",
-        },
-        run: arena_solvers::run,
     },
 ];
 

@@ -264,7 +264,7 @@ pub fn map_runs<T: Send, R: Send>(
     )
 }
 
-/// The [`RunSummary`] in a protocol, sample-budget or arena cell's payload.
+/// The [`RunSummary`] in a protocol or sample-budget cell's payload.
 ///
 /// # Panics
 ///
@@ -397,9 +397,13 @@ mod tests {
         let e = HarnessArgs::parse_from(&argv(&["--only", "fig12", "fig07"])).unwrap_err();
         assert!(e.contains("unknown figure 'fig07'"), "{e}");
         assert!(
-            e.contains("fig02, fig03") && e.contains("arena_solvers"),
+            e.contains("fig02, fig03") && e.contains("ablation_threshold"),
             "{e}"
         );
+        // `arena_solvers` is refused and not among the known IDs.
+        let e = HarnessArgs::parse_from(&argv(&["--only", "arena_solvers"])).unwrap_err();
+        assert!(e.contains("unknown figure 'arena_solvers'"), "{e}");
+        assert_eq!(e.matches("arena_solvers").count(), 1, "{e}");
         let e = HarnessArgs::parse_from(&argv(&["--only", "--quick"])).unwrap_err();
         assert!(e.contains("--only requires at least one figure ID"), "{e}");
     }
@@ -407,7 +411,7 @@ mod tests {
     #[test]
     fn figure_ids_are_unique() {
         let mut ids: Vec<&str> = figures::FIGURES.iter().map(|f| f.id).collect();
-        assert_eq!(ids.len(), 22);
+        assert_eq!(ids.len(), 21);
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), figures::FIGURES.len());

@@ -1061,71 +1061,6 @@ pub fn suite(quick: bool) -> Vec<ScenarioSpec> {
         });
     }
 
-    // -- tournament arena ---------------------------------------------------
-    // Head-to-head brackets through the arena runner: both sides of every
-    // match see one machine snapshot and one noise draw. The checksum pins
-    // the bracket outcomes (champion ids per generation on a synthetic
-    // objective) and the full arena iteration trace on the simulated SuT,
-    // so any drift in bracket pairing, seed-salt derivation, or match
-    // noise-sharing fails the gate.
-    {
-        let samples = if quick { 64 } else { 192 };
-        v.push(ScenarioSpec {
-            name: "optimizer/arena",
-            items: samples as u64,
-            run: Box::new(move |c| {
-                use tuna_core::baselines::run_arena;
-                use tuna_optimizer::solver::{SolverId, SolverParams};
-                use tuna_optimizer::tournament::{TournamentParams, TournamentSolver};
-                use tuna_optimizer::Solver as _;
-                use tuna_sut::postgres::Postgres;
-                use tuna_sut::SystemUnderTest;
-
-                // Pure brackets: drive a tournament on a deterministic
-                // objective and pin every generation's champion.
-                let pg = Postgres::new();
-                let mut t = TournamentSolver::new(
-                    pg.space().clone(),
-                    Objective::Minimize,
-                    TournamentParams::default(),
-                );
-                let mut rng = Rng::seed_from(0xA7E0);
-                for _ in 0..samples {
-                    let s = t.ask(&mut rng);
-                    let cost = s.config.id().0 as f64 / u64::MAX as f64;
-                    t.tell(&s.config, cost, s.budget);
-                    if let Some(champ) = t.champion() {
-                        c.push_u64(champ.id().0);
-                    }
-                }
-                c.push_u64(t.generations_played());
-
-                // Arena matches on the simulated SuT: shared-noise
-                // head-to-head runs through the registry-built solver.
-                let workload = tuna_workloads::tpcc();
-                let id = SolverId::tournament();
-                let solver = id.build(
-                    pg.space().clone(),
-                    Objective::Maximize,
-                    &SolverParams::default(),
-                );
-                let cluster = Cluster::new(1, VmSku::d8s_v5(), Region::westus2(), 0xA7E1);
-                let mut rng = Rng::seed_from(0xA7E2);
-                let result = run_arena(
-                    &pg,
-                    &workload,
-                    solver,
-                    cluster,
-                    samples,
-                    id.capabilities().match_size,
-                    0.0,
-                    &mut rng,
-                );
-                checksum_result(c, &result);
-            }),
-        });
-    }
-
     // -- observability overhead ---------------------------------------------
     // The observer-effect gate: the same deterministic serve workload
     // (keep-alive submits + status polls through the sim engine) runs

@@ -133,63 +133,6 @@ pub struct ConvergenceSpec {
     pub rng_label: u64,
 }
 
-/// A head-to-head arena cell: one (noise regime × solver) point of an
-/// arena grid. Registry solvers tune through
-/// [`crate::baselines::run_arena`], which hands every member of a match
-/// group the *same* machine snapshot and noise draw
-/// ([`tuna_optimizer::solver::Capabilities::match_size`] sets the group
-/// width — 2 for the tournament solver's matches). The sentinel
-/// solver name [`ArenaSpec::TUNA`] runs the full TUNA pipeline on SMAC,
-/// whatever the campaign's optimizer, so the grid can compare TUNA's
-/// noise-filtering against match-based noise cancellation under each
-/// regime.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArenaSpec {
-    /// Solver registry name, or [`ArenaSpec::TUNA`] for the pipeline.
-    pub solver: String,
-    /// Noise regime: a built-in [`Region`] name overriding the
-    /// experiment's region.
-    pub region: String,
-    /// Total sample budget.
-    pub samples: usize,
-}
-
-impl ArenaSpec {
-    /// Sentinel solver name selecting the full TUNA pipeline.
-    pub const TUNA: &'static str = "tuna";
-
-    /// Creates a validated spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `solver` is neither [`ArenaSpec::TUNA`] nor a registry
-    /// name, or `region` is not a built-in region.
-    pub fn new(solver: &str, region: &str, samples: usize) -> Self {
-        if solver != Self::TUNA {
-            SolverId::new(solver).unwrap_or_else(|e| panic!("arena arm: {e}"));
-        }
-        assert!(
-            Region::by_name(region).is_some(),
-            "arena arm: unknown region {region:?}"
-        );
-        ArenaSpec {
-            solver: solver.to_string(),
-            region: region.to_string(),
-            samples,
-        }
-    }
-
-    /// The per-arm seed salt: FNV-1a over (region, solver), so arena
-    /// arms can never collide with each other or with hand-salted
-    /// protocol arms no matter which grid they appear in.
-    fn seed_salt(&self) -> u64 {
-        let mut c = Checksum::new();
-        c.push_str(&self.region);
-        c.push_str(&self.solver);
-        c.value()
-    }
-}
-
 /// How one arm of the grid evaluates a cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Recipe {
@@ -211,9 +154,6 @@ pub enum Recipe {
     /// A TUNA + naive-distributed convergence pair with no deployment:
     /// the naive run continues the pipeline's RNG stream.
     Convergence(ConvergenceSpec),
-    /// A head-to-head arena run (noise regime × solver) plus deployment,
-    /// with the region overridden and a fixed deploy label.
-    Arena(ArenaSpec),
 }
 
 impl Recipe {
@@ -230,7 +170,6 @@ impl Recipe {
             Recipe::Protocol { .. } => 1,
             Recipe::SampleBudget(_) => 2,
             Recipe::Convergence(_) => 3,
-            Recipe::Arena(_) => 4,
         }
     }
 }
@@ -303,13 +242,12 @@ pub struct Campaign {
     /// are `'static` and a fleet of campaigns holds no copies of them.
     pub sku: &'static str,
     /// Deployment site: the [`Region`] name ([`Region::by_name`]).
-    /// Arena arms override it per arm.
     pub region: &'static str,
 }
 
 impl Campaign {
-    /// The paper's deployment site, which [`Campaign::protocol`] and
-    /// [`Campaign::arena`] declare: `Standard_D8s_v5` in `westus2`.
+    /// The paper's deployment site, which [`Campaign::protocol`]
+    /// declares: `Standard_D8s_v5` in `westus2`.
     pub const PAPER_SITE: (&'static str, &'static str) = ("Standard_D8s_v5", "westus2");
 
     /// A protocol-only campaign over `(label, method)` arms.
@@ -330,47 +268,6 @@ impl Campaign {
                 .iter()
                 .map(|(label, m)| Arm::new(*label, Recipe::protocol(*m)))
                 .collect(),
-            sku: Self::PAPER_SITE.0,
-            region: Self::PAPER_SITE.1,
-        }
-    }
-
-    /// An arena campaign gridding noise regimes × solvers: every
-    /// `(region, solver)` pair becomes one arm labeled
-    /// `"{region}/{solver}"`. Solver names are registry names plus the
-    /// [`ArenaSpec::TUNA`] sentinel for the full pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a solver or region name is unknown (see
-    /// [`ArenaSpec::new`]).
-    pub fn arena(
-        name: impl Into<String>,
-        seed: u64,
-        workloads: Vec<Workload>,
-        regions: &[&str],
-        solvers: &[&str],
-        samples: usize,
-    ) -> Self {
-        let arms = regions
-            .iter()
-            .flat_map(|region| {
-                solvers.iter().map(move |solver| {
-                    Arm::new(
-                        format!("{region}/{solver}"),
-                        Recipe::Arena(ArenaSpec::new(solver, region, samples)),
-                    )
-                })
-            })
-            .collect();
-        Campaign {
-            name: name.into(),
-            seed,
-            runs: 1,
-            rounds: 96,
-            optimizer: SolverId::smac(),
-            workloads,
-            arms,
             sku: Self::PAPER_SITE.0,
             region: Self::PAPER_SITE.1,
         }
@@ -455,7 +352,7 @@ impl Campaign {
         let (_, arm, _) = self.coords(cell);
         match self.arms[arm].recipe {
             Recipe::Convergence(_) => 2,
-            Recipe::Protocol { .. } | Recipe::SampleBudget(_) | Recipe::Arena(_) => 1,
+            Recipe::Protocol { .. } | Recipe::SampleBudget(_) => 1,
         }
     }
 
@@ -514,11 +411,6 @@ impl Campaign {
                     c.push_u64(s.samples as u64);
                     c.push_u64(s.seed_salt);
                     c.push_u64(s.rng_label);
-                }
-                Recipe::Arena(s) => {
-                    c.push_str(&s.solver);
-                    c.push_str(&s.region);
-                    c.push_u64(s.samples as u64);
                 }
             }
         }
@@ -1519,11 +1411,6 @@ pub fn execute_cell(
     let (w, a, run) = campaign.coords(cell);
     let arm = &campaign.arms[a];
     let exp = campaign.experiment(w, inner);
-    let tuna = |solver, samples| Tuner::Tuna {
-        tweaks: TunaTweaks::default(),
-        solver,
-        samples,
-    };
     // Each recipe lowers to (per-run seed, RunSummary method label or
     // `None` for a convergence pair, run plan).
     let (seed, method, plan) = match &arm.recipe {
@@ -1561,41 +1448,15 @@ pub fn execute_cell(
             let seed = hash_combine(campaign.seed, spec.seed_salt + run as u64);
             // The naive run continues the pipeline's RNG stream.
             let tuners = vec![
-                tuna(exp.optimizer.clone(), spec.samples),
+                Tuner::Tuna {
+                    tweaks: TunaTweaks::default(),
+                    solver: exp.optimizer.clone(),
+                    samples: spec.samples,
+                },
                 Tuner::NaiveDistributed(spec.samples),
             ];
             let plan = RunPlan::new(seed, hash_combine(seed, spec.rng_label), None, tuners);
             (seed, None, plan)
-        }
-        Recipe::Arena(spec) => {
-            // Cluster, RNG and match streams are labelled 0xA7_0001..3 off
-            // the seed; the deploy label 0xA7_0004 is used as-is. The
-            // sentinel runs the pipeline on SMAC whatever the campaign's
-            // optimizer.
-            let seed = hash_combine(hash_combine(campaign.seed, spec.seed_salt()), run as u64);
-            let tuner = if spec.solver == ArenaSpec::TUNA {
-                tuna(SolverId::smac(), spec.samples)
-            } else {
-                Tuner::Arena {
-                    solver: SolverId::new(&spec.solver)
-                        .unwrap_or_else(|e| panic!("arena cell: {e}")),
-                    samples: spec.samples,
-                    match_seed: hash_combine(seed, 0xA7_0003),
-                }
-            };
-            let plan = RunPlan {
-                region: Some(
-                    Region::by_name(&spec.region)
-                        .unwrap_or_else(|| panic!("arena cell: unknown region {:?}", spec.region)),
-                ),
-                ..RunPlan::new(
-                    hash_combine(seed, 0xA7_0001),
-                    hash_combine(seed, 0xA7_0002),
-                    Some(0xA7_0004),
-                    vec![tuner],
-                )
-            };
-            (seed, Some("arena"), plan)
         }
     };
 
@@ -2253,75 +2114,9 @@ mod tests {
         assert_ne!(spec(3, 3).digest(), spec(3, 5).digest());
     }
 
-    fn tiny_arena(name: &str) -> Campaign {
-        Campaign::arena(
-            name,
-            9,
-            vec![tuna_workloads::tpcc()],
-            &["westus2", "centralus"],
-            &["tuna", "smac", "gp", "random", "tournament"],
-            16,
-        )
-    }
-
-    #[test]
-    fn arena_grid_crosses_regions_and_solvers() {
-        let c = tiny_arena("arena-grid");
-        assert_eq!(c.n_cells(), 2 * 5);
-        assert_eq!(c.arms[0].label, "westus2/tuna");
-        assert_eq!(c.arms[9].label, "centralus/tournament");
-        // Every (region, solver) pair derives a distinct seed salt.
-        let mut salts: Vec<u64> = c
-            .arms
-            .iter()
-            .map(|a| match &a.recipe {
-                Recipe::Arena(s) => s.seed_salt(),
-                _ => unreachable!(),
-            })
-            .collect();
-        salts.sort_unstable();
-        salts.dedup();
-        assert_eq!(salts.len(), c.arms.len(), "arena seed salts collide");
-        // The digest distinguishes arena declarations.
-        let mut other = c.clone();
-        other.arms[0] = Arm::new("x", Recipe::Arena(ArenaSpec::new("smac", "eastus", 16)));
-        assert_ne!(c.digest(), other.digest());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown solver")]
-    fn arena_unknown_solver_rejected() {
-        ArenaSpec::new("adam", "westus2", 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown region")]
-    fn arena_unknown_region_rejected() {
-        ArenaSpec::new("smac", "marsnorth1", 8);
-    }
-
-    #[test]
-    fn arena_campaign_is_bit_identical_across_worker_counts() {
-        let campaign = tiny_arena("arena-workers");
-        let mut serial_store = ResultStore::in_memory(&campaign);
-        let serial = CampaignRunner::serial().run(&campaign, &mut serial_store);
-        assert!(serial.complete);
-        assert!(serial
-            .cells
-            .iter()
-            .all(|c| { c.record.rows[0].mean.is_some_and(|m| m.is_finite()) }));
-        let mut par_store = ResultStore::in_memory(&campaign);
-        let par = CampaignRunner::with_workers(4).run(&campaign, &mut par_store);
-        assert_eq!(serial.checksum, par.checksum);
-        for (s, p) in serial.cells.iter().zip(&par.cells) {
-            assert_eq!(s.record, p.record, "cell {}", s.cell);
-        }
-    }
-
     /// One arm of every recipe kind: Protocol for every [`Method`],
-    /// SampleBudget plain and with each override, a Convergence pair,
-    /// and Arena with the TUNA sentinel and a match-based solver. The
-    /// campaign tunes with `gp`, so the sentinel's fixed SMAC shows.
+    /// SampleBudget plain and with each override, and a Convergence
+    /// pair. The campaign tunes with `gp`.
     fn recipe_pin_campaign() -> Campaign {
         let budget = || SampleBudgetSpec::new(60, 100, 2, 3);
         let arms = vec![
@@ -2378,14 +2173,6 @@ mod tests {
                     rng_label: 3,
                 }),
             ),
-            Arm::new(
-                "arena-tuna",
-                Recipe::Arena(ArenaSpec::new(ArenaSpec::TUNA, "centralus", 80)),
-            ),
-            Arm::new(
-                "arena-tournament",
-                Recipe::Arena(ArenaSpec::new("tournament", "westus2", 24)),
-            ),
         ];
         Campaign {
             arms,
@@ -2427,8 +2214,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        assert_eq!(result.checksum, "16082da4d548b30c");
-        assert_eq!(series.value(), 0x9d6c_0fb7_20c6_2f23);
+        assert_eq!(result.checksum, "ed6eec31a0c54760");
+        assert_eq!(series.value(), 0x5f94_d67d_32c0_4822);
         let want: Vec<Vec<&str>> = vec![
             vec!["TUNA"],
             vec!["TUNA w/o outlier detector"],
@@ -2442,8 +2229,6 @@ mod tests {
             vec!["campaign"],
             vec!["campaign"],
             vec!["TUNA", "naive"],
-            vec!["arena"],
-            vec!["arena"],
         ];
         assert_eq!(labels, want);
     }

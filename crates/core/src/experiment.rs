@@ -2,15 +2,15 @@
 //!
 //! An [`Experiment`] fixes the workload, SKU, region and budgets. Every
 //! study in the evaluation is one tune-then-deploy protocol, so one
-//! driver runs them all: a [`RunPlan`] names the seed labels, optional
-//! cluster-shape and region overrides, the [`Tuner`]s to run in order on
+//! driver runs them all: a [`RunPlan`] names the seed labels, an optional
+//! cluster-shape override, the [`Tuner`]s to run in order on
 //! one RNG stream, and whether to deploy the winner on fresh VMs;
 //! [`Experiment::execute`] runs SuT → base cluster → crash penalty →
 //! tuners → deployment. [`Experiment::run`] lowers a [`Method`] to a
 //! plan, as the campaign recipes and Figure 19 lower theirs.
 
 use crate::aggregate::AggregationPolicy;
-use crate::baselines::{run_arena, run_naive_distributed, run_traditional};
+use crate::baselines::{run_naive_distributed, run_traditional};
 use crate::deploy::{default_worst_case_with, evaluate_deployment_with, DeployStats};
 use crate::executor::ExecutionMode;
 use crate::pipeline::{TunaConfig, TunaPipeline, TuningResult};
@@ -157,15 +157,6 @@ pub enum Tuner {
     /// Every config on every node with [`Experiment::optimizer`], within
     /// this total sample budget.
     NaiveDistributed(usize),
-    /// Head-to-head arena sampling on a one-machine match cluster.
-    Arena {
-        /// Solver registry name.
-        solver: SolverId,
-        /// Total sample budget.
-        samples: usize,
-        /// Seed of the match cluster.
-        match_seed: u64,
-    },
 }
 
 /// One tune-then-deploy run as data: the seeds, the overrides and the
@@ -182,8 +173,6 @@ pub struct RunPlan {
     /// Cluster-shape override (else [`Experiment::cluster_size`] and the
     /// paper ladder).
     pub cluster: Option<ClusterShape>,
-    /// Region override (else [`Experiment::region`]).
-    pub region: Option<Region>,
     /// Tuners, run in order; none deploys the vendor default.
     pub tuners: Vec<Tuner>,
 }
@@ -201,7 +190,6 @@ impl RunPlan {
             rng_seed,
             deploy_label,
             cluster: None,
-            region: None,
             tuners,
         }
     }
@@ -360,12 +348,11 @@ impl Experiment {
     /// so.
     pub fn execute(&self, plan: &RunPlan) -> PlanOutcome {
         let sut = self.make_sut();
-        let region = plan.region.as_ref().unwrap_or(&self.region);
         let cluster_size = plan.cluster.as_ref().map_or(self.cluster_size, |c| c.size);
         let base = Cluster::new(
             cluster_size,
             self.sku.clone(),
-            region.clone(),
+            self.region.clone(),
             plan.cluster_seed,
         );
         let mut rng = Rng::seed_from(plan.rng_seed);
@@ -407,7 +394,7 @@ impl Experiment {
                 Tuner::Traditional(samples) => run_traditional(
                     sut,
                     workload,
-                    self.baseline_solver(&self.optimizer, sut),
+                    self.baseline_solver(sut),
                     base.clone(),
                     *samples,
                     crash_penalty,
@@ -417,31 +404,12 @@ impl Experiment {
                     self.exec,
                     sut,
                     workload,
-                    self.baseline_solver(&self.optimizer, sut),
+                    self.baseline_solver(sut),
                     base.clone(),
                     *samples,
                     crash_penalty,
                     &mut rng,
                 ),
-                Tuner::Arena {
-                    solver,
-                    samples,
-                    match_seed,
-                } => {
-                    // Matches play on one machine so both sides share its
-                    // noise draw.
-                    let arena = Cluster::new(1, self.sku.clone(), region.clone(), *match_seed);
-                    run_arena(
-                        sut,
-                        workload,
-                        self.baseline_solver(solver, sut),
-                        arena,
-                        *samples,
-                        solver.capabilities().match_size,
-                        crash_penalty,
-                        &mut rng,
-                    )
-                }
             })
             .collect();
 
@@ -469,9 +437,9 @@ impl Experiment {
         }
     }
 
-    /// A single-fidelity `solver` for the baseline tuners.
-    fn baseline_solver(&self, solver: &SolverId, sut: &dyn SystemUnderTest) -> Box<dyn Solver> {
-        solver.build(
+    /// A single-fidelity [`Experiment::optimizer`] for the baseline tuners.
+    fn baseline_solver(&self, sut: &dyn SystemUnderTest) -> Box<dyn Solver> {
+        self.optimizer.build(
             sut.space().clone(),
             self.objective(),
             &self.solver_params(false),

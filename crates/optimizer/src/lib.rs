@@ -11,16 +11,13 @@
 //! - [`multifidelity`]: a Successive-Halving intensifier that turns any
 //!   proposer into a multi-fidelity optimizer whose *budget is the number of
 //!   nodes a config is evaluated on* (§4.1).
-//! - [`tournament`]: DarwinGame-style tournament selection — configs play
-//!   head-to-head matches, winners advance through a bracket.
 //!
 //! All optimizers speak the same [`Solver`] ask/tell interface so the
 //! TUNA pipeline (and the baselines) can swap them freely, mirroring the
 //! paper's "no changes to the underlying optimizer" design goal. The
 //! [`solver`] module adds the declarative layer on top: a string-keyed
-//! [`solver::SolverRegistry`] with per-solver [`solver::Capabilities`], so
-//! arms name solvers (`"smac"`, `"gp"`, `"random"`, `"tournament"`)
-//! instead of constructing concrete types.
+//! [`solver::SolverRegistry`], so arms name solvers (`"random"`,
+//! `"smac"`, `"gp"`) instead of constructing concrete types.
 //!
 //! # Examples
 //!
@@ -49,10 +46,9 @@ pub mod multifidelity;
 pub mod random;
 pub mod smac;
 pub mod solver;
-pub mod tournament;
 
 pub use history::{cost_cmp, History};
-pub use solver::{Capabilities, SolverId, SolverParams, SolverRegistry};
+pub use solver::{SolverId, SolverParams, SolverRegistry};
 
 use tuna_space::{Config, ConfigSpace};
 use tuna_stats::rng::Rng;

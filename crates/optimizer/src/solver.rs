@@ -1,12 +1,8 @@
 //! String-keyed solver registry (kurobako-style solver/problem split).
 //!
-//! Arms in `tuna-core` name solvers declaratively (`"smac"`, `"gp"`,
-//! `"random"`, `"tournament"`) instead of constructing concrete types.
-//! Each registered solver carries a [`Capabilities`] descriptor so a
-//! runner can adapt — most importantly [`Capabilities::match_size`],
-//! which tells the arena runner how many configs the solver wants
-//! evaluated on the *same machine and noise draw* (2 for head-to-head
-//! tournament matches).
+//! Arms in `tuna-core` name solvers declaratively (`"random"`, `"smac"`,
+//! `"gp"`) instead of constructing concrete types; any other name is
+//! refused with the list of registered ones.
 //!
 //! Registry names double as the determinism anchor: per-arm seed salts
 //! are derived from [`SolverId::name_hash`] (FNV-1a of the name) rather
@@ -20,24 +16,9 @@ use crate::gp_opt::{GpOptimizer, GpParams};
 use crate::multifidelity::LadderParams;
 use crate::random::RandomSearch;
 use crate::smac::{SmacOptimizer, SmacParams};
-use crate::tournament::{TournamentParams, TournamentSolver};
 use crate::{Objective, Solver};
 use tuna_space::ConfigSpace;
 use tuna_stats::fnv::Checksum;
-
-/// What a registered solver can do; runners adapt to this descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Capabilities {
-    /// Understands the Successive-Halving budget ladder (may suggest
-    /// budgets above 1 when given a multi-rung ladder).
-    pub multi_fidelity: bool,
-    /// Fits a surrogate model over the observation history.
-    pub model_based: bool,
-    /// Configs the solver wants evaluated per noise draw: 1 for
-    /// independent evaluations, 2 for head-to-head matches whose sides
-    /// must share one machine/noise draw.
-    pub match_size: usize,
-}
 
 /// Construction parameters a registry builder may draw from. Solvers
 /// take only the pieces they understand; the rest are ignored.
@@ -49,8 +30,6 @@ pub struct SolverParams {
     pub smac: SmacParams,
     /// GP hyperparameters.
     pub gp: GpParams,
-    /// Tournament hyperparameters.
-    pub tournament: TournamentParams,
     /// Fixed suggestion budget for single-fidelity solvers.
     pub budget: usize,
 }
@@ -61,7 +40,6 @@ impl Default for SolverParams {
             ladder: LadderParams::single(),
             smac: SmacParams::default(),
             gp: GpParams::default(),
-            tournament: TournamentParams::default(),
             budget: 1,
         }
     }
@@ -69,10 +47,9 @@ impl Default for SolverParams {
 
 type BuildFn = fn(ConfigSpace, Objective, &SolverParams) -> Box<dyn Solver>;
 
-/// One registered solver: name, capabilities, constructor.
+/// One registered solver: name and constructor.
 pub struct SolverEntry {
     name: &'static str,
-    capabilities: Capabilities,
     build: BuildFn,
 }
 
@@ -80,11 +57,6 @@ impl SolverEntry {
     /// The registry key.
     pub fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// The capability descriptor.
-    pub fn capabilities(&self) -> Capabilities {
-        self.capabilities
     }
 
     /// Constructs the solver.
@@ -104,29 +76,19 @@ pub struct SolverRegistry {
 }
 
 impl SolverRegistry {
-    /// The built-in registry: `random`, `smac`, `gp`, `tournament`.
+    /// The built-in registry: `random`, `smac`, `gp`.
     pub fn builtin() -> &'static SolverRegistry {
         static REGISTRY: OnceLock<SolverRegistry> = OnceLock::new();
         REGISTRY.get_or_init(|| SolverRegistry {
             entries: vec![
                 SolverEntry {
                     name: "random",
-                    capabilities: Capabilities {
-                        multi_fidelity: false,
-                        model_based: false,
-                        match_size: 1,
-                    },
                     build: |space, objective, p| {
                         Box::new(RandomSearch::new(space, objective, p.budget.max(1)))
                     },
                 },
                 SolverEntry {
                     name: "smac",
-                    capabilities: Capabilities {
-                        multi_fidelity: true,
-                        model_based: true,
-                        match_size: 1,
-                    },
                     build: |space, objective, p| {
                         Box::new(SmacOptimizer::multi_fidelity(
                             space,
@@ -138,32 +100,12 @@ impl SolverRegistry {
                 },
                 SolverEntry {
                     name: "gp",
-                    capabilities: Capabilities {
-                        multi_fidelity: true,
-                        model_based: true,
-                        match_size: 1,
-                    },
                     build: |space, objective, p| {
                         Box::new(GpOptimizer::multi_fidelity(
                             space,
                             objective,
                             p.gp.clone(),
                             p.ladder.clone(),
-                        ))
-                    },
-                },
-                SolverEntry {
-                    name: "tournament",
-                    capabilities: Capabilities {
-                        multi_fidelity: false,
-                        model_based: false,
-                        match_size: 2,
-                    },
-                    build: |space, objective, p| {
-                        Box::new(TournamentSolver::new(
-                            space,
-                            objective,
-                            p.tournament.clone(),
                         ))
                     },
                 },
@@ -213,11 +155,6 @@ impl SolverId {
         SolverId("random".to_string())
     }
 
-    /// DarwinGame head-to-head tournament selection.
-    pub fn tournament() -> SolverId {
-        SolverId("tournament".to_string())
-    }
-
     /// The registry key.
     pub fn as_str(&self) -> &str {
         &self.0
@@ -230,14 +167,6 @@ impl SolverId {
         let mut c = Checksum::new();
         c.push_str(&self.0);
         c.value()
-    }
-
-    /// The capability descriptor.
-    pub fn capabilities(&self) -> Capabilities {
-        SolverRegistry::builtin()
-            .get(&self.0)
-            .expect("SolverId is validated at construction")
-            .capabilities()
     }
 
     /// Builds the solver.
@@ -273,15 +202,17 @@ mod tests {
     fn builtin_registry_names_and_order() {
         assert_eq!(
             SolverRegistry::builtin().names(),
-            vec!["random", "smac", "gp", "tournament"]
+            vec!["random", "smac", "gp"]
         );
     }
 
     #[test]
     fn unknown_name_lists_registered() {
-        let err = SolverId::new("adam").unwrap_err();
-        assert!(err.contains("unknown solver"), "{err}");
-        assert!(err.contains("random, smac, gp, tournament"), "{err}");
+        for name in ["adam", "tournament"] {
+            let err = SolverId::new(name).unwrap_err();
+            assert!(err.contains("unknown solver"), "{err}");
+            assert!(err.contains("registered: random, smac, gp"), "{err}");
+        }
     }
 
     #[test]
@@ -304,23 +235,8 @@ mod tests {
     }
 
     #[test]
-    fn capabilities_match_solver_nature() {
-        let caps = |n: &str| SolverRegistry::builtin().get(n).unwrap().capabilities();
-        assert!(caps("smac").model_based && caps("smac").multi_fidelity);
-        assert!(caps("gp").model_based && caps("gp").multi_fidelity);
-        assert!(!caps("random").model_based);
-        assert_eq!(caps("tournament").match_size, 2);
-        assert_eq!(caps("smac").match_size, 1);
-    }
-
-    #[test]
     fn name_hashes_are_distinct_and_stable() {
-        let ids = [
-            SolverId::random(),
-            SolverId::smac(),
-            SolverId::gp(),
-            SolverId::tournament(),
-        ];
+        let ids = [SolverId::random(), SolverId::smac(), SolverId::gp()];
         let mut hashes: Vec<u64> = ids.iter().map(|i| i.name_hash()).collect();
         hashes.sort();
         hashes.dedup();

@@ -541,6 +541,10 @@ mod tests {
                 "unknown solver",
             ),
             (
+                r#"{"name": "d", "optimizer": "tournament", "workloads": ["tpcc"], "arms": [{"label": "x", "method": "default"}]}"#,
+                "unknown solver",
+            ),
+            (
                 r#"{"name": "d", "tenant": "bad tenant", "workloads": ["tpcc"], "arms": [{"label": "x", "method": "default"}]}"#,
                 "invalid tenant name",
             ),

@@ -35,7 +35,7 @@ fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("figures") {
         let args = HarnessArgs::parse_from(&argv[1..]).unwrap_or_else(|e| fail(&e));
-        tuna_bench::figures::run(&args);
+        tuna_bench::figures::run(&args, &mut std::io::stdout()).expect("write to stdout");
         return;
     }
     let mut workload = tuna_workloads::tpcc();
@@ -46,6 +46,11 @@ fn main() {
     let mut i = 0;
     while i < argv.len() {
         let need = |i: usize| argv.get(i + 1).cloned().unwrap_or_else(|| usage());
+        // Tuning rounds and deployment VMs: a run needs at least one.
+        let count = |i: usize| match need(i).parse() {
+            Ok(0) | Err(_) => usage(),
+            Ok(n) => n,
+        };
         match argv[i].as_str() {
             "--workload" => {
                 workload = match need(i).as_str() {
@@ -76,7 +81,7 @@ fn main() {
                 i += 1;
             }
             "--rounds" => {
-                exp.rounds = need(i).parse().unwrap_or_else(|_| usage());
+                exp.rounds = count(i);
                 i += 1;
             }
             "--seed" => {
@@ -103,7 +108,7 @@ fn main() {
                 i += 1;
             }
             "--deploy-vms" => {
-                exp.deploy_vms = need(i).parse().unwrap_or_else(|_| usage());
+                exp.deploy_vms = count(i);
                 i += 1;
             }
             "--help" | "-h" => usage(),

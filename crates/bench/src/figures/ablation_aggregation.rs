@@ -6,11 +6,13 @@
 //! aggregation policy inside an otherwise unchanged TUNA and deploys each
 //! winner.
 
-use crate::{campaign_method_table, run_campaign, HarnessArgs};
+use super::protocol::{self, Versus::*};
+use super::FigureReport;
+use crate::{run_campaign, HarnessArgs};
 use tuna_core::aggregate::AggregationPolicy;
 use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
 
-pub fn run(args: &HarnessArgs) {
+pub fn run(args: &HarnessArgs) -> FigureReport {
     let runs = args.runs_or(3, 10);
     let rounds = args.rounds_or(25, 96);
 
@@ -45,13 +47,14 @@ pub fn run(args: &HarnessArgs) {
         })
         .collect();
     let result = run_campaign(args, &campaign);
-    let entries = campaign_method_table(&campaign, &result, 0);
+    let mut report = FigureReport::default();
+    let table = protocol::table(&mut report, &campaign, &result, 0);
 
-    let min_s = entries[0].1;
-    let max_s = entries[3].1;
-    println!(
+    let (min, max) = (policies[0].0, policies[3].0);
+    report.line(format!(
         "best-case aggregation vs min: mean {:+.1}%, std {:.2}x — optimizing the lucky face invites instability",
-        (max_s.mean_of_means / min_s.mean_of_means - 1.0) * 100.0,
-        max_s.mean_std / min_s.mean_std.max(1e-9)
-    );
+        MeanChange(max, min).value(&table) * 100.0,
+        StdRatio(max, min).value(&table)
+    ));
+    report
 }

@@ -5,14 +5,15 @@
 //! budget ladder and measures deployment robustness: small clusters miss
 //! flips; larger ones spend more per config for diminishing returns.
 
-use crate::{fail, run_campaign_keeping, run_summary, HarnessArgs};
+use super::FigureReport;
+use crate::{run_campaign_keeping, run_summary, HarnessArgs};
 use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
 use tuna_core::experiment::ClusterShape;
 use tuna_core::report::render_table;
 use tuna_optimizer::multifidelity::LadderParams;
 use tuna_stats::summary;
 
-pub fn run(args: &HarnessArgs) {
+pub fn run(args: &HarnessArgs) -> FigureReport {
     let runs = args.runs_or(3, 10);
     let sample_budget = args.rounds_or(250, 960);
 
@@ -64,9 +65,7 @@ pub fn run(args: &HarnessArgs) {
         "deploy rel.range",
     ]);
     for (a, (arm, (_, budgets))) in campaign.arms.iter().zip(&shapes).enumerate() {
-        let runs = result.kept(0, a).unwrap_or_else(|| {
-            fail("the relative-range column needs in-process results; delete the --store file to recompute")
-        });
+        let runs = result.kept(0, a).expect("a kept grid has no resumed cell");
         let means: Vec<f64> = runs.iter().map(|&&(mean, ..)| mean).collect();
         let stds: Vec<f64> = runs.iter().map(|&&(_, std, _)| std).collect();
         let ranges: Vec<f64> = runs.iter().map(|&&(.., range)| range).collect();
@@ -78,6 +77,8 @@ pub fn run(args: &HarnessArgs) {
             format!("{:.1}%", summary::mean(&ranges) * 100.0),
         ]);
     }
-    println!("{}", render_table(&rows));
-    println!("expected shape: deployment spread shrinks with cluster size, flattening near 10.");
+    let mut report = FigureReport::default();
+    report.line(render_table(&rows));
+    report.line("expected shape: deployment spread shrinks with cluster size, flattening near 10.");
+    report
 }

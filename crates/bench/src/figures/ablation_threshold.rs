@@ -6,14 +6,15 @@
 //! negatives deploy disasters. This sweep runs TUNA across thresholds and
 //! reports deployment quality plus how much of the search was discarded.
 
-use crate::{fail, run_campaign_keeping, run_summary, HarnessArgs};
+use super::FigureReport;
+use crate::{run_campaign_keeping, run_summary, HarnessArgs};
 use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
 use tuna_core::report::render_table;
 use tuna_stats::summary;
 
 const THRESHOLDS: [f64; 6] = [0.10, 0.15, 0.20, 0.30, 0.50, 0.80];
 
-pub fn run(args: &HarnessArgs) {
+pub fn run(args: &HarnessArgs) -> FigureReport {
     let runs = args.runs_or(3, 10);
     let rounds = args.rounds_or(25, 96);
 
@@ -58,9 +59,7 @@ pub fn run(args: &HarnessArgs) {
         "worst deploy value",
     ]);
     for (a, arm) in campaign.arms.iter().enumerate() {
-        let runs = result.kept(0, a).unwrap_or_else(|| {
-            fail("the unstable-config column needs in-process results; delete the --store file to recompute")
-        });
+        let runs = result.kept(0, a).expect("a kept grid has no resumed cell");
         let means: Vec<f64> = runs.iter().map(|&&(mean, ..)| mean).collect();
         let stds: Vec<f64> = runs.iter().map(|&&(_, std, ..)| std).collect();
         let flagged: Vec<f64> = runs.iter().map(|&&(.., flagged)| flagged).collect();
@@ -76,9 +75,11 @@ pub fn run(args: &HarnessArgs) {
             format!("{worst:.0}"),
         ]);
     }
-    println!("{}", render_table(&rows));
-    println!(
+    let mut report = FigureReport::default();
+    report.line(render_table(&rows));
+    report.line(
         "expected shape: tight thresholds flag more configs (some falsely) at little cost;\n\
-         loose thresholds stop flagging anything and the worst deployment value collapses."
+         loose thresholds stop flagging anything and the worst deployment value collapses.",
     );
+    report
 }

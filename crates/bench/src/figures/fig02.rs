@@ -6,7 +6,8 @@
 //! σ ∈ {0%, 5%, 10%}. The paper finds 5% noise slows time-to-optimal by
 //! 2.50x and 10% by 4.35x.
 
-use crate::{map_runs, paper_vs, HarnessArgs};
+use super::report::{claim, Claim, FigureReport, Format::*};
+use crate::{map_runs, HarnessArgs};
 use tuna_cloudsim::{Cluster, Region, VmSku};
 use tuna_core::report::{fmt_value, render_table};
 use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
@@ -17,7 +18,13 @@ use tuna_stats::summary;
 use tuna_sut::postgres::Postgres;
 use tuna_sut::SystemUnderTest;
 
-pub fn run(args: &HarnessArgs) {
+#[rustfmt::skip]
+static SLOWDOWNS: [Claim; 2] = [
+    claim("fig02.slowdown_5pct", "slowdown at 5% noise", "2.50x", Some(2.50), Times(2)),
+    claim("fig02.slowdown_10pct", "slowdown at 10% noise", "4.35x", Some(4.35), Times(2)),
+];
+
+pub fn run(args: &HarnessArgs) -> FigureReport {
     let runs = args.runs_or(6, 100);
     let iters = args.rounds_or(40, 100);
 
@@ -87,7 +94,8 @@ pub fn run(args: &HarnessArgs) {
         }
         rows.push(row);
     }
-    println!("{}", render_table(&rows));
+    let mut report = FigureReport::default();
+    report.line(render_table(&rows));
 
     // Time-to-optimal: iterations each curve needs to reach 80% of the
     // noise-free curve's final improvement (the paper's 0%-at-40 ==
@@ -101,29 +109,25 @@ pub fn run(args: &HarnessArgs) {
             .find(|&it| mean_at(li, it) >= target)
             .map(|i| i + 1)
     };
-    let t0 = reach(0);
-    let t5 = reach(1);
-    let t10 = reach(2);
-    println!(
-        "time-to-reach 70% of the noise-free final improvement (oracle rel {:.3}):",
-        target
-    );
-    println!(
-        "  0%: {:?}  5%: {:?}  10%: {:?} iterations (None = not reached in {iters})",
-        t0, t5, t10
-    );
-    for (label, paper, reached) in [
-        ("slowdown at 5% noise", "2.50x", t5),
-        ("slowdown at 10% noise", "4.35x", t10),
-    ] {
-        let Some(a) = t0 else { continue };
-        let measured = match reached {
-            Some(b) => format!("{:.2}x", b as f64 / a as f64),
-            None => format!(
-                ">{:.2}x (not reached in {iters} iters)",
-                iters as f64 / a as f64
-            ),
-        };
-        paper_vs(label, paper, &measured);
+    let [t0, t5, t10] = [0, 1, 2].map(reach);
+    report.line(format!(
+        "time-to-reach 70% of the noise-free final improvement (oracle rel {target:.3}):"
+    ));
+    report.line(format!(
+        "  0%: {t0:?}  5%: {t5:?}  10%: {t10:?} iterations (None = not reached in {iters})"
+    ));
+    let Some(a) = t0 else { return report };
+    for (claim, reached) in SLOWDOWNS.iter().zip([t5, t10]) {
+        match reached {
+            Some(b) => report.claim(claim, b as f64 / a as f64, ""),
+            // Not reached: the horizon's slowdown is a lower bound.
+            None => {
+                let bound = iters as f64 / a as f64;
+                report.claims.push((claim, bound));
+                let measured = claim.format.render(bound);
+                report.line(claim.line(&format!(">{measured} (not reached in {iters} iters)")));
+            }
+        }
     }
+    report
 }

@@ -5,13 +5,14 @@
 //! distribution (credit depletion cuts performance by >50%), while
 //! D-series VMs are tight and unimodal.
 
+use super::FigureReport;
 use crate::{strip_plot, HarnessArgs};
 use tuna_cloudsim::study::Lifespan;
 use tuna_core::report::{fmt_value, render_table};
 use tuna_stats::summary::{self, FiveNumber};
 
-pub fn run(args: &HarnessArgs) {
-    let report = super::study(args);
+pub fn run(args: &HarnessArgs) -> FigureReport {
+    let study = super::study(args);
 
     let mut rows = super::header(&[
         "benchmark",
@@ -25,12 +26,13 @@ pub fn run(args: &HarnessArgs) {
         "max",
         "low-mode %",
     ]);
-    println!("relative performance (1.0 = SKU/region mean), short-lived fleets:");
-    println!();
+    let mut report = FigureReport::default();
+    report.line("relative performance (1.0 = SKU/region mean), short-lived fleets:");
+    report.line("");
     for bench in ["pgbench-rw", "redis-benchmark-write"] {
         for sku in ["Standard_D8s_v5", "Standard_B8ms"] {
             for region in ["westus2", "eastus"] {
-                let series = report
+                let series = study
                     .series(bench, region, sku, Lifespan::Short)
                     .expect("series present");
                 let rel = series.relative_samples();
@@ -48,32 +50,32 @@ pub fn run(args: &HarnessArgs) {
                     fmt_value(five.max),
                     format!("{:.1}%", low_mode * 100.0),
                 ]);
-                println!(
+                report.line(format!(
                     "{:>22} {:>16} {:>8} |{}| 0.0..1.4",
                     bench,
                     sku,
                     region,
                     strip_plot(&rel, 0.0, 1.4, 56)
-                );
+                ));
             }
         }
     }
-    println!();
-    println!("{}", render_table(&rows));
+    report.line("");
+    report.line(render_table(&rows));
 
     // Headline check: burstable CoV must dominate non-burstable.
     let cov = |bench: &str, sku: &str| {
-        report
+        study
             .pooled_short_cov(bench, sku)
             .expect("pooled cov present")
     };
     let b = cov("pgbench-rw", "Standard_B8ms");
     let nb = cov("pgbench-rw", "Standard_D8s_v5");
-    println!(
+    report.line(format!(
         "pgbench CoV burstable/non-burstable ratio: {:.1}x (paper: 'significantly higher + bimodal')",
         b / nb
-    );
-    let depleted = report
+    ));
+    let depleted = study
         .series("pgbench-rw", "westus2", "Standard_B8ms", Lifespan::Short)
         .map(|s| {
             let rel = s.relative_samples();
@@ -81,9 +83,10 @@ pub fn run(args: &HarnessArgs) {
             (low.len() as f64 / rel.len() as f64, summary::mean(&low))
         })
         .expect("burstable series");
-    println!(
+    report.line(format!(
         "burstable low mode: {:.1}% of samples at mean {:.2} relative (paper: '>50% degradation when depleted')",
         depleted.0 * 100.0,
         depleted.1
-    );
+    ));
+    report
 }

@@ -4,28 +4,32 @@
 //! stable in the modern cloud (CoV 0.17% / 0.36%), while memory, OS and
 //! cache remain noisy (4.92% / 9.82% / 14.39%).
 
-use crate::{paper_vs, strip_plot, HarnessArgs};
+use super::report::{claim, Claim, FigureReport, Format::*};
+use crate::{strip_plot, HarnessArgs};
 use tuna_cloudsim::study::Lifespan;
 use tuna_core::report::render_table;
 use tuna_stats::summary::FiveNumber;
 
-pub fn run(args: &HarnessArgs) {
-    let report = super::study(args);
+/// Each component, its microbenchmark and its pooled-CoV claim.
+#[rustfmt::skip]
+static COMPONENTS: [(&str, &str, Claim); 5] = [
+    ("CPU", "sysbench-cpu-prime", claim("fig04.cpu_cov", "CPU CoV", "0.17%", Some(0.0017), Percent(2))),
+    ("Disk", "fio-randwrite-aio", claim("fig04.disk_cov", "Disk CoV", "0.36%", Some(0.0036), Percent(2))),
+    ("Mem", "mlc-maxbw-1to1", claim("fig04.mem_cov", "Mem CoV", "4.92%", Some(0.0492), Percent(2))),
+    ("OS", "osbench-create-threads", claim("fig04.os_cov", "OS CoV", "9.82%", Some(0.0982), Percent(2))),
+    ("Cache", "stress-ng-cache", claim("fig04.cache_cov", "Cache CoV", "14.39%", Some(0.1439), Percent(2))),
+];
 
-    let benches = [
-        ("CPU", "sysbench-cpu-prime", 0.0017),
-        ("Disk", "fio-randwrite-aio", 0.0036),
-        ("Mem", "mlc-maxbw-1to1", 0.0492),
-        ("OS", "osbench-create-threads", 0.0982),
-        ("Cache", "stress-ng-cache", 0.1439),
-    ];
+pub fn run(args: &HarnessArgs) -> FigureReport {
+    let study = super::study(args);
 
-    println!("relative performance distributions (both regions):");
-    println!();
+    let mut report = FigureReport::default();
+    report.line("relative performance distributions (both regions):");
+    report.line("");
     let mut rows = super::header(&["component", "region", "CoV", "min", "median", "max", "n"]);
-    for (component, bench, _) in benches {
+    for (component, bench, _) in &COMPONENTS {
         for region in ["westus2", "eastus"] {
-            let series = report
+            let series = study
                 .series(bench, region, "Standard_D8s_v5", Lifespan::Short)
                 .expect("series present");
             let rel = series.relative_samples();
@@ -39,32 +43,29 @@ pub fn run(args: &HarnessArgs) {
                 format!("{:.3}", five.max),
                 format!("{}", series.overall.count()),
             ]);
-            println!(
+            report.line(format!(
                 "{:>6} {:>8} |{}| 0.5..1.5",
                 component,
                 region,
                 strip_plot(&rel, 0.5, 1.5, 60)
-            );
+            ));
         }
     }
-    println!();
-    println!("{}", render_table(&rows));
+    report.line("");
+    report.line(render_table(&rows));
 
-    println!("pooled CoV vs paper:");
-    for (component, bench, paper_cov) in benches {
-        let measured = report
+    report.line("pooled CoV vs paper:");
+    let mut covs = Vec::new();
+    for (_, bench, claim) in &COMPONENTS {
+        let cov = study
             .pooled_short_cov(bench, "Standard_D8s_v5")
             .expect("pooled");
-        paper_vs(
-            &format!("{component} CoV"),
-            &format!("{:.2}%", paper_cov * 100.0),
-            &format!("{:.2}%", measured * 100.0),
-        );
+        report.claim(claim, cov, "");
+        covs.push(cov);
     }
-    let ordered = benches
-        .iter()
-        .map(|(_, b, _)| report.pooled_short_cov(b, "Standard_D8s_v5").unwrap())
-        .collect::<Vec<_>>();
-    let monotone = ordered.windows(2).all(|w| w[0] < w[1]);
-    println!("ordering CPU < Disk < Mem < OS < Cache holds: {monotone}");
+    let monotone = covs.windows(2).all(|w| w[0] < w[1]);
+    report.line(format!(
+        "ordering CPU < Disk < Mem < OS < Cache holds: {monotone}"
+    ));
+    report
 }

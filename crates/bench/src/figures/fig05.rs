@@ -8,7 +8,8 @@
 //!     stable/unstable: the paper finds 13 of 30 unstable, with up to
 //!     76.1% degradation and CoVs up to 36.3%.
 
-use crate::{map_runs, paper_vs, HarnessArgs};
+use super::report::{claim, Claim, FigureReport, Format::*};
+use crate::{map_runs, HarnessArgs};
 use tuna_cloudsim::{Cluster, Region, VmSku};
 use tuna_core::deploy::evaluate_deployment_with;
 use tuna_core::executor::ExecutionMode;
@@ -18,12 +19,20 @@ use tuna_stats::rng::{hash_combine, Rng};
 use tuna_sut::postgres::Postgres;
 use tuna_sut::SystemUnderTest;
 
-pub fn run(args: &HarnessArgs) {
+#[rustfmt::skip]
+static TRANSFER: [Claim; 3] = [
+    claim("fig05.unstable_transfers", "transferred best configs unstable", "13/30 (43%)", Some(13.0), Fixed(0)),
+    claim("fig05.worst_degradation", "worst transfer degradation vs tuning-time value", "up to 76.1%", Some(0.761), Percent(1)),
+    claim("fig05.max_cov", "max deployment CoV", "36.3%", Some(0.363), Percent(1)),
+];
+
+pub fn run(args: &HarnessArgs) -> FigureReport {
     let pg = Postgres::new();
     let workload = tuna_workloads::tpcc();
 
     // (a) Initialization set on the same 30 fresh nodes (`super::profile`).
-    println!("--- (a) initialization set on 30 shared nodes ---");
+    let mut report = FigureReport::default();
+    report.line("--- (a) initialization set on 30 shared nodes ---");
     let mut rows = super::header(&["config", "mean", "min", "max", "rel.range", "verdict"]);
     let mut init_unstable = 0;
     let n_init = 10;
@@ -56,12 +65,12 @@ pub fn run(args: &HarnessArgs) {
             ]);
         }
     }
-    println!("{}", render_table(&rows));
-    println!("init-set unstable: {init_unstable}/{n_init}");
-    println!();
+    report.line(render_table(&rows));
+    report.line(format!("init-set unstable: {init_unstable}/{n_init}"));
+    report.line("");
 
     // (b) Transferability of best configs from 30 tuning runs.
-    println!("--- (b) best configs transferred to 10 new VMs ---");
+    report.line("--- (b) best configs transferred to 10 new VMs ---");
     let n_runs = args.runs_or(6, 30);
     let rounds = args.rounds_or(25, 96);
     let exp = Experiment {
@@ -116,22 +125,10 @@ pub fn run(args: &HarnessArgs) {
             ]);
         }
     }
-    println!("{}", render_table(&rows));
-    paper_vs(
-        "transferred best configs unstable",
-        "13/30 (43%)",
-        &format!("{unstable_count}/{n_runs}"),
-    );
-    paper_vs(
-        "worst transfer degradation vs tuning-time value",
-        "up to 76.1%",
-        &format!("{:.1}%", worst_degradation * 100.0),
-    );
-    paper_vs(
-        "max deployment CoV",
-        "36.3%",
-        &format!("{:.1}%", max_cov * 100.0),
-    );
+    report.line(render_table(&rows));
+    report.claim(&TRANSFER[0], unstable_count as f64, &format!("/{n_runs}"));
+    report.claim(&TRANSFER[1], worst_degradation, "");
+    report.claim(&TRANSFER[2], max_cov, "");
 
     // Bonus: a stable deployment must exist too (the paper's 'stable'
     // panel of Figure 5b) — deploy the default config.
@@ -149,8 +146,9 @@ pub fn run(args: &HarnessArgs) {
         1.0,
         &drng,
     );
-    println!(
+    report.line(format!(
         "default-config deployment relative range: {:.1}% (stable reference)",
         stable.relative_range * 100.0
-    );
+    ));
+    report
 }

@@ -5,14 +5,15 @@
 //! spread that a fleet of short-lived VMs samples every month, so
 //! confidence about deployment behaviour requires sampling across nodes.
 
+use super::FigureReport;
 use crate::HarnessArgs;
 use tuna_cloudsim::study::Lifespan;
 use tuna_core::report::render_table;
 
-pub fn run(args: &HarnessArgs) {
-    let report = super::study(args);
+pub fn run(args: &HarnessArgs) -> FigureReport {
+    let study = super::study(args);
 
-    let long = report
+    let long = study
         .series(
             "mlc-maxbw-1to1",
             "westus2",
@@ -20,7 +21,7 @@ pub fn run(args: &HarnessArgs) {
             Lifespan::Long,
         )
         .expect("long series");
-    let short = report
+    let short = study
         .series(
             "mlc-maxbw-1to1",
             "westus2",
@@ -48,19 +49,20 @@ pub fn run(args: &HarnessArgs) {
             format!("{:.2}", s.std_dev()),
         ]);
     }
-    println!("{}", render_table(&rows));
-
-    println!(
+    let mut report = FigureReport::default();
+    report.line(render_table(&rows));
+    report.line(format!(
         "whole-study CoV: long {:.2}%  short {:.2}%  (short/long ratio {:.1}x)",
         long.overall.cov() * 100.0,
         short.overall.cov() * 100.0,
         short.overall.cov() / long.overall.cov().max(1e-9)
-    );
-    println!(
+    ));
+    report.line(format!(
         "whole-study range: long [{:.1}, {:.1}] GB/s  short [{:.1}, {:.1}] GB/s (paper band: ~60-75 GB/s)",
         long.overall.min().unwrap_or(0.0),
         long.overall.max().unwrap_or(0.0),
         short.overall.min().unwrap_or(0.0),
         short.overall.max().unwrap_or(0.0),
-    );
+    ));
+    report
 }

@@ -7,13 +7,20 @@
 
 use std::ops::Range;
 
-use crate::{paper_vs, HarnessArgs};
+use super::report::{claim, Claim, FigureReport, Format::*};
+use crate::HarnessArgs;
 use tuna_stats::hist::{Histogram, Kde};
 use tuna_stats::rng::{hash_combine, Rng};
 use tuna_sut::postgres::Postgres;
 use tuna_sut::SystemUnderTest;
 
-pub fn run(args: &HarnessArgs) {
+#[rustfmt::skip]
+static CLAIMS: [Claim; 2] = [
+    claim("fig08.trough", "trough between stable/unstable peaks", "~30% (15-30% reasonable)", Some(0.30), Percent(1)),
+    claim("fig08.unstable_share", "configs with relative range > 30%", "39.0% of configs seen during tuning", Some(0.39), Percent(1)),
+];
+
+pub fn run(args: &HarnessArgs) -> FigureReport {
     let n_configs = args.runs_or(150, 1000);
     let ranges = ranges(args.seed, 0..n_configs);
     let unstable = ranges.iter().filter(|&&rr| rr > 0.30).count();
@@ -22,35 +29,29 @@ pub fn run(args: &HarnessArgs) {
     for &r in &ranges {
         hist.push(r);
     }
-    println!("histogram of relative ranges (bin width 5%):");
-    println!("{}", hist.ascii(48));
+    let mut report = FigureReport::default();
+    report.line("histogram of relative ranges (bin width 5%):");
+    report.line(hist.ascii(48));
 
     let kde = Kde::fit(&ranges);
-    println!("kernel density estimate (x, density):");
+    report.line("kernel density estimate (x, density):");
     for (x, d) in kde.grid(0.0, 1.5, 16) {
-        println!("  {x:>5.2}  {d:>7.3}  {}", "#".repeat((d * 8.0) as usize));
+        report.line(format!(
+            "  {x:>5.2}  {d:>7.3}  {}",
+            "#".repeat((d * 8.0) as usize)
+        ));
     }
-    let trough = kde.trough(0.05, 0.6, 200);
-    match trough {
-        Some(t) => paper_vs(
-            "trough between stable/unstable peaks",
-            "~30% (15-30% reasonable)",
-            &format!("{:.1}%", t * 100.0),
-        ),
-        None => println!("  no interior trough found (distribution unimodal at this scale)"),
+    match kde.trough(0.05, 0.6, 200) {
+        Some(t) => report.claim(&CLAIMS[0], t, ""),
+        None => report.line("  no interior trough found (distribution unimodal at this scale)"),
     }
-    paper_vs(
-        "configs with relative range > 30%",
-        "39.0% of configs seen during tuning",
-        &format!(
-            "{:.1}% of random configs",
-            unstable as f64 / n_configs as f64 * 100.0
-        ),
-    );
-    println!(
+    let share = unstable as f64 / n_configs as f64;
+    report.claim(&CLAIMS[1], share, " of random configs");
+    report.line(
         "note: the paper's 39% counts configs *seen during tuning* (the optimizer is drawn toward the\n\
-         planner-tie bait region); uniform random configs sit in the unstable zone less often."
+         planner-tie bait region); uniform random configs sit in the unstable zone less often.",
     );
+    report
 }
 
 /// The relative range of each config in `configs` on the same 10 fresh

@@ -9,7 +9,8 @@
 
 use std::ops::Range;
 
-use crate::{map_runs, paper_vs, HarnessArgs};
+use super::report::{claim, Claim, FigureReport, Format::*};
+use crate::{map_runs, HarnessArgs};
 use tuna_cloudsim::{Cluster, Region, VmSku};
 use tuna_core::report::render_table;
 use tuna_optimizer::smac::{SmacOptimizer, SmacParams};
@@ -19,7 +20,14 @@ use tuna_stats::summary;
 use tuna_sut::postgres::Postgres;
 use tuna_sut::SystemUnderTest;
 
-pub fn run(args: &HarnessArgs) {
+/// The census line prints the first claim's value.
+#[rustfmt::skip]
+static CLAIMS: [Claim; 2] = [
+    claim("fig09.census", "top tuning configs unstable", "39.0% of seen", Some(0.39), Percent(1)),
+    claim("fig09.confidence_10_nodes", "all-detected confidence at 10 nodes", "~95%", Some(0.95), Percent(1)),
+];
+
+pub fn run(args: &HarnessArgs) -> FigureReport {
     let tuning_runs = args.runs_or(2, 10);
     let rounds = args.rounds_or(40, 120);
     let max_nodes = 15usize;
@@ -37,15 +45,17 @@ pub fn run(args: &HarnessArgs) {
         .filter(|profile| summary::relative_range(profile) > 0.30)
         .collect();
     let unstable_frac = unstable_profiles.len() as f64 / n_seen as f64;
-    println!(
+    let mut report = FigureReport::default();
+    report.claims.push((&CLAIMS[0], unstable_frac));
+    report.line(format!(
         "census: {}/{} top tuning configs are unstable ({:.1}%; paper: 39.0% of seen, 13/30 of best)",
         unstable_profiles.len(),
         n_seen,
         unstable_frac * 100.0
-    );
+    ));
     if unstable_profiles.is_empty() {
-        println!("no unstable configs found at this scale; rerun without --quick");
-        return;
+        report.line("no unstable configs found at this scale; rerun without --quick");
+        return report;
     }
 
     // Detection chance: Monte-Carlo over node subsets of each profile,
@@ -81,15 +91,14 @@ pub fn run(args: &HarnessArgs) {
             format!("{:.1}%", p.powf(per_run_unstable) * 100.0),
         ]);
     }
-    println!("{}", render_table(&rows));
-    println!("(assuming ~{per_run_unstable:.0} unstable configs reach multi-node budgets per run)");
-    paper_vs(
-        "all-detected confidence at 10 nodes",
-        "~95%",
-        &format!("{:.1}%", chance_at[10].powf(per_run_unstable) * 100.0),
-    );
+    report.line(render_table(&rows));
+    report.line(format!(
+        "(assuming ~{per_run_unstable:.0} unstable configs reach multi-node budgets per run)"
+    ));
+    report.claim(&CLAIMS[1], chance_at[10].powf(per_run_unstable), "");
     let monotone = (2..=max_nodes).all(|n| chance_at[n] + 1e-9 >= chance_at[n - 1]);
-    println!("detection chance monotone in nodes: {monotone}");
+    report.line(format!("detection chance monotone in nodes: {monotone}"));
+    report
 }
 
 /// Each tuning run in `runs` with its top-8 configs (the ones that would

@@ -9,117 +9,87 @@
 //! - (c) TPC-H: TUNA 70.3 s (-38.6%) vs trad 94.5 s (-17.3%);
 //! - (d) mssales: TUNA 33.2 s σ0.49 vs trad 62.5 s σ1.26 (default 79.4 s).
 
-use crate::{arm, campaign_method_table, paper_vs, run_campaign, HarnessArgs};
-use tuna_core::campaign::Campaign;
-use tuna_core::executor::ExecutionMode;
+use super::protocol::{self, arm, METHODS};
+use super::report::{claim, Claim, FigureReport, Format::*};
+use crate::{run_campaign, HarnessArgs};
 
-pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(3, 10);
-    let rounds = args.rounds_or(30, 96);
+/// Each workload's deployment-mean claims, three arms per workload in arm
+/// order, each with the paper's std where it states one.
+#[rustfmt::skip]
+static CLAIMS: [(Claim, Option<f64>); 12] = [
+    (claim("fig11.tpcc_tuna_mean", "TUNA deployment mean", "1925", Some(1925.0), Fixed(1)), Some(69.0)),
+    (claim("fig11.tpcc_trad_mean", "Traditional deployment mean", "1989", Some(1989.0), Fixed(1)), Some(205.7)),
+    (claim("fig11.tpcc_default_mean", "Default deployment mean", "848", Some(848.0), Fixed(1)), None),
+    (claim("fig11.epinions_tuna_mean", "TUNA deployment mean", "34957", Some(34957.0), Fixed(1)), None),
+    (claim("fig11.epinions_trad_mean", "Traditional deployment mean", "32189", Some(32189.0), Fixed(1)), None),
+    (claim("fig11.epinions_default_mean", "Default deployment mean", "30855", Some(30855.0), Fixed(1)), None),
+    (claim("fig11.tpch_tuna_mean", "TUNA deployment mean", "70.3", Some(70.3), Fixed(1)), Some(1.3)),
+    (claim("fig11.tpch_trad_mean", "Traditional deployment mean", "94.5", Some(94.5), Fixed(1)), Some(1.2)),
+    (claim("fig11.tpch_default_mean", "Default deployment mean", "114.5", Some(114.5), Fixed(1)), None),
+    (claim("fig11.mssales_tuna_mean", "TUNA deployment mean", "33.2", Some(33.2), Fixed(1)), Some(0.49)),
+    (claim("fig11.mssales_trad_mean", "Traditional deployment mean", "62.5", Some(62.5), Fixed(1)), Some(1.26)),
+    (claim("fig11.mssales_default_mean", "Default deployment mean", "79.4", Some(79.4), Fixed(1)), None),
+];
 
-    // (workload, [(method, paper mean, paper std); 3]).
-    type PaperRow = (&'static str, [(&'static str, f64, f64); 3]);
-    let paper: &[PaperRow] = &[
-        (
-            "tpcc",
-            [
-                ("TUNA", 1925.0, 69.0),
-                ("Traditional", 1989.0, 205.7),
-                ("Default", 848.0, f64::NAN),
-            ],
-        ),
-        (
-            "epinions",
-            [
-                ("TUNA", 34957.0, f64::NAN),
-                ("Traditional", 32189.0, f64::NAN),
-                ("Default", 30855.0, f64::NAN),
-            ],
-        ),
-        (
-            "tpch",
-            [
-                ("TUNA", 70.3, 1.3),
-                ("Traditional", 94.5, 1.2),
-                ("Default", 114.5, f64::NAN),
-            ],
-        ),
-        (
-            "mssales",
-            [
-                ("TUNA", 33.2, 0.49),
-                ("Traditional", 62.5, 1.26),
-                ("Default", 79.4, f64::NAN),
-            ],
-        ),
-    ];
-
+pub fn run(args: &HarnessArgs) -> FigureReport {
     // The whole figure is one campaign: the workload axis times the
     // method axis times `runs` seeds.
-    let campaign = Campaign::protocol(
+    let workloads = vec![
+        tuna_workloads::tpcc(),
+        tuna_workloads::epinions(),
+        tuna_workloads::tpch(),
+        tuna_workloads::mssales(),
+    ];
+    let campaign = protocol::campaign(
+        args,
         "fig11_postgres_workloads",
-        args.seed,
-        vec![
-            tuna_workloads::tpcc(),
-            tuna_workloads::epinions(),
-            tuna_workloads::tpch(),
-            tuna_workloads::mssales(),
-        ],
-        &crate::PROTOCOL_METHODS,
-    )
-    .with_runs(runs)
-    .with_rounds(rounds);
+        workloads,
+        &METHODS,
+        (3, 30),
+    );
     let result = run_campaign(args, &campaign);
 
-    for (w, (workload, refs)) in paper.iter().enumerate() {
-        let exp = campaign.experiment(w, ExecutionMode::Serial);
-        println!();
-        println!(
+    let mut report = FigureReport::default();
+    for (w, claims) in CLAIMS.chunks(3).enumerate() {
+        let metric = campaign.workloads[w].metric;
+        report.line("");
+        report.line(format!(
             "--- Figure 11{}: {} ({}) ---",
-            match *workload {
-                "tpcc" => 'a',
-                "epinions" => 'b',
-                "tpch" => 'c',
-                _ => 'd',
-            },
-            workload,
-            if exp.workload.metric.higher_is_better() {
+            (b'a' + w as u8) as char,
+            campaign.workloads[w].name,
+            if metric.higher_is_better() {
                 "higher is better"
             } else {
                 "lower is better"
             }
-        );
-        let results = campaign_method_table(&campaign, &result, w);
-        for ((name, summary), (_, p_mean, p_std)) in results.iter().zip(refs.iter()) {
-            let std_part = if p_std.is_nan() {
-                format!("σ {:.1}", summary.mean_std)
-            } else {
-                format!("σ {:.2} (paper σ {:.2})", summary.mean_std, p_std)
+        ));
+        let results = protocol::table(&mut report, &campaign, &result, w);
+        for ((_, summary), (claim, paper_std)) in results.iter().zip(claims) {
+            let std_part = match paper_std {
+                Some(p_std) => format!("σ {:.2} (paper σ {p_std:.2})", summary.mean_std),
+                None => format!("σ {:.1}", summary.mean_std),
             };
-            paper_vs(
-                &format!("{name} deployment mean"),
-                &format!("{p_mean}"),
-                &format!("{:.1}  {std_part}", summary.mean_of_means),
-            );
+            report.claim(claim, summary.mean_of_means, &format!("  {std_part}"));
         }
         // Who-wins shape checks.
         let tuna = arm(&results, "TUNA");
         let trad = arm(&results, "Traditional");
         let def = arm(&results, "Default");
         let better = |a: f64, b: f64| {
-            if exp.workload.metric.higher_is_better() {
+            if metric.higher_is_better() {
                 a > b
             } else {
                 a < b
             }
         };
-        println!(
+        report.line(format!(
             "  shape: TUNA beats default: {}   TUNA std <= traditional std: {}   traditional beats default: {}",
             better(tuna.mean_of_means, def.mean_of_means),
             tuna.mean_std <= trad.mean_std,
             better(trad.mean_of_means, def.mean_of_means),
-        );
+        ));
     }
-    println!();
-    println!("(paper headline: mssales with TUNA = 1.88x lower running time, 2.58x lower std)");
+    report.line("");
+    report.line("(paper headline: mssales with TUNA = 1.88x lower running time, 2.58x lower std)");
+    report
 }

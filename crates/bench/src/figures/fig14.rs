@@ -6,54 +6,37 @@
 //! 27.5% lower std than default and 86.8% lower than traditional, at
 //! +1.7% mean latency vs the default.
 
-use crate::{arm, campaign_method_table, paper_vs, run_campaign, HarnessArgs};
-use tuna_core::campaign::Campaign;
+use super::protocol::{self, arm, Versus, Versus::*, METHODS};
+use super::report::{claim, Claim, FigureReport, Format::*};
+use crate::{run_campaign, HarnessArgs};
 use tuna_core::executor::ExecutionMode;
 
-pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(3, 10);
-    let rounds = args.rounds_or(30, 96);
+#[rustfmt::skip]
+static CRASHES: [Claim; 3] = [
+    claim("fig14.tuna_crashes", "TUNA deployment crashes", "0", Some(0.0), Fixed(0)),
+    claim("fig14.trad_crashes", "traditional deployment crashes", "3 configs crash ~30% of runs", None, Fixed(0)),
+    claim("fig14.default_crash_rate", "default crash rate", "8%", Some(0.08), Percent(1)),
+];
 
-    let campaign = Campaign::protocol(
-        "fig14_redis",
-        args.seed,
-        vec![tuna_workloads::ycsb_c()],
-        &crate::PROTOCOL_METHODS,
-    )
-    .with_runs(runs)
-    .with_rounds(rounds);
+#[rustfmt::skip]
+static CLAIMS: [(Claim, Versus); 2] = [
+    (claim("fig14.std_ratio", "TUNA std / traditional std", "13.2% (86.8% lower)", Some(0.132), Percent(1)), StdRatio("TUNA", "Traditional")),
+    (claim("fig14.mean_vs_default", "TUNA mean vs default mean", "+1.7%", Some(0.017), Change(1)), MeanChange("TUNA", "Default")),
+];
+
+pub fn run(args: &HarnessArgs) -> FigureReport {
+    let ycsb = vec![tuna_workloads::ycsb_c()];
+    let campaign = protocol::campaign(args, "fig14_redis", ycsb, &METHODS, (3, 30));
     let exp = campaign.experiment(0, ExecutionMode::Serial);
-    let result = run_campaign(args, &campaign);
-    let results = campaign_method_table(&campaign, &result, 0);
-
-    let tuna = arm(&results, "TUNA");
-    let trad = arm(&results, "Traditional");
-    let def = arm(&results, "Default");
-    paper_vs("TUNA deployment crashes", "0", &format!("{}", tuna.crashes));
-    paper_vs(
-        "traditional deployment crashes",
-        "3 configs crash ~30% of runs",
-        &format!("{} crashed runs", trad.crashes),
-    );
-    paper_vs(
-        "default crash rate",
-        "8%",
-        &format!(
-            "{:.1}%",
-            def.crashes as f64 / (runs * exp.deploy_vms * exp.deploy_repeats) as f64 * 100.0
-        ),
-    );
-    paper_vs(
-        "TUNA std / traditional std",
-        "13.2% (86.8% lower)",
-        &format!("{:.1}%", tuna.mean_std / trad.mean_std.max(1e-9) * 100.0),
-    );
-    paper_vs(
-        "TUNA mean vs default mean",
-        "+1.7%",
-        &format!(
-            "{:+.1}%",
-            (tuna.mean_of_means / def.mean_of_means - 1.0) * 100.0
-        ),
-    );
+    let mut report = FigureReport::default();
+    let table = protocol::table(&mut report, &campaign, &run_campaign(args, &campaign), 0);
+    let crashes = |label| arm(&table, label).crashes as f64;
+    let deployments = (campaign.runs * exp.deploy_vms * exp.deploy_repeats) as f64;
+    report.claim(&CRASHES[0], crashes("TUNA"), "");
+    report.claim(&CRASHES[1], crashes("Traditional"), " crashed runs");
+    report.claim(&CRASHES[2], crashes("Default") / deployments, "");
+    for (claim, versus) in &CLAIMS {
+        report.claim(claim, versus.value(&table), "");
+    }
+    report
 }

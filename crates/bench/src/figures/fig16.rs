@@ -6,11 +6,22 @@
 //! exacerbates instability: its peak rises but so does its variance; TUNA
 //! ends 9.2% faster on average with 87.8% lower std.
 
-use crate::{campaign_method_table, paper_vs, run_campaign, HarnessArgs};
+use super::protocol::{self, Versus, Versus::*};
+use super::report::{claim, Claim, FigureReport, Format::*};
+use crate::{run_campaign, HarnessArgs};
 use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
 use tuna_core::experiment::Method;
 
-pub fn run(args: &HarnessArgs) {
+const TUNA: &str = "TUNA (equal cost)";
+const TRADITIONAL: &str = "Traditional (equal cost)";
+
+#[rustfmt::skip]
+static CLAIMS: [(Claim, Versus); 2] = [
+    (claim("fig16.mean_change", "TUNA mean vs extended traditional", "+9.2%", Some(0.092), Change(1)), MeanChange(TUNA, TRADITIONAL)),
+    (claim("fig16.std_ratio", "TUNA std / extended traditional std", "12.2% (87.8% lower)", Some(0.122), Percent(1)), StdRatio(TUNA, TRADITIONAL)),
+];
+
+pub fn run(args: &HarnessArgs) -> FigureReport {
     let runs = args.runs_or(3, 10);
     let sample_budget = args.rounds_or(150, 500);
 
@@ -26,11 +37,11 @@ pub fn run(args: &HarnessArgs) {
     .with_runs(runs);
     campaign.arms = vec![
         Arm::new(
-            "TUNA (equal cost)",
+            TUNA,
             Recipe::SampleBudget(SampleBudgetSpec::new(sample_budget, 900, 2, 77)),
         ),
         Arm::new(
-            "Traditional (equal cost)",
+            TRADITIONAL,
             Recipe::Protocol {
                 method: Method::TraditionalExtended {
                     samples: sample_budget,
@@ -40,26 +51,7 @@ pub fn run(args: &HarnessArgs) {
         ),
     ];
     let result = run_campaign(args, &campaign);
-    let results = campaign_method_table(&campaign, &result, 0);
-
-    let tuna_summary = results[0].1;
-    let trad_summary = results[1].1;
-    paper_vs(
-        "TUNA mean vs extended traditional",
-        "+9.2%",
-        &format!(
-            "{:+.1}%",
-            (tuna_summary.mean_of_means / trad_summary.mean_of_means - 1.0) * 100.0
-        ),
-    );
-    paper_vs(
-        "TUNA std / extended traditional std",
-        "12.2% (87.8% lower)",
-        &format!(
-            "{:.1}%",
-            tuna_summary.mean_std / trad_summary.mean_std.max(1e-9) * 100.0
-        ),
-    );
+    let mut report = protocol::report(&campaign, &result, &CLAIMS);
     // Sample accounting from the stored rows, so it survives `--store`
     // resumes bit-identically.
     let avg_samples: f64 = result
@@ -68,5 +60,8 @@ pub fn run(args: &HarnessArgs) {
         .map(|r| r.samples as f64)
         .sum::<f64>()
         / runs as f64;
-    println!("  TUNA actually consumed {avg_samples:.0} samples/run (budget {sample_budget})");
+    report.line(format!(
+        "  TUNA actually consumed {avg_samples:.0} samples/run (budget {sample_budget})"
+    ));
+    report
 }

@@ -6,12 +6,16 @@
 //! the same performance ~2.47x faster, matching naive's 500-sample result
 //! within ~206 samples on average.
 
-use crate::{fail, paper_vs, run_campaign_keeping, HarnessArgs};
+use super::report::{claim, Claim, FigureReport, Format::*};
+use crate::{run_campaign_keeping, HarnessArgs};
 use tuna_core::campaign::{Arm, Campaign, CellPayload, ConvergenceSpec, Recipe};
 use tuna_core::report::render_table;
 use tuna_stats::summary;
 
-pub fn run(args: &HarnessArgs) {
+#[rustfmt::skip]
+static CROSSOVER: Claim = claim("fig17.crossover_samples", "samples for TUNA to match naive's final perf", "206 (2.47x faster)", Some(206.0), Fixed(0));
+
+pub fn run(args: &HarnessArgs) -> FigureReport {
     let runs = args.runs_or(3, 10);
     let sample_budget = args.rounds_or(150, 500);
     let step = 10usize;
@@ -44,12 +48,7 @@ pub fn run(args: &HarnessArgs) {
             super::curve_at(&naive.trace, sample_budget, step),
         )
     });
-    let pairs = result.kept(0, 0).unwrap_or_else(|| {
-        fail(
-            "convergence curves need in-process traces; delete the --store file \
-             (or run without --store) to recompute them",
-        )
-    });
+    let pairs = result.kept(0, 0).expect("a kept grid has no resumed cell");
 
     let points = sample_budget / step;
     let mut tuna_curves: Vec<&Vec<f64>> = Vec::new();
@@ -81,32 +80,30 @@ pub fn run(args: &HarnessArgs) {
             format!("{:.0}", super::finite_mean_at(&naive_curves, i)),
         ]);
     }
-    println!("{}", render_table(&rows));
+    let mut report = FigureReport::default();
+    report.line(render_table(&rows));
 
     if crossover_samples.is_empty() {
-        println!("TUNA did not reach naive's final level within the budget on any run");
+        report.line("TUNA did not reach naive's final level within the budget on any run");
     } else {
         let mean_cross = summary::mean(&crossover_samples);
-        paper_vs(
-            "samples for TUNA to match naive's final perf",
-            "206 (2.47x faster)",
-            &format!(
-                "{:.0} ({:.2}x faster), reached in {}/{} runs",
-                mean_cross,
-                sample_budget as f64 / mean_cross,
-                crossover_samples.len(),
-                runs
-            ),
+        let note = format!(
+            " ({:.2}x faster), reached in {}/{} runs",
+            sample_budget as f64 / mean_cross,
+            crossover_samples.len(),
+            runs
         );
+        report.claim(&CROSSOVER, mean_cross, &note);
     }
     // The early-phase claim: naive leads before TUNA reaches max budget.
     let early = points / 5;
     let t_early = summary::mean(&tuna_curves.iter().map(|c| c[early]).collect::<Vec<_>>());
     let n_early = summary::mean(&naive_curves.iter().map(|c| c[early]).collect::<Vec<_>>());
-    println!(
+    report.line(format!(
         "  early phase (at {} samples): naive {:.0} vs TUNA {:.0} (paper: naive leads early)",
         (early + 1) * step,
         n_early,
         t_early
-    );
+    ));
+    report
 }

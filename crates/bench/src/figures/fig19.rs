@@ -7,14 +7,24 @@
 //!     4.87% → 1.99% after the halfway mark (a 59.2% reduction; 35.8%
 //!     averaged over the whole run).
 
-use crate::{map_runs, paper_vs, HarnessArgs};
+use super::report::{claim, Claim, FigureReport, Format::*};
+use crate::{map_runs, HarnessArgs};
 use tuna_core::experiment::{Experiment, RunPlan, TunaTweaks, Tuner};
 use tuna_core::pipeline::ModelErrorRecord;
 use tuna_core::report::render_table;
 use tuna_stats::rng::hash_combine;
 use tuna_stats::summary;
 
-pub fn run(args: &HarnessArgs) {
+#[rustfmt::skip]
+static CLAIMS: [Claim; 5] = [
+    claim("fig19.speedup", "convergence speedup from the model", "13.3% faster", Some(0.133), Change(1)),
+    claim("fig19.late_error_without", "error without model (past midpoint)", "4.87%", Some(0.0487), Percent(2)),
+    claim("fig19.late_error_with", "error with model (past midpoint)", "1.99%", Some(0.0199), Percent(2)),
+    claim("fig19.late_error_reduction", "relative error reduction (past midpoint)", "59.2% (67.3% of noise removed)", Some(0.592), Percent(1)),
+    claim("fig19.error_reduction", "whole-run error reduction", "35.8%", Some(0.358), Percent(1)),
+];
+
+pub fn run(args: &HarnessArgs) -> FigureReport {
     let runs = args.runs_or(3, 100);
     let sample_budget = args.rounds_or(120, 500);
 
@@ -65,7 +75,8 @@ pub fn run(args: &HarnessArgs) {
         without_curves.push(co);
     }
 
-    println!("--- (a) convergence (best-so-far tx/s by samples) ---");
+    let mut report = FigureReport::default();
+    report.line("--- (a) convergence (best-so-far tx/s by samples) ---");
     let points = sample_budget / 10;
     let mut rows = super::header(&["samples", "TUNA", "TUNA w/o model"]);
     for i in (0..points).step_by((points / 10).max(1)) {
@@ -75,25 +86,18 @@ pub fn run(args: &HarnessArgs) {
             format!("{:.0}", super::finite_mean_at(&without_curves, i)),
         ]);
     }
-    println!("{}", render_table(&rows));
+    report.line(render_table(&rows));
     if speedups.is_empty() {
-        println!("full TUNA never matched the ablation's final level (increase budget)");
+        report.line("full TUNA never matched the ablation's final level (increase budget)");
     } else {
-        paper_vs(
-            "convergence speedup from the model",
-            "13.3% faster",
-            &format!(
-                "{:+.1}% faster (geometric mean over {} matched levels)",
-                (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp()
-                    * 100.0
-                    - 100.0,
-                speedups.len(),
-            ),
-        );
+        let levels = speedups.len();
+        let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / levels as f64).exp();
+        let note = format!(" faster (geometric mean over {levels} matched levels)");
+        report.claim(&CLAIMS[0], geomean - 1.0, &note);
     }
 
-    println!();
-    println!("--- (b) reported-value error vs max-budget ground truth ---");
+    report.line("");
+    report.line("--- (b) reported-value error vs max-budget ground truth ---");
     let mut rows = super::header(&[
         "model generation",
         "raw error (w/o model)",
@@ -120,34 +124,19 @@ pub fn run(args: &HarnessArgs) {
             format!("{n}"),
         ]);
     }
-    println!("{}", render_table(&rows));
+    report.line(render_table(&rows));
 
     // Past-midpoint reduction, as the paper reports.
     let mid = max_gen / 2;
     let (raw, adj, n) = mean_errors(with_errors.iter().filter(|e| e.generation >= mid));
     if n > 0 {
-        paper_vs(
-            "error without model (past midpoint)",
-            "4.87%",
-            &format!("{:.2}%", raw * 100.0),
-        );
-        paper_vs(
-            "error with model (past midpoint)",
-            "1.99%",
-            &format!("{:.2}%", adj * 100.0),
-        );
-        paper_vs(
-            "relative error reduction (past midpoint)",
-            "59.2% (67.3% of noise removed)",
-            &format!("{:.1}%", (1.0 - adj / raw.max(1e-12)) * 100.0),
-        );
+        report.claim(&CLAIMS[1], raw, "");
+        report.claim(&CLAIMS[2], adj, "");
+        report.claim(&CLAIMS[3], 1.0 - adj / raw.max(1e-12), "");
     }
     let (all_raw, all_adj, _) = mean_errors(with_errors.iter());
-    paper_vs(
-        "whole-run error reduction",
-        "35.8%",
-        &format!("{:.1}%", (1.0 - all_adj / all_raw.max(1e-12)) * 100.0),
-    );
+    report.claim(&CLAIMS[4], 1.0 - all_adj / all_raw.max(1e-12), "");
+    report
 }
 
 /// The mean raw and adjusted relative errors of `records`, and how many

@@ -4,40 +4,23 @@
 //! into the unstable zone — mean rises 8.5% but deployment variability is
 //! 10.1x higher (σ 550.8 vs 54.8 tx/s).
 
-use crate::{arm, campaign_method_table, paper_vs, run_campaign, HarnessArgs};
-use tuna_core::campaign::Campaign;
+use super::protocol::{self, Versus, Versus::*};
+use super::report::{claim, Claim, FigureReport, Format::*};
+use crate::{run_campaign, HarnessArgs};
 use tuna_core::experiment::Method;
 
-pub fn run(args: &HarnessArgs) {
-    let runs = args.runs_or(3, 10);
-    let rounds = args.rounds_or(30, 96);
+const ABLATED: &str = "TUNA w/o outlier detector";
 
+#[rustfmt::skip]
+static CLAIMS: [(Claim, Versus); 2] = [
+    (claim("fig20.mean_change", "mean without detector vs with", "+8.5% (2810 vs 2572)", Some(0.085), Change(1)), MeanChange(ABLATED, "TUNA")),
+    (claim("fig20.std_ratio", "std without detector / with", "10.1x (550.8 vs 54.8)", Some(10.1), Times(1)), StdRatio(ABLATED, "TUNA")),
+];
+
+pub fn run(args: &HarnessArgs) -> FigureReport {
     let methods =
         [Method::Tuna, Method::TunaNoOutlier, Method::DefaultConfig].map(|m| (m.name(), m));
-    let campaign = Campaign::protocol(
-        "fig20_outlier_ablation",
-        args.seed,
-        vec![tuna_workloads::tpcc()],
-        &methods,
-    )
-    .with_runs(runs)
-    .with_rounds(rounds);
-    let result = run_campaign(args, &campaign);
-    let results = campaign_method_table(&campaign, &result, 0);
-
-    let tuna = arm(&results, "TUNA");
-    let ablated = arm(&results, "TUNA w/o outlier detector");
-    paper_vs(
-        "mean without detector vs with",
-        "+8.5% (2810 vs 2572)",
-        &format!(
-            "{:+.1}%",
-            (ablated.mean_of_means / tuna.mean_of_means - 1.0) * 100.0
-        ),
-    );
-    paper_vs(
-        "std without detector / with",
-        "10.1x (550.8 vs 54.8)",
-        &format!("{:.1}x", ablated.mean_std / tuna.mean_std.max(1e-9)),
-    );
+    let tpcc = vec![tuna_workloads::tpcc()];
+    let campaign = protocol::campaign(args, "fig20_outlier_ablation", tpcc, &methods, (3, 30));
+    protocol::report(&campaign, &run_campaign(args, &campaign), &CLAIMS)
 }

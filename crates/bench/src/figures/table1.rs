@@ -6,11 +6,28 @@
 //! duration, sample count, instance count, and which components were
 //! covered. Also reprints the §3.2 per-component CoV summary.
 
-use crate::{paper_vs, HarnessArgs};
+use super::report::{claim, Claim, FigureReport, Format::*};
+use crate::HarnessArgs;
 use tuna_core::report::render_table;
 
-pub fn run(args: &HarnessArgs) {
-    let report = super::study(args);
+#[rustfmt::skip]
+static SCALE: [Claim; 3] = [
+    claim("table1.weeks", "study duration", "68 weeks", Some(68.0), Fixed(0)),
+    claim("table1.samples", "total samples", "7037 k", Some(7037.0), Fixed(0)),
+    claim("table1.instances", "total instances", "43641", Some(43641.0), Fixed(0)),
+];
+
+#[rustfmt::skip]
+static COVS: [(&str, Claim); 5] = [
+    ("sysbench-cpu-prime", claim("table1.cpu_cov", "CPU", "0.17%", Some(0.0017), Percent(2))),
+    ("fio-randwrite-aio", claim("table1.disk_cov", "Disk", "0.36%", Some(0.0036), Percent(2))),
+    ("mlc-maxbw-1to1", claim("table1.memory_cov", "Memory", "4.92%", Some(0.0492), Percent(2))),
+    ("osbench-create-threads", claim("table1.os_cov", "OS", "9.82%", Some(0.0982), Percent(2))),
+    ("stress-ng-cache", claim("table1.cache_cov", "Cache", "14.39%", Some(0.1439), Percent(2))),
+];
+
+pub fn run(args: &HarnessArgs) -> FigureReport {
+    let study = super::study(args);
 
     // The header, the published rows and ours, one `|`-separated line each.
     let prior = [
@@ -28,9 +45,9 @@ pub fn run(args: &HarnessArgs) {
     ];
     let ours = format!(
         "This reproduction|sim|{} weeks|{:.0} k|{}|simulated Azure|y|y|y|n|y",
-        report.weeks,
-        report.total_samples as f64 / 1000.0,
-        report.total_instances
+        study.weeks,
+        study.total_samples as f64 / 1000.0,
+        study.total_instances
     );
     let rows: Vec<Vec<String>> = prior
         .iter()
@@ -38,44 +55,23 @@ pub fn run(args: &HarnessArgs) {
         .chain([ours.as_str()])
         .map(|row| row.split('|').map(str::to_string).collect())
         .collect();
-    println!("{}", render_table(&rows));
+    let mut report = FigureReport::default();
+    report.line(render_table(&rows));
 
-    paper_vs(
-        "study duration",
-        "68 weeks",
-        &format!("{} weeks", report.weeks),
-    );
-    paper_vs(
-        "total samples",
-        "7037 k",
-        &format!(
-            "{:.0} k (scaled 1/{:.0})",
-            report.total_samples as f64 / 1000.0,
-            7_037_000.0 / report.total_samples as f64
-        ),
-    );
-    paper_vs(
-        "total instances",
-        "43641",
-        &format!(
-            "{} (scaled 1/{:.0})",
-            report.total_instances,
-            43_641.0 / report.total_instances as f64
-        ),
-    );
+    let (samples, instances) = (study.total_samples as f64, study.total_instances as f64);
+    report.claim(&SCALE[0], study.weeks as f64, " weeks");
+    let samples_scale = format!(" k (scaled 1/{:.0})", 7_037_000.0 / samples);
+    report.claim(&SCALE[1], samples / 1000.0, &samples_scale);
+    let instances_scale = format!(" (scaled 1/{:.0})", 43_641.0 / instances);
+    report.claim(&SCALE[2], instances, &instances_scale);
 
-    println!();
-    println!("§3.2 component CoVs on the short-lived D8s_v5 fleet:");
-    for (label, bench, paper_cov) in [
-        ("CPU", "sysbench-cpu-prime", "0.17%"),
-        ("Disk", "fio-randwrite-aio", "0.36%"),
-        ("Memory", "mlc-maxbw-1to1", "4.92%"),
-        ("OS", "osbench-create-threads", "9.82%"),
-        ("Cache", "stress-ng-cache", "14.39%"),
-    ] {
-        let measured = report
+    report.line("");
+    report.line("§3.2 component CoVs on the short-lived D8s_v5 fleet:");
+    for (bench, claim) in &COVS {
+        let measured = study
             .pooled_short_cov(bench, "Standard_D8s_v5")
             .unwrap_or(f64::NAN);
-        paper_vs(label, paper_cov, &format!("{:.2}%", measured * 100.0));
+        report.claim(claim, measured, "");
     }
+    report
 }

@@ -3,11 +3,13 @@
 //! [`figures::FIGURES`] declares every table, figure and ablation of the
 //! paper's evaluation that the reproduction regenerates; `tuna figures`
 //! runs them. Each one runs its experiment on the simulated substrate and
-//! prints the rows or series the paper plots, annotated with the paper's
-//! reported values. Absolute numbers are not expected to match (the
-//! substrate is a simulator, not the authors' Azure/CloudLab testbed);
-//! the *shape* — who wins, by what rough factor, where crossovers fall —
-//! is the reproduction target.
+//! returns a [`figures::FigureReport`]: the rows or series the paper
+//! plots, and its measured paper claims, each a declared
+//! [`figures::Claim`] that renders its paper-vs-measured line.
+//! [`figures::run`] is the one place that prints them. Absolute numbers
+//! are not expected to match (the substrate is a simulator, not the
+//! authors' Azure/CloudLab testbed); the *shape* — who wins, by what
+//! rough factor, where crossovers fall — is the reproduction target.
 //!
 //! Grid-shaped figures declare a [`tuna_core::campaign::Campaign`] and run
 //! it through [`run_campaign`]; the campaign engine owns the (workload ×
@@ -29,24 +31,16 @@
 //!
 //! Without `--quick` every figure runs at the paper's budgets: the paper's
 //! claims are stated there, and smaller budgets change their verdicts.
+//! `--runs` and `--rounds` must be at least 1.
 
 use std::path::Path;
 
 use tuna_core::campaign::{Campaign, CampaignResult, CampaignRunner, CellPayload, ResultStore};
 use tuna_core::executor::ExecutionMode;
-use tuna_core::experiment::{Method, RunSummary};
-use tuna_core::report::{method_comparison_table, MethodSummary};
+use tuna_core::experiment::RunSummary;
 
 pub mod figures;
 pub mod perf;
-
-/// The standard §6 method-comparison arms (TUNA vs traditional sampling
-/// vs the vendor default) shared by Figures 11, 14, 15 and 18.
-pub const PROTOCOL_METHODS: [(&str, Method); 3] = [
-    ("TUNA", Method::Tuna),
-    ("Traditional", Method::Traditional),
-    ("Default", Method::DefaultConfig),
-];
 
 /// Parsed `tuna figures` options.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -82,8 +76,9 @@ impl HarnessArgs {
     ///
     /// # Errors
     ///
-    /// Returns a message describing the offending flag on malformed or
-    /// missing values, unknown flags and unknown figure IDs.
+    /// Returns a message describing the offending flag on malformed,
+    /// missing or zero budget values, unknown flags and unknown figure
+    /// IDs.
     pub fn parse_from(argv: &[String]) -> Result<Self, String> {
         fn value<'a>(argv: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
             *i += 1;
@@ -95,6 +90,12 @@ impl HarnessArgs {
             raw.parse()
                 .map_err(|_| format!("{flag} requires a number, got '{raw}'"))
         }
+        fn budget(argv: &[String], i: &mut usize, flag: &str) -> Result<Option<usize>, String> {
+            match number(value(argv, i, flag)?, flag)? {
+                0 => Err(format!("{flag} must be at least 1")),
+                n => Ok(Some(n)),
+            }
+        }
         let mut args = HarnessArgs {
             seed: 42,
             ..HarnessArgs::default()
@@ -102,10 +103,8 @@ impl HarnessArgs {
         let mut i = 0;
         while i < argv.len() {
             match argv[i].as_str() {
-                "--runs" => args.runs = Some(number(value(argv, &mut i, "--runs")?, "--runs")?),
-                "--rounds" => {
-                    args.rounds = Some(number(value(argv, &mut i, "--rounds")?, "--rounds")?)
-                }
+                "--runs" => args.runs = budget(argv, &mut i, "--runs")?,
+                "--rounds" => args.rounds = budget(argv, &mut i, "--rounds")?,
                 "--seed" => args.seed = number(value(argv, &mut i, "--seed")?, "--seed")?,
                 "--store" => args.store = Some(value(argv, &mut i, "--store")?.to_string()),
                 "--only" => {
@@ -154,11 +153,6 @@ impl HarnessArgs {
     }
 }
 
-/// Prints a paper-vs-measured comparison line.
-pub fn paper_vs(label: &str, paper: &str, measured: &str) {
-    println!("  {label:<46} paper: {paper:<18} measured: {measured}");
-}
-
 /// Renders an inline ASCII distribution strip (poor man's boxplot) over a
 /// fixed value range.
 ///
@@ -203,25 +197,39 @@ pub fn strip_plot(values: &[f64], lo: f64, hi: f64, width: usize) -> String {
 /// depend on the count); the store `--store DIR/<campaign name>.csv`
 /// (resume included) when given; and a stderr note about where results
 /// were persisted. Keeps only the cells' rows, which is all
-/// [`campaign_method_table`] reads; a figure that prints more of each
+/// the §6 method table reads; a figure that prints more of each
 /// cell uses [`run_campaign_keeping`]. Exits with a usage error when the
-/// grid is empty or the store is unusable.
+/// store is unusable.
 pub fn run_campaign(args: &HarnessArgs, campaign: &Campaign) -> CampaignResult {
-    run_campaign_keeping(args, campaign, |_, _| ())
+    run_grid(args, campaign, |_, _| ())
 }
 
-/// [`run_campaign`], keeping `keep(cell, &payload)` of each executed cell
+/// [`run_campaign`], keeping `keep(cell, &payload)` of each cell
 /// ([`CampaignRunner::run_keeping`]): a figure keeps only the columns it
-/// prints, and reads them back with [`CampaignResult::kept`], which is
-/// `None` for a group resumed from `--store`.
+/// prints, and reads them back with [`CampaignResult::kept`]. A store
+/// holds only rows, so this exits with a usage error when `--store`
+/// resumed any cell.
 pub fn run_campaign_keeping<K: Send>(
     args: &HarnessArgs,
     campaign: &Campaign,
     keep: impl Fn(usize, &CellPayload) -> K + Sync,
 ) -> CampaignResult<K> {
-    if campaign.n_cells() == 0 {
-        fail("--runs 0: the campaign grid is empty");
+    let result = run_grid(args, campaign, keep);
+    if result.resumed > 0 {
+        fail(&format!(
+            "campaign '{}': this figure prints per-cell results that a --store \
+             does not hold; delete the store files to recompute",
+            campaign.name
+        ));
     }
+    result
+}
+
+fn run_grid<K: Send>(
+    args: &HarnessArgs,
+    campaign: &Campaign,
+    keep: impl Fn(usize, &CellPayload) -> K + Sync,
+) -> CampaignResult<K> {
     let mut store = match &args.store {
         None => ResultStore::in_memory(campaign),
         Some(dir) => {
@@ -274,49 +282,6 @@ pub fn run_summary(payload: &CellPayload) -> &RunSummary {
         CellPayload::Run(summary) => summary,
         CellPayload::Pair { .. } => panic!("a convergence cell has no run summary"),
     }
-}
-
-/// Prints the §6-style method-comparison table for one workload of a
-/// protocol campaign, in the workload's metric unit, and returns the
-/// per-arm summaries in arm order. Exits with an error if a cell group
-/// has no deployment rows to summarize.
-pub fn campaign_method_table<K>(
-    campaign: &Campaign,
-    result: &CampaignResult<K>,
-    workload: usize,
-) -> Vec<(String, MethodSummary)> {
-    let entries: Vec<(String, MethodSummary)> = campaign
-        .arms
-        .iter()
-        .enumerate()
-        .map(|(a, arm)| {
-            let summary = result.method_summary(workload, a).unwrap_or_else(|| {
-                fail(&format!(
-                    "campaign '{}': arm '{}' has no deployment summaries to tabulate",
-                    campaign.name, arm.label
-                ))
-            });
-            (arm.label.clone(), summary)
-        })
-        .collect();
-    let refs: Vec<(&str, MethodSummary)> = entries.iter().map(|(n, s)| (n.as_str(), *s)).collect();
-    let unit = campaign.workloads[workload].metric.unit();
-    println!("{}", method_comparison_table(unit, &refs));
-    entries
-}
-
-/// The summary of the arm labeled `label` in [`campaign_method_table`]'s
-/// entries.
-///
-/// # Panics
-///
-/// Panics if no entry carries `label`.
-pub fn arm(entries: &[(String, MethodSummary)], label: &str) -> MethodSummary {
-    entries
-        .iter()
-        .find(|(l, _)| l == label)
-        .map(|(_, s)| *s)
-        .unwrap_or_else(|| panic!("no arm labeled {label:?}"))
 }
 
 #[cfg(test)]
@@ -382,6 +347,11 @@ mod tests {
         // Non-numeric value.
         let e = HarnessArgs::parse_from(&argv(&["--rounds", "many"])).unwrap_err();
         assert!(e.contains("--rounds requires a number"), "{e}");
+        // Zero budgets are refused: no figure has anything to measure.
+        let e = HarnessArgs::parse_from(&argv(&["--runs", "0"])).unwrap_err();
+        assert!(e.contains("--runs must be at least 1"), "{e}");
+        let e = HarnessArgs::parse_from(&argv(&["--quick", "--rounds", "0"])).unwrap_err();
+        assert!(e.contains("--rounds must be at least 1"), "{e}");
         // Unknown flags are errors, not silently ignored.
         let e = HarnessArgs::parse_from(&argv(&["--frobnicate"])).unwrap_err();
         assert!(e.contains("unknown flag '--frobnicate'"), "{e}");

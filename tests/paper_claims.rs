@@ -3,7 +3,8 @@
 //!
 //! These run the real experiment machinery at reduced budgets, so they
 //! assert *direction and rough magnitude*, not exact numbers.
-//! `tuna figures` runs the full-scale versions.
+//! `tuna figures` runs the full-scale versions; each test names the
+//! figure claim ids (`tuna_bench::figures::Claim`) it checks.
 
 use tuna_cloudsim::study::{run_study, Lifespan, StudyConfig};
 use tuna_core::experiment::{Experiment, Method, RunSummary};
@@ -19,7 +20,9 @@ fn runs(exp: &Experiment, method: Method, n: usize, seed: u64) -> Vec<RunSummary
 }
 
 /// C2/C3 substrate: the cloud's component noise ordering (the study
-/// motivating §3.2).
+/// motivating §3.2). Claims `fig04.cpu_cov`, `fig04.disk_cov`,
+/// `fig04.mem_cov`, `fig04.os_cov` and `fig04.cache_cov` (reprinted as
+/// `table1.*_cov`).
 #[test]
 fn claim_component_noise_ordering() {
     let report = run_study(&StudyConfig::quick());
@@ -39,7 +42,8 @@ fn claim_component_noise_ordering() {
 
 /// C1 (scaled): added sampling noise slows convergence. We compare the
 /// oracle quality of the incumbent after a fixed number of iterations with
-/// and without 10% injected noise, pooled over seeds.
+/// and without 10% injected noise, pooled over seeds. Claims
+/// `fig02.slowdown_5pct` and `fig02.slowdown_10pct`.
 #[test]
 fn claim_noise_slows_convergence() {
     use tuna_cloudsim::{Cluster, Region, VmSku};
@@ -97,7 +101,9 @@ fn claim_noise_slows_convergence() {
 }
 
 /// C2 (scaled): on plan-sensitive TPC-C, TUNA's deployment variability is
-/// lower than traditional sampling's, pooled over several runs.
+/// lower than traditional sampling's, pooled over several runs. Claims
+/// `fig11.tpcc_tuna_mean`, `fig11.tpcc_trad_mean` and
+/// `fig11.tpcc_default_mean` (their σ parts), and `fig12.std_ratio`.
 #[test]
 fn claim_tuna_reduces_deployment_variance() {
     let mut exp = Experiment::quick_demo();
@@ -118,7 +124,8 @@ fn claim_tuna_reduces_deployment_variance() {
     assert!(tuna.mean_of_means > def.mean_of_means * 1.2);
 }
 
-/// C4 (scaled): on Redis, TUNA avoids the crashing configs.
+/// C4 (scaled): on Redis, TUNA avoids the crashing configs. Claim
+/// `fig14.tuna_crashes`.
 #[test]
 fn claim_tuna_avoids_redis_crashes() {
     let mut exp = Experiment::quick_demo();
@@ -134,6 +141,7 @@ fn claim_tuna_avoids_redis_crashes() {
 }
 
 /// C5 substrate: burstable VMs are bimodal, non-burstable are not.
+/// Figure 3 prints this as free-form lines; no claim is declared for it.
 #[test]
 fn claim_burstable_bimodality() {
     let report = run_study(&StudyConfig::quick());
@@ -219,7 +227,7 @@ fn claim_parallel_sampling_preserves_ladder_budget() {
 }
 
 /// The outlier detector's effect (Figure 20, scaled): without it, the
-/// deployment std across runs should not shrink.
+/// deployment std across runs should not shrink. Claim `fig20.std_ratio`.
 #[test]
 fn claim_outlier_detector_contains_variance() {
     let mut exp = Experiment::quick_demo();

@@ -6,7 +6,7 @@
 //! flips; larger ones spend more per config for diminishing returns.
 
 use super::FigureReport;
-use crate::{run_campaign_keeping, run_summary, HarnessArgs};
+use crate::{run_campaign_keeping, HarnessArgs};
 use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
 use tuna_core::experiment::ClusterShape;
 use tuna_core::report::render_table;
@@ -52,8 +52,8 @@ pub fn run(args: &HarnessArgs) -> FigureReport {
         })
         .collect();
     // Each run keeps its deployment mean, std and relative range.
-    let result = run_campaign_keeping(args, &campaign, |_, payload| {
-        let d = &run_summary(payload).deployment;
+    let result = run_campaign_keeping(args, &campaign, |_, summary| {
+        let d = &summary.deployment;
         (d.mean, d.std, d.relative_range)
     });
 

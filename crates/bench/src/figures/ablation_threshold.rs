@@ -7,7 +7,7 @@
 //! reports deployment quality plus how much of the search was discarded.
 
 use super::FigureReport;
-use crate::{run_campaign_keeping, run_summary, HarnessArgs};
+use crate::{run_campaign_keeping, HarnessArgs};
 use tuna_core::campaign::{Arm, Campaign, Recipe, SampleBudgetSpec};
 use tuna_core::report::render_table;
 use tuna_stats::summary;
@@ -44,8 +44,7 @@ pub fn run(args: &HarnessArgs) -> FigureReport {
         .collect();
     // Each run keeps its deployment mean, std and worst value, and how
     // many configs its tuning flagged unstable.
-    let result = run_campaign_keeping(args, &campaign, |_, payload| {
-        let r = run_summary(payload);
+    let result = run_campaign_keeping(args, &campaign, |_, r| {
         let flagged = r.tuning.as_ref().unwrap().n_unstable_configs as f64;
         let d = &r.deployment;
         (d.mean, d.std, d.five.min, flagged)

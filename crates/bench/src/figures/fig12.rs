@@ -6,9 +6,9 @@
 
 use super::protocol::{self, Versus, Versus::*, METHODS};
 use super::report::{claim, Claim, FigureReport, Format::*};
-use crate::{run_campaign_keeping, run_summary, HarnessArgs};
-use tuna_core::campaign::{Campaign, CampaignResult, CellPayload};
-use tuna_core::experiment::Method;
+use crate::{run_campaign_keeping, HarnessArgs};
+use tuna_core::campaign::{Campaign, CampaignResult};
+use tuna_core::experiment::{Method, RunSummary};
 use tuna_stats::summary::coefficient_of_variation;
 
 #[rustfmt::skip]
@@ -19,8 +19,7 @@ static CLAIMS: [(Claim, Versus); 2] = [
 
 pub fn run(args: &HarnessArgs) -> FigureReport {
     // The default-config CoV below pools each run's deployment values.
-    let deployment_values =
-        |_: usize, payload: &CellPayload| run_summary(payload).deployment.values.clone();
+    let deployment_values = |_: usize, summary: &RunSummary| summary.deployment.values.clone();
     let tpcc = || vec![tuna_workloads::tpcc()];
     let (sku, _) = Campaign::PAPER_SITE;
     let campaign = protocol::campaign(args, "fig12_region", tpcc(), &METHODS, (3, 30))

@@ -7,9 +7,10 @@
 //! within ~206 samples on average.
 
 use super::report::{claim, Claim, FigureReport, Format::*};
-use crate::{run_campaign_keeping, HarnessArgs};
-use tuna_core::campaign::{Arm, Campaign, CellPayload, ConvergenceSpec, Recipe};
+use crate::{map_runs, HarnessArgs};
+use tuna_core::experiment::{Experiment, RunPlan, TunaTweaks, Tuner};
 use tuna_core::report::render_table;
+use tuna_stats::rng::hash_combine;
 use tuna_stats::summary;
 
 #[rustfmt::skip]
@@ -19,54 +20,61 @@ pub fn run(args: &HarnessArgs) -> FigureReport {
     let runs = args.runs_or(3, 10);
     let sample_budget = args.rounds_or(150, 500);
     let step = 10usize;
+    let mut report = FigureReport::default();
+    let template = Experiment::paper_default(tuna_workloads::tpcc());
 
-    // One convergence cell per run: TUNA and naive distributed share one
-    // RNG stream (historical salt 700, label 3).
-    let mut campaign = Campaign::protocol(
-        "fig17_naive_distributed",
-        args.seed,
-        vec![tuna_workloads::tpcc()],
-        &[],
-    )
-    .with_runs(runs);
-    campaign.arms = vec![Arm::new(
-        "TUNA vs naive",
-        Recipe::Convergence(ConvergenceSpec {
-            samples: sample_budget,
-            seed_salt: 700,
-            rng_label: 3,
-        }),
-    )];
+    // Naive distributed spends a whole cluster round on each config, and
+    // the curves sample every `step` samples: a smaller budget fills
+    // neither.
+    let needed = template.cluster_size.max(step);
+    if sample_budget < needed {
+        report.line(format!(
+            "  a {sample_budget}-sample budget cannot fit one naive-distributed round: \
+             this figure needs --rounds >= {needed}"
+        ));
+        return report;
+    }
+
     // Each run keeps its two best-so-far curves, sampled every `step`
     // samples, instead of both full traces.
-    let result = run_campaign_keeping(args, &campaign, |_, payload| {
-        let CellPayload::Pair { tuna, naive } = payload else {
-            panic!("a convergence cell runs a TUNA / naive pair")
-        };
-        (
-            super::curve_at(&tuna.trace, sample_budget, step),
-            super::curve_at(&naive.trace, sample_budget, step),
-        )
-    });
-    let pairs = result.kept(0, 0).expect("a kept grid has no resumed cell");
+    let (tuna_curves, naive_curves): (Vec<_>, Vec<_>) =
+        map_runs((0..runs).collect(), |run, exec| {
+            let seed = hash_combine(args.seed, 700 + run as u64);
+            let exp = Experiment {
+                exec,
+                ..template.clone()
+            };
+            // TUNA and naive distributed share one RNG stream (label 3): the
+            // naive run continues it where the pipeline stopped. Neither
+            // deploys: the figure reads only the tuning traces.
+            let tuners = vec![
+                Tuner::Tuna {
+                    tweaks: TunaTweaks::default(),
+                    solver: exp.optimizer.clone(),
+                    samples: sample_budget,
+                },
+                Tuner::NaiveDistributed(sample_budget),
+            ];
+            let plan = RunPlan::new(seed, hash_combine(seed, 3), None, tuners);
+            let tunings = exp.execute(&plan).tunings;
+            let curve = |i: usize| super::curve_at(&tunings[i].trace, sample_budget, step);
+            (curve(0), curve(1))
+        })
+        .into_iter()
+        .unzip();
 
     let points = sample_budget / step;
-    let mut tuna_curves: Vec<&Vec<f64>> = Vec::new();
-    let mut naive_curves: Vec<&Vec<f64>> = Vec::new();
-    let mut crossover_samples = Vec::new();
-    for (t, n) in pairs {
-        // Samples TUNA needs to reach naive's final performance.
-        let naive_final = *n.last().unwrap();
-        let reach = t
-            .iter()
-            .position(|&v| v >= naive_final)
-            .map(|i| (i + 1) * step);
-        if let Some(s) = reach {
-            crossover_samples.push(s as f64);
-        }
-        tuna_curves.push(t);
-        naive_curves.push(n);
-    }
+    // Samples TUNA needs to reach naive's final performance, on the runs
+    // where it gets there.
+    let crossover_samples: Vec<f64> = tuna_curves
+        .iter()
+        .zip(&naive_curves)
+        .filter_map(|(t, n)| {
+            let naive_final = *n.last().unwrap();
+            let reach = t.iter().position(|&v| v >= naive_final);
+            reach.map(|i| ((i + 1) * step) as f64)
+        })
+        .collect();
 
     let mut rows = super::header(&[
         "samples",
@@ -80,7 +88,6 @@ pub fn run(args: &HarnessArgs) -> FigureReport {
             format!("{:.0}", super::finite_mean_at(&naive_curves, i)),
         ]);
     }
-    let mut report = FigureReport::default();
     report.line(render_table(&rows));
 
     if crossover_samples.is_empty() {

@@ -27,6 +27,16 @@ static CLAIMS: [Claim; 5] = [
 pub fn run(args: &HarnessArgs) -> FigureReport {
     let runs = args.runs_or(3, 100);
     let sample_budget = args.rounds_or(120, 500);
+    let mut report = FigureReport::default();
+    // The speedup reads each ablation curve at half its points and more,
+    // so a curve needs two points, 10 samples apart.
+    if sample_budget < 20 {
+        report.line(format!(
+            "  a {sample_budget}-sample budget gives fewer than two curve points: \
+             this figure needs --rounds >= 20"
+        ));
+        return report;
+    }
 
     let per_run = map_runs((0..runs).collect(), |run, exec| {
         let seed = hash_combine(args.seed, 500 + run as u64);
@@ -75,7 +85,6 @@ pub fn run(args: &HarnessArgs) -> FigureReport {
         without_curves.push(co);
     }
 
-    let mut report = FigureReport::default();
     report.line("--- (a) convergence (best-so-far tx/s by samples) ---");
     let points = sample_budget / 10;
     let mut rows = super::header(&["samples", "TUNA", "TUNA w/o model"]);

@@ -14,9 +14,12 @@
 //! Grid-shaped figures declare a [`tuna_core::campaign::Campaign`] and run
 //! it through [`run_campaign`]; the campaign engine owns the (workload ×
 //! method × seed) loop, cell-level parallelism and the optional
-//! persistent, resumable result store (`--store`). The other figures fan
-//! their runs out over the same workers through [`map_runs`]; every run
-//! is a pure function of (root seed, run index).
+//! persistent, resumable result store (`--store`); every cell is one
+//! tune-and-deploy run. The other figures fan their runs out over the
+//! same workers through [`map_runs`]; every run is a pure function of
+//! (root seed, run index). Among them are the two convergence figures,
+//! fig17 and fig19, which build two-tuner run plans without deployment
+//! and read only their tuning traces, so `--store` does not apply.
 //!
 //! Flags of `tuna figures`:
 //!
@@ -35,7 +38,7 @@
 
 use std::path::Path;
 
-use tuna_core::campaign::{Campaign, CampaignResult, CampaignRunner, CellPayload, ResultStore};
+use tuna_core::campaign::{Campaign, CampaignResult, CampaignRunner, ResultStore};
 use tuna_core::executor::ExecutionMode;
 use tuna_core::experiment::RunSummary;
 
@@ -204,7 +207,7 @@ pub fn run_campaign(args: &HarnessArgs, campaign: &Campaign) -> CampaignResult {
     run_grid(args, campaign, |_, _| ())
 }
 
-/// [`run_campaign`], keeping `keep(cell, &payload)` of each cell
+/// [`run_campaign`], keeping `keep(cell, &summary)` of each cell
 /// ([`CampaignRunner::run_keeping`]): a figure keeps only the columns it
 /// prints, and reads them back with [`CampaignResult::kept`]. A store
 /// holds only rows, so this exits with a usage error when `--store`
@@ -212,7 +215,7 @@ pub fn run_campaign(args: &HarnessArgs, campaign: &Campaign) -> CampaignResult {
 pub fn run_campaign_keeping<K: Send>(
     args: &HarnessArgs,
     campaign: &Campaign,
-    keep: impl Fn(usize, &CellPayload) -> K + Sync,
+    keep: impl Fn(usize, &RunSummary) -> K + Sync,
 ) -> CampaignResult<K> {
     let result = run_grid(args, campaign, keep);
     if result.resumed > 0 {
@@ -228,7 +231,7 @@ pub fn run_campaign_keeping<K: Send>(
 fn run_grid<K: Send>(
     args: &HarnessArgs,
     campaign: &Campaign,
-    keep: impl Fn(usize, &CellPayload) -> K + Sync,
+    keep: impl Fn(usize, &RunSummary) -> K + Sync,
 ) -> CampaignResult<K> {
     let mut store = match &args.store {
         None => ResultStore::in_memory(campaign),
@@ -270,18 +273,6 @@ pub fn map_runs<T: Send, R: Send>(
         |_| (),
         |_, item| run(item, ExecutionMode::Serial),
     )
-}
-
-/// The [`RunSummary`] in a protocol or sample-budget cell's payload.
-///
-/// # Panics
-///
-/// Panics on a convergence pair, which holds two tuning traces instead.
-pub fn run_summary(payload: &CellPayload) -> &RunSummary {
-    match payload {
-        CellPayload::Run(summary) => summary,
-        CellPayload::Pair { .. } => panic!("a convergence cell has no run summary"),
-    }
 }
 
 #[cfg(test)]

@@ -11,11 +11,12 @@ use std::process::Command;
 
 /// The figures that fan runs out themselves and their banner names, in
 /// `FIGURES` order.
-const FANNED_OUT: [(&str, &str); 5] = [
+const FANNED_OUT: [(&str, &str); 6] = [
     ("fig02", "Figure 2:"),
     ("fig05", "Figure 5:"),
     ("fig08", "Figure 8:"),
     ("fig09", "Figure 9:"),
+    ("fig17", "Figure 17:"),
     ("fig19", "Figure 19:"),
 ];
 

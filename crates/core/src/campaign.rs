@@ -30,11 +30,15 @@
 //!   A cell may also carry its convergence trace
 //!   ([`ResultStore::record_traced`], what the serve daemon records): the
 //!   trace rides in the same journal, one line ahead of the cell's rows.
-//! - **Only kept results stay in memory.** A cell's rich [`CellPayload`]
-//!   (deployment values, convergence traces) is dropped on the worker
+//! - **Only kept results stay in memory.** A cell's rich [`RunSummary`]
+//!   (deployment values, convergence trace) is dropped on the worker
 //!   that ran it; [`CampaignRunner::run_keeping`] first hands it to the
 //!   caller's projection, and [`CampaignResult::kept`] returns what that
 //!   kept. [`CampaignRunner::run`] keeps nothing.
+//!
+//! Every cell is one tune-and-deploy run and journals one row. Studies
+//! that read tuning traces only, such as the §6.5.2 and §6.6 convergence
+//! figures, build their [`RunPlan`]s and run them directly.
 //!
 //! # Examples
 //!
@@ -66,7 +70,6 @@ use crate::executor::ExecutionMode;
 use crate::experiment::{
     ClusterShape, Experiment, Method, RunPlan, RunSummary, SolverId, TunaTweaks, Tuner,
 };
-use crate::pipeline::TuningResult;
 use crate::report::MethodSummary;
 use tuna_cloudsim::{Region, VmSku};
 use tuna_obs::CellTrace;
@@ -119,20 +122,6 @@ impl SampleBudgetSpec {
     }
 }
 
-/// A TUNA-vs-naive-distributed convergence pair (§6.5.2): both arms of
-/// one run share a single RNG stream (the pipeline consumes it first,
-/// naive distributed continues it), as the historical Figure 17 driver
-/// did, so the pair is one cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConvergenceSpec {
-    /// Sample budget granted to each arm.
-    pub samples: usize,
-    /// Per-run seed label: `hash_combine(campaign.seed, seed_salt + run)`.
-    pub seed_salt: u64,
-    /// Shared RNG label.
-    pub rng_label: u64,
-}
-
 /// How one arm of the grid evaluates a cell.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Recipe {
@@ -151,9 +140,6 @@ pub enum Recipe {
     /// A pinned sample-budget TUNA pipeline plus deployment; its base
     /// cluster takes the per-run seed itself.
     SampleBudget(SampleBudgetSpec),
-    /// A TUNA + naive-distributed convergence pair with no deployment:
-    /// the naive run continues the pipeline's RNG stream.
-    Convergence(ConvergenceSpec),
 }
 
 impl Recipe {
@@ -169,7 +155,6 @@ impl Recipe {
         match self {
             Recipe::Protocol { .. } => 1,
             Recipe::SampleBudget(_) => 2,
-            Recipe::Convergence(_) => 3,
         }
     }
 }
@@ -338,24 +323,6 @@ impl Campaign {
         )
     }
 
-    /// How many journal rows [`execute_cell`] produces for `cell`: one
-    /// per summary, except convergence cells which store a TUNA/naive
-    /// pair. The torn-tail repair in [`ResultStore::open`] uses this to
-    /// tell a mid-append kill (fewer rows than the recipe produces —
-    /// repairable) from corruption (full row count, bad checksum —
-    /// refused).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is out of range.
-    pub fn rows_per_cell(&self, cell: usize) -> usize {
-        let (_, arm, _) = self.coords(cell);
-        match self.arms[arm].recipe {
-            Recipe::Convergence(_) => 2,
-            Recipe::Protocol { .. } | Recipe::SampleBudget(_) => 1,
-        }
-    }
-
     /// Digest over the campaign declaration. Stored in the CSV header and
     /// JSON document; a resume against a store written by a *different*
     /// declaration is refused instead of silently mixing grids.
@@ -407,11 +374,6 @@ impl Campaign {
                         }
                     }
                 }
-                Recipe::Convergence(s) => {
-                    c.push_u64(s.samples as u64);
-                    c.push_u64(s.seed_salt);
-                    c.push_u64(s.rng_label);
-                }
             }
         }
         if !self.paper_site() {
@@ -447,11 +409,10 @@ impl Campaign {
 // Cell results and rows
 // ---------------------------------------------------------------------------
 
-/// One scalar result row of a cell. Protocol and sample-budget cells
-/// produce exactly one row; convergence cells produce one per trace arm.
+/// The scalar result row of a cell: every cell produces exactly one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellRow {
-    /// Row label (the arm label, or the trace arm for pairs).
+    /// Row label (the arm label).
     pub label: String,
     /// The derived per-run seed the cell actually used.
     pub seed: u64,
@@ -459,7 +420,7 @@ pub struct CellRow {
     pub samples: u64,
     /// Best reported tuning value (absent for the default config).
     pub best: Option<f64>,
-    /// Deployment mean (absent for tuning-only rows).
+    /// Deployment mean.
     pub mean: Option<f64>,
     /// Deployment standard deviation.
     pub std: Option<f64>,
@@ -502,20 +463,6 @@ impl CellRow {
             crashes: Some(run.deployment.crashes as u64),
         }
     }
-
-    fn of_trace(label: &str, seed: u64, result: &TuningResult) -> CellRow {
-        CellRow {
-            label: label.to_string(),
-            seed,
-            samples: result.total_samples as u64,
-            best: Some(result.best_value),
-            mean: None,
-            std: None,
-            min: None,
-            max: None,
-            crashes: None,
-        }
-    }
 }
 
 /// The durable record of one finished cell: its rows plus their FNV-1a
@@ -551,24 +498,6 @@ impl CellRecord {
     }
 }
 
-/// The rich in-memory result of an executed cell: deployment
-/// distributions and convergence traces. It lives only inside the
-/// worker that ran the cell; [`CampaignRunner::run_keeping`] hands it to
-/// the caller's projection and drops it, so a campaign holds what the
-/// caller keeps and no more.
-#[derive(Debug, Clone)]
-pub enum CellPayload {
-    /// A tune-plus-deploy outcome.
-    Run(RunSummary),
-    /// A TUNA / naive-distributed convergence pair.
-    Pair {
-        /// The TUNA pipeline's trace.
-        tuna: TuningResult,
-        /// The naive-distributed trace.
-        naive: TuningResult,
-    },
-}
-
 /// One cell of a finished campaign.
 #[derive(Debug, Clone)]
 pub struct CellResult<K = ()> {
@@ -582,8 +511,8 @@ pub struct CellResult<K = ()> {
     pub run: usize,
     /// Durable record (rows + checksum).
     pub record: CellRecord,
-    /// What the caller's projection kept of the cell's payload; `None`
-    /// when the cell was restored from the store.
+    /// What the caller's projection kept of the cell's [`RunSummary`];
+    /// `None` when the cell was restored from the store.
     pub kept: Option<K>,
 }
 
@@ -616,7 +545,7 @@ impl<K> CampaignResult<K> {
     }
 
     /// What was kept of a cell group, in run order. `None` for an empty
-    /// group or one with a cell restored from the store, whose payload
+    /// group or one with a cell restored from the store, whose summary
     /// no longer exists.
     pub fn kept(&self, workload: usize, arm: usize) -> Option<Vec<&K>> {
         let kept: Option<Vec<&K>> = self.find(workload, arm).map(|c| c.kept.as_ref()).collect();
@@ -720,14 +649,13 @@ impl ResultStore {
     /// run.
     ///
     /// A journal whose *tail* was torn by a kill mid-append — an
-    /// unterminated final line, or a final cell group (trace line plus
-    /// rows) with fewer rows than its recipe produces — is repaired, not
-    /// refused: the torn group is dropped whole, trace included
-    /// (re-executing only that cell on resume) and the
-    /// journal is atomically rewritten to its verified prefix so later
-    /// appends land on a clean file. Because cells are pure functions
-    /// of the declaration, the repaired-and-resumed store finalizes
-    /// byte-identically to an uninterrupted run.
+    /// unterminated final line, or a final cell group that is a trace
+    /// line without its row — is repaired, not refused: the torn group
+    /// is dropped whole, trace included (re-executing only that cell on
+    /// resume) and the journal is atomically rewritten to its verified
+    /// prefix so later appends land on a clean file. Because cells are
+    /// pure functions of the declaration, the repaired-and-resumed store
+    /// finalizes byte-identically to an uninterrupted run.
     ///
     /// # Errors
     ///
@@ -846,9 +774,8 @@ impl ResultStore {
             ));
         }
         // The journal is grouped by cell in append order, so only the
-        // *last* group can have been torn by a kill: a group short of
-        // its recipe's row count there — a lone trace line included — is
-        // a repairable tear, anywhere else it is corruption.
+        // *last* group can have been torn by a kill: a lone trace line
+        // there is a repairable tear, anywhere else it is corruption.
         for cell in traces.keys().filter(|c| !pending.contains_key(c)) {
             if Some(*cell) != tail_cell {
                 return Err(format!(
@@ -858,15 +785,12 @@ impl ResultStore {
             repaired = true;
         }
         for (cell, (rows, checksum)) in pending {
-            let expected_rows = campaign.rows_per_cell(cell);
-            if rows.len() < expected_rows && Some(cell) == tail_cell {
-                repaired = true;
-                continue;
-            }
-            if rows.len() != expected_rows {
+            // Every cell journals one row, in the same append as its
+            // trace line. A kill inside that append leaves at most the
+            // trace line (repaired above), so more rows are corruption.
+            if rows.len() != 1 {
                 return Err(format!(
-                    "cell {cell}: {} rows where the declaration produces {expected_rows} \
-                     (corrupt store)",
+                    "cell {cell}: {} rows where a cell journals one (corrupt store)",
                     rows.len()
                 ));
             }
@@ -1299,7 +1223,7 @@ impl CampaignRunner {
     /// Runs every cell of `campaign` that `store` does not already hold,
     /// streams finished cells into the store, finalizes it, and returns
     /// the combined result in grid order. Keeps nothing of the cells'
-    /// payloads: see [`CampaignRunner::run_keeping`].
+    /// summaries: see [`CampaignRunner::run_keeping`].
     ///
     /// # Panics
     ///
@@ -1308,9 +1232,9 @@ impl CampaignRunner {
         self.run_keeping(campaign, store, |_, _| ())
     }
 
-    /// [`CampaignRunner::run`], keeping `keep(cell, &payload)` of each
+    /// [`CampaignRunner::run`], keeping `keep(cell, &summary)` of each
     /// executed cell. `keep` runs on the worker that executed the cell,
-    /// right after the cell is recorded, and the payload is dropped
+    /// right after the cell is recorded, and the summary is dropped
     /// there: a grid holds its records and the kept values, never every
     /// cell's traces at once.
     ///
@@ -1324,7 +1248,7 @@ impl CampaignRunner {
         &self,
         campaign: &Campaign,
         store: &mut ResultStore,
-        keep: impl Fn(usize, &CellPayload) -> K + Sync,
+        keep: impl Fn(usize, &RunSummary) -> K + Sync,
     ) -> CampaignResult<K> {
         assert_eq!(
             store.campaign_digest,
@@ -1350,7 +1274,7 @@ impl CampaignRunner {
                 // campaign's scaling axis is the grid, and the executor's
                 // serial-equivalence contract makes this numerically
                 // irrelevant.
-                let (record, payload) = execute_cell(campaign, cell, ExecutionMode::Serial);
+                let (record, summary) = execute_cell(campaign, cell, ExecutionMode::Serial);
                 // The guard drops before a failure panics, so the mutex is
                 // not poisoned.
                 let recorded = shared_store
@@ -1358,7 +1282,7 @@ impl CampaignRunner {
                     .expect("store mutex poisoned")
                     .record(campaign, record);
                 recorded.unwrap_or_else(|e| panic!("campaign '{}': {e}", campaign.name));
-                (cell, keep(cell, &payload))
+                (cell, keep(cell, &summary))
             },
         )
         .into_iter()
@@ -1407,12 +1331,12 @@ pub fn execute_cell(
     campaign: &Campaign,
     cell: usize,
     inner: ExecutionMode,
-) -> (CellRecord, CellPayload) {
+) -> (CellRecord, RunSummary) {
     let (w, a, run) = campaign.coords(cell);
     let arm = &campaign.arms[a];
     let exp = campaign.experiment(w, inner);
-    // Each recipe lowers to (per-run seed, RunSummary method label or
-    // `None` for a convergence pair, run plan).
+    // Each recipe lowers to (per-run seed, RunSummary method label, run
+    // plan).
     let (seed, method, plan) = match &arm.recipe {
         Recipe::Protocol { method, seed_salt } => {
             let base = match seed_salt {
@@ -1420,7 +1344,7 @@ pub fn execute_cell(
                 Some(salt) => hash_combine(campaign.seed, *salt),
             };
             let seed = hash_combine(base, run as u64);
-            (seed, Some(method.name()), exp.plan(*method, seed))
+            (seed, method.name(), exp.plan(*method, seed))
         }
         Recipe::SampleBudget(spec) => {
             let seed = hash_combine(campaign.seed, spec.seed_salt + run as u64);
@@ -1442,81 +1366,40 @@ pub fn execute_cell(
                     vec![tuner],
                 )
             };
-            (seed, Some("campaign"), plan)
-        }
-        Recipe::Convergence(spec) => {
-            let seed = hash_combine(campaign.seed, spec.seed_salt + run as u64);
-            // The naive run continues the pipeline's RNG stream.
-            let tuners = vec![
-                Tuner::Tuna {
-                    tweaks: TunaTweaks::default(),
-                    solver: exp.optimizer.clone(),
-                    samples: spec.samples,
-                },
-                Tuner::NaiveDistributed(spec.samples),
-            ];
-            let plan = RunPlan::new(seed, hash_combine(seed, spec.rng_label), None, tuners);
-            (seed, None, plan)
+            (seed, "campaign", plan)
         }
     };
 
-    let outcome = exp.execute(&plan);
-    let (rows, payload) = match method {
-        Some(method) => {
-            let summary = outcome.into_summary(method);
-            let rows = vec![CellRow::of_summary(&arm.label, seed, &summary)];
-            (rows, CellPayload::Run(summary))
-        }
-        None => {
-            let [tuna, naive] = <[TuningResult; 2]>::try_from(outcome.tunings)
-                .expect("a convergence plan runs two tuners");
-            let rows = vec![
-                CellRow::of_trace("TUNA", seed, &tuna),
-                CellRow::of_trace("naive", seed, &naive),
-            ];
-            (rows, CellPayload::Pair { tuna, naive })
-        }
-    };
-    (CellRecord::new(cell, rows), payload)
+    let summary = exp.execute(&plan).into_summary(method);
+    let rows = vec![CellRow::of_summary(&arm.label, seed, &summary)];
+    (CellRecord::new(cell, rows), summary)
 }
 
-/// Extracts the convergence trace of a freshly executed cell: one
-/// best-cost-so-far series per tuner that ran (two for convergence
-/// pairs, none for non-tuning arms such as a static default config).
-/// The serve layer records it with the cell's rows
-/// ([`ResultStore::record_traced`]) — the payload only exists in memory
-/// at completion time.
+/// Extracts the convergence trace of a freshly executed cell: the
+/// tuner's best-cost-so-far series, or none for non-tuning arms such as
+/// a static default config. The serve layer records it with the cell's
+/// row ([`ResultStore::record_traced`]) — the summary only exists in
+/// memory at completion time.
 ///
 /// # Panics
 ///
 /// Panics if `cell` is out of range for `campaign`.
-pub fn cell_trace(campaign: &Campaign, cell: usize, payload: &CellPayload) -> CellTrace {
-    fn series_of(label: &str, t: &TuningResult) -> tuna_obs::ArmTrace {
-        tuna_obs::ArmTrace {
-            label: label.to_string(),
-            series: t
-                .trace
-                .iter()
-                .filter_map(|ir| ir.best_so_far.map(|b| (ir.round as u64, b)))
-                .collect(),
-        }
-    }
+pub fn cell_trace(campaign: &Campaign, cell: usize, summary: &RunSummary) -> CellTrace {
     let (w, a, run) = campaign.coords(cell);
-    let arms = match payload {
-        CellPayload::Run(summary) => match &summary.tuning {
-            Some(t) => vec![series_of(summary.method, t)],
-            None => Vec::new(),
-        },
-        CellPayload::Pair { tuna, naive } => {
-            vec![series_of("TUNA", tuna), series_of("naive", naive)]
-        }
-    };
+    let arms = summary.tuning.iter().map(|t| tuna_obs::ArmTrace {
+        label: summary.method.to_string(),
+        series: t
+            .trace
+            .iter()
+            .filter_map(|ir| ir.best_so_far.map(|b| (ir.round as u64, b)))
+            .collect(),
+    });
     CellTrace {
         cell: cell as u64,
         workload: campaign.workloads[w].name.to_string(),
         arm: campaign.arms[a].label.clone(),
         run: run as u64,
-        arms,
+        arms: arms.collect(),
     }
 }
 
@@ -1586,15 +1469,8 @@ mod tests {
     fn protocol_cells_match_direct_runs() {
         let campaign = tiny_campaign("protocol");
         let mut store = ResultStore::in_memory(&campaign);
-        let result =
-            CampaignRunner::serial().run_keeping(
-                &campaign,
-                &mut store,
-                |_, payload| match payload {
-                    CellPayload::Run(summary) => summary.clone(),
-                    CellPayload::Pair { .. } => unreachable!("protocol cells run one tuner"),
-                },
-            );
+        let result = CampaignRunner::serial()
+            .run_keeping(&campaign, &mut store, |_, summary| summary.clone());
         assert!(result.complete);
         assert_eq!(result.executed, 4);
 
@@ -1727,20 +1603,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A two-cell campaign whose first cell journals *two* rows (a
-    /// convergence pair) and whose second journals one — so torn tails
-    /// can land mid-group, not just mid-line.
+    /// A two-cell campaign: a TUNA cell, whose traced group is a trace
+    /// line plus its row, and a default-config cell — so torn tails can
+    /// land mid-group, not just mid-line.
     fn torn_campaign(name: &str) -> Campaign {
         let mut campaign = tiny_campaign(name);
         campaign.arms = vec![
-            Arm::new(
-                "pair",
-                Recipe::Convergence(ConvergenceSpec {
-                    samples: 10,
-                    seed_salt: 41,
-                    rng_label: 3,
-                }),
-            ),
+            Arm::new("TUNA", Recipe::protocol(Method::Tuna)),
             Arm::new("Default", Recipe::protocol(Method::DefaultConfig)),
         ];
         campaign.runs = 1;
@@ -1769,8 +1638,8 @@ mod tests {
         // resumes from the journal write path without re-execution.
         let cells: Vec<(CellRecord, CellTrace)> = (0..campaign.n_cells())
             .map(|c| {
-                let (record, payload) = execute_cell(&campaign, c, ExecutionMode::Serial);
-                let trace = cell_trace(&campaign, c, &payload);
+                let (record, summary) = execute_cell(&campaign, c, ExecutionMode::Serial);
+                let trace = cell_trace(&campaign, c, &summary);
                 (record, trace)
             })
             .collect();
@@ -1869,8 +1738,8 @@ mod tests {
         let path = dir.join("campaign.csv");
         let mut store = ResultStore::open(&path, &campaign).unwrap();
         for c in 0..campaign.n_cells() {
-            let (record, payload) = execute_cell(&campaign, c, ExecutionMode::Serial);
-            let trace = cell_trace(&campaign, c, &payload);
+            let (record, summary) = execute_cell(&campaign, c, ExecutionMode::Serial);
+            let trace = cell_trace(&campaign, c, &summary);
             store.record_traced(&campaign, record, Some(trace)).unwrap();
         }
         drop(store);
@@ -1902,7 +1771,7 @@ mod tests {
         let ref_csv = std::fs::read_to_string(&ref_path).unwrap();
 
         // Tear mid-way through the *last* cell's line: the first cell's
-        // pair is intact and must be kept, the tail cell re-executes.
+        // row is intact and must be kept, the tail cell re-executes.
         let path = dir.join("torn.csv");
         std::fs::write(&path, &ref_csv.as_bytes()[..ref_csv.len() - 3]).unwrap();
         let mut store = ResultStore::open(&path, &campaign).unwrap();
@@ -1920,7 +1789,7 @@ mod tests {
     }
 
     #[test]
-    fn short_group_mid_file_is_still_refused() {
+    fn overfull_group_mid_file_is_refused() {
         let campaign = torn_campaign("torn-midfile");
         let dir =
             std::env::temp_dir().join(format!("tuna-campaign-midfile-{}", std::process::id()));
@@ -1930,20 +1799,26 @@ mod tests {
         CampaignRunner::serial().run(&campaign, &mut store);
         drop(store);
 
-        // Delete the second row of the first cell's pair: the group is
-        // short *before* the journal tail, which no kill-during-append
-        // can produce — that is corruption and must be refused.
+        // Duplicate the first cell's row: a group of two rows *before*
+        // the journal tail, which no kill-during-append can produce —
+        // that is corruption and must be refused, although both rows
+        // carry the right checksum.
         let text = std::fs::read_to_string(&path).unwrap();
-        let gutted: String = text
+        let doubled: String = text
             .lines()
-            .enumerate()
-            .filter(|(i, _)| *i != 3)
-            .map(|(_, l)| format!("{l}\n"))
+            .flat_map(|l| {
+                if l.starts_with("0,") {
+                    vec![l, l]
+                } else {
+                    vec![l]
+                }
+            })
+            .map(|l| format!("{l}\n"))
             .collect();
-        assert_ne!(text, gutted);
-        std::fs::write(&path, gutted).unwrap();
+        assert_eq!(doubled.lines().count(), text.lines().count() + 1);
+        std::fs::write(&path, doubled).unwrap();
         let err = ResultStore::open(&path, &campaign).unwrap_err();
-        assert!(err.contains("corrupt"), "{err}");
+        assert!(err.contains("cell 0: 2 rows"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2114,9 +1989,9 @@ mod tests {
         assert_ne!(spec(3, 3).digest(), spec(3, 5).digest());
     }
 
-    /// One arm of every recipe kind: Protocol for every [`Method`],
-    /// SampleBudget plain and with each override, and a Convergence
-    /// pair. The campaign tunes with `gp`.
+    /// One arm of every recipe kind: Protocol for every [`Method`], and
+    /// SampleBudget plain and with each override. The campaign tunes
+    /// with `gp`.
     fn recipe_pin_campaign() -> Campaign {
         let budget = || SampleBudgetSpec::new(60, 100, 2, 3);
         let arms = vec![
@@ -2165,14 +2040,6 @@ mod tests {
                     ..budget()
                 }),
             ),
-            Arm::new(
-                "convergence",
-                Recipe::Convergence(ConvergenceSpec {
-                    samples: 40,
-                    seed_salt: 700,
-                    rng_label: 3,
-                }),
-            ),
         ];
         Campaign {
             arms,
@@ -2191,8 +2058,8 @@ mod tests {
         let campaign = recipe_pin_campaign();
         let mut store = ResultStore::in_memory(&campaign);
         let result =
-            CampaignRunner::serial().run_keeping(&campaign, &mut store, |cell, payload| {
-                cell_trace(&campaign, cell, payload)
+            CampaignRunner::serial().run_keeping(&campaign, &mut store, |cell, summary| {
+                cell_trace(&campaign, cell, summary)
             });
         assert!(result.complete);
         let mut series = Checksum::new();
@@ -2214,8 +2081,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        assert_eq!(result.checksum, "ed6eec31a0c54760");
-        assert_eq!(series.value(), 0x5f94_d67d_32c0_4822);
+        assert_eq!(result.checksum, "72376ae7591ca1a0");
+        assert_eq!(series.value(), 0xc7bc_87e2_f8dc_46e5);
         let want: Vec<Vec<&str>> = vec![
             vec!["TUNA"],
             vec!["TUNA w/o outlier detector"],
@@ -2228,51 +2095,14 @@ mod tests {
             vec!["campaign"],
             vec!["campaign"],
             vec!["campaign"],
-            vec!["TUNA", "naive"],
         ];
         assert_eq!(labels, want);
     }
 
     #[test]
-    fn convergence_cells_produce_pairs() {
-        let mut campaign = tiny_campaign("pairs");
-        campaign.arms = vec![Arm::new(
-            "TUNA vs naive",
-            Recipe::Convergence(ConvergenceSpec {
-                samples: 30,
-                seed_salt: 700,
-                rng_label: 3,
-            }),
-        )];
-        campaign.runs = 1;
-        let mut store = ResultStore::in_memory(&campaign);
-        let result =
-            CampaignRunner::serial().run_keeping(
-                &campaign,
-                &mut store,
-                |_, payload| match payload {
-                    CellPayload::Pair { tuna, naive } => (tuna.total_samples, naive.total_samples),
-                    CellPayload::Run(_) => panic!("a convergence cell ran one tuner"),
-                },
-            );
-        assert!(result.complete);
-        let pairs = result.kept(0, 0).expect("freshly executed");
-        assert_eq!(pairs.len(), 1);
-        let &(tuna, naive) = pairs[0];
-        assert!(tuna >= 30);
-        assert!(naive <= 30);
-        assert_eq!(result.cells[0].record.rows.len(), 2);
-    }
-
-    #[test]
     fn run_keeping_returns_kept_values_in_cell_order_and_none_for_resumed_groups() {
         let campaign = tiny_campaign("keeping");
-        let keep = |cell: usize, payload: &CellPayload| {
-            let CellPayload::Run(summary) = payload else {
-                panic!("protocol cells run one tuner")
-            };
-            (cell, summary.deployment.mean)
-        };
+        let keep = |cell: usize, summary: &RunSummary| (cell, summary.deployment.mean);
         let mut store = ResultStore::in_memory(&campaign);
         // Cell 0 (group (0, 0)) is recorded by a first, truncated run.
         let first = CampaignRunner::serial()

@@ -337,11 +337,11 @@ fn worker_loop(shared: &Shared) {
         let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let mut mgr = shared.mgr.lock().expect("manager lock");
         let result = match outcome {
-            Ok((record, payload)) => {
+            Ok((record, summary)) => {
                 let trace = tuna_core::campaign::cell_trace(
                     &assignment.campaign,
                     assignment.cell,
-                    &payload,
+                    &summary,
                 );
                 mgr.complete_traced(
                     &assignment.tenant,

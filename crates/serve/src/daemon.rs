@@ -268,12 +268,12 @@ mod tests {
         call(&mut mgr, "POST", "/v1/studies", &spec_body("s1"));
         // Run the study's single cell through the manager.
         let a = mgr.next_assignment().unwrap();
-        let (record, payload) = tuna_core::campaign::execute_cell(
+        let (record, summary) = tuna_core::campaign::execute_cell(
             &a.campaign,
             a.cell,
             tuna_core::executor::ExecutionMode::Serial,
         );
-        let trace = tuna_core::campaign::cell_trace(&a.campaign, a.cell, &payload);
+        let trace = tuna_core::campaign::cell_trace(&a.campaign, a.cell, &summary);
         mgr.complete_traced(&a.tenant, &a.study, record, 0, Some(trace))
             .unwrap();
         let (status, body) = call(&mut mgr, "GET", "/v1/studies/s1/trace", "");

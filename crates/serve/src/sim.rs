@@ -185,9 +185,9 @@ impl SimServer {
         }
         let mut done = Vec::with_capacity(claimed.len());
         for a in claimed {
-            let (record, payload) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
+            let (record, summary) = execute_cell(&a.campaign, a.cell, ExecutionMode::Serial);
             let wall_ns = SIM_NS_PER_ROW * record.rows.len() as u64;
-            let trace = tuna_core::campaign::cell_trace(&a.campaign, a.cell, &payload);
+            let trace = tuna_core::campaign::cell_trace(&a.campaign, a.cell, &summary);
             self.mgr
                 .complete_traced(&a.tenant, &a.study, record, wall_ns, Some(trace))
                 .expect("sim completion of a just-claimed cell");

@@ -11,8 +11,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tuna_core::campaign::{Campaign, CampaignResult, CampaignRunner, CellPayload, ResultStore};
-use tuna_core::experiment::Method;
+use tuna_core::campaign::{Campaign, CampaignResult, CampaignRunner, ResultStore};
+use tuna_core::experiment::{Method, RunSummary};
 
 /// Tracks the bytes that a thread inside [`held_by`] allocates and has
 /// not freed; everything else passes straight through.
@@ -117,12 +117,12 @@ fn a_finished_campaign_holds_records_not_traces() {
     );
 
     // The bound is tight enough to catch a runner that keeps each cell's
-    // payload (its tuning trace) until the grid ends.
-    let keeping_payloads = held_per_extra_cell(|c, s| {
-        CampaignRunner::serial().run_keeping(c, s, |_, p: &CellPayload| p.clone())
+    // summary (its tuning trace) until the grid ends.
+    let keeping_summaries = held_per_extra_cell(|c, s| {
+        CampaignRunner::serial().run_keeping(c, s, |_, p: &RunSummary| p.clone())
     });
     assert!(
-        keeping_payloads > 2_048,
-        "keeping every payload holds only {keeping_payloads} bytes per extra cell"
+        keeping_summaries > 2_048,
+        "keeping every summary holds only {keeping_summaries} bytes per extra cell"
     );
 }

@@ -1,12 +1,15 @@
-//! Serial ≡ parallel equivalence: the executor's determinism contract,
-//! end to end.
+//! Serial ≡ parallel equivalence: the determinism contract, end to end.
 //!
-//! The engine promises that a tuning run's *entire* [`TuningResult`] —
-//! trace, best config, sample counts, unstable set, model-error records —
-//! is bit-identical whether trials execute serially or on any number of
-//! worker threads. These tests pin that contract for all three SuTs and
-//! worker counts {1, 2, 4, 10}, at the pipeline level and at the full
-//! experiment level (tuning + deployment on fresh VMs).
+//! Trials always run in plan order on the calling thread. A tuning run's
+//! [`ExecutionMode`] sets only the forest threads of SMAC's surrogate and
+//! the noise adjuster; a campaign runner's sets its cell workers. The
+//! engine promises that neither count changes a result. These tests pin
+//! that a tuning run's *entire* [`TuningResult`] — trace, best config,
+//! sample counts, unstable set, model-error records — is bit-identical
+//! at forest-thread counts {1, 2, 4, 10} for all three SuTs, at the
+//! pipeline level and at the full experiment level (tuning + deployment
+//! on fresh VMs), and that campaign stores are bit-identical at 1 and 4
+//! cell workers, whether a run is interrupted and resumed or not.
 
 use tuna_core::campaign::{Arm, Campaign, CampaignRunner, Recipe, ResultStore, SampleBudgetSpec};
 use tuna_core::executor::ExecutionMode;
